@@ -2,8 +2,10 @@
 
 Cache location comes from an explicit directory or the WORKBENCH_CACHE
 environment variable; without either, caching is disabled.  Entries are
-keyed by (level, label, sign, code version) and validated on load, so a
-corrupted file is treated as a miss and overwritten.
+keyed by (level, label, sign, code version).  On load an entry must parse,
+match its key, and, when the Manin symbol space is given, hold one integer
+value per point of P^1(Z/N) on which both Manin relations vanish exactly.
+Anything else is a miss, and the caller recomputes and overwrites it.
 """
 
 from __future__ import annotations
@@ -32,8 +34,12 @@ def _entry_path(cache_dir, level, label, sign, version=CODE_VERSION):
     return os.path.join(cache_dir, name)
 
 
-def load_symbol(cache_dir, level, label, sign):
-    """Cached generator values, or None on miss/corruption."""
+def load_symbol(cache_dir, level, label, sign, space=None):
+    """Cached generator values, or None on miss/corruption.
+
+    With ``space`` (the ManinSymbolSpace of the level) the values are also
+    checked mathematically: their count and both Manin relations.
+    """
     if not cache_dir:
         return None
     path = _entry_path(cache_dir, level, label, sign)
@@ -47,6 +53,9 @@ def load_symbol(cache_dir, level, label, sign):
         values = [int(v) for v in data["values"]]
         Fraction(data["content"])
         [(int(l), int(a)) for l, a in data["ap_certificate"]]
+        if space is not None and (len(values) != len(space.generators)
+                                  or not space.relations_vanish(values)):
+            return None
         return data | {"values": values}
     except (OSError, ValueError, KeyError, TypeError):
         return None

@@ -6,6 +6,12 @@ Fraction coefficients, so every ring operation is exact.  For prime-power m
 the reduction uses the sparse shape of Phi_{p^k}; general m falls back to
 polynomial division.
 
+The hot kernels (products, the change to the X = zeta - 1 basis and the
+evaluation of an X-polynomial at zeta - 1) clear denominators once and work
+on integer vectors with one common denominator: a Taylor shift by +-1 by
+synthetic division, then one fold of the exponents mod m and one reduction
+pass modulo Phi_m.
+
 The p-adic side is the quotient Z_p[X]/Phi_{p^k}(1+X), a totally ramified
 local ring with uniformizer X = zeta - 1.  In the power basis sum c_i X^i
 the valuation is min_i (d*v_p(c_i) + i) and the minimum is attained at a
@@ -15,7 +21,9 @@ unique index, so valuations of embedded values are read off exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate
+from math import gcd, lcm
+from operator import add, sub
 
 from .exceptions import InvalidArgument, PrecisionError
 from .padics import PadicScalar, is_prime, vp
@@ -82,25 +90,68 @@ def int_poly_mul_fast(a, b):
     return [x - y for x, y in zip(pos, neg)]
 
 
+def _clear_denominators(co):
+    """(integer numerators, common denominator) of a rational vector."""
+    den = 1
+    for c in co:
+        if c.denominator != 1:
+            den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in co], den
+
+
 def fraction_poly_mul(a, b):
     """Exact product of Fraction coefficient lists, fast at scale."""
     if not a or not b:
         return []
-    da = 1
-    for c in a:
-        if isinstance(c, Fraction):
-            da = da * c.denominator // gcd(da, c.denominator)
-    db = 1
-    for c in b:
-        if isinstance(c, Fraction):
-            db = db * c.denominator // gcd(db, c.denominator)
-    A = [int(c * da) for c in a]
-    B = [int(c * db) for c in b]
-    out = int_poly_mul_fast(A, B)
-    dd = da * db
-    if dd == 1:
-        return [Fraction(x) for x in out]
-    return [Fraction(x, dd) for x in out]
+    A, da = _clear_denominators(a)
+    B, db = _clear_denominators(b)
+    return [Fraction(x, da * db) for x in int_poly_mul_fast(A, B)]
+
+
+def _taylor_shift(a, sign=1):
+    """Integer coefficients of a(X + sign) for sign = +1 or -1.
+
+    Synthetic division by X - sign: n - 1 suffix-sum passes over one
+    working vector, O(n^2) integer additions.  The shift by -1 is the shift
+    by +1 conjugated by X -> -X.
+    """
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    if sign < 0:
+        a[1::2] = [-c for c in a[1::2]]
+    r = a[::-1]
+    for j in range(len(r), 1, -1):
+        r[:j] = accumulate(r[:j])
+    r.reverse()
+    if sign < 0:
+        r[1::2] = [-c for c in r[1::2]]
+    return r
+
+
+def _fold_reduce(v, m):
+    """Power-basis integer coefficients of sum_e v_e zeta_m^e.
+
+    Exponents fold mod m, then one pass reduces modulo Phi_m: for m = p^k,
+    zeta^(d+j) = -sum_{i<p-1} zeta^(j+i*s) with s = p^(k-1), d = (p-1)s and
+    j < s, so no term needs reducing twice.
+    """
+    out = [0] * m
+    for start in range(0, len(v), m):
+        chunk = v[start:start + m]
+        out[:len(chunk)] = map(add, out, chunk)
+    pk = _prime_power(m)
+    if pk is None:
+        d = euler_phi(m)
+        _, rem = _poly_divmod_monic(out, cyclotomic_polynomial(m))
+        return rem + [0] * (d - len(rem))
+    s = m // pk[0]
+    d = m - s
+    top = out[d:]
+    for lo in range(0, d, s):
+        out[lo:lo + s] = map(sub, out[lo:lo + s], top)
+    del out[d:]
+    return out
 
 
 def _poly_divmod_monic(a, b):
@@ -240,16 +291,19 @@ class CyclotomicInt:
     def __neg__(self):
         return CyclotomicInt(self.m, [-a for a in self.co])
 
+    @classmethod
+    def from_integers(cls, m, ints, den=1):
+        """The element sum_e (ints[e] / den) zeta_m^e of the power basis."""
+        return cls(m, [Fraction(x, den) for x in ints])
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return CyclotomicInt(self.m, [a * other for a in self.co])
         other = self._coerce(other)
-        big = fraction_poly_mul(self.co, other.co)
-        z = CyclotomicInt(self.m)
-        for e, c in enumerate(big):
-            if c:
-                z._add_monomial(e, c)
-        return z
+        a, da = _clear_denominators(self.co)
+        b, db = _clear_denominators(other.co)
+        return CyclotomicInt.from_integers(
+            self.m, _fold_reduce(int_poly_mul_fast(a, b), self.m), da * db)
 
     __rmul__ = __mul__
 
@@ -686,7 +740,8 @@ def zeta_to_x_basis(z, p=None, k=None):
     """Rewrite an element of Q(zeta_{p^k}) as a polynomial in X = zeta - 1.
 
     Returns coefficients of degree < phi(p^k).  This is the binomial
-    transform c'_j = sum_i c_i * C(i, j).
+    transform c'_j = sum_i c_i * C(i, j), i.e. the Taylor shift of the
+    power-basis coefficients by +1, done on integers over one denominator.
     """
     if p is None:
         pk = _prime_power(z.m)
@@ -694,30 +749,23 @@ def zeta_to_x_basis(z, p=None, k=None):
             raise InvalidArgument("prime-power level required")
         p, k = pk
     d = (p - 1) * p ** (k - 1)
-    out = [Fraction(0)] * d
-    for i, c in enumerate(z.co):
-        if c:
-            b = 1
-            for j in range(i + 1):
-                out[j] += c * b
-                b = b * (i - j) // (j + 1)
-    return out
+    ints, den = _clear_denominators(z.co)
+    out = _taylor_shift(ints, 1)
+    out += [0] * (d - len(out))
+    return [Fraction(x, den) for x in out]
 
 
 def x_poly_at_zeta_minus_one(poly, p, k):
-    """Evaluate a polynomial in X at X = zeta_{p^k} - 1, exactly (Horner)."""
+    """Evaluate a polynomial in X at X = zeta_{p^k} - 1, exactly.
+
+    poly(zeta - 1) is the Taylor shift of poly by -1 read at zeta, so the
+    shifted integer coefficients fold into the power basis of Q(zeta_{p^k});
+    the polynomial may be longer than phi(p^k).
+    """
     m = p ** k
-    z = CyclotomicInt(m)
-    for c in reversed(poly):
-        w = CyclotomicInt(m)
-        for e, co in enumerate(z.co):
-            if co:
-                w._add_monomial(e + 1, co)
-                w.co[e] -= co
-        if c:
-            w.co[0] += Fraction(c)
-        z = w
-    return z
+    ints, den = _clear_denominators(poly)
+    return CyclotomicInt.from_integers(
+        m, _fold_reduce(_taylor_shift(ints, -1), m), den)
 
 
 def embed_padic(z, p, precision):

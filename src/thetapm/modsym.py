@@ -177,6 +177,11 @@ class ManinSymbolSpace:
             rows.append(r)
         return rows
 
+    def relations_vanish(self, values):
+        """True when generator values satisfy both Manin relations exactly."""
+        return all(sum(c * values[j] for j, c in row.items()) == 0
+                   for row in self.relation_rows)
+
     def _eliminate(self, rows):
         n = len(self.generators)
         pivots = {}
@@ -359,10 +364,22 @@ class EigenSymbol:
         return self.values_on_generators[i]
 
     def evaluator(self):
-        """Fast integer path evaluator (x, m) -> value on {oo, x/m}."""
+        """Fast integer path evaluator (x, m) -> value on {oo, x/m}.
+
+        The Manin trick sums the generator values at (-+q_j : q_(j-1)) over
+        the convergent denominators of x/m, the sign alternating from -1.
+        The values at (c : d) and (-c : d) are tabulated at c*N + d, the
+        denominators are carried mod N, and each loop turn takes one
+        Euclid step of each sign.
+        """
         N = self.level
-        table = self._space.p1.table
         vals = self.values_on_generators
+        plus = [vals[i] if i >= 0 else 0 for i in self._space.p1.table]
+        minus = []
+        for c in range(N):
+            row = (-c) % N * N
+            minus += plus[row:row + N]
+        start = minus[1 % N * N]
 
         def ev(x, m):
             if m < 0:
@@ -373,23 +390,18 @@ class EigenSymbol:
             if g > 1:
                 x //= g
                 m //= g
-            xx = x % m if m > 1 else 0
-            yy = m
-            qm1 = 0
-            qj = 1
-            sign = -1
-            first = True
-            total = 0
-            while yy:
-                q0, r = divmod(xx, yy)
-                xx, yy = yy, r
-                if first:
-                    qj = 1
-                    first = False
-                else:
-                    qj, qm1 = q0 * qj + qm1, qj
-                total += vals[table[((sign * qj) % N) * N + qm1 % N]]
-                sign = -sign
+            a, b = m, x % m
+            q, qm = 1 % N, 0
+            total = start
+            while b:
+                t, a = divmod(a, b)
+                q, qm = (t * q + qm) % N, q
+                total += plus[q * N + qm]
+                if not a:
+                    break
+                t, b = divmod(b, a)
+                q, qm = (t * q + qm) % N, q
+                total += minus[q * N + qm]
             return total
         return ev
 

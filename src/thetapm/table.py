@@ -116,8 +116,10 @@ class Workbench:
         key = (curve.label, curve.conductor, sign)
         if key in self._symbols:
             return self._symbols[key], "memory"
+        space = self.space(curve.conductor)
+        # a truncated or altered entry fails the load checks and is a miss
         cached = cache_mod.load_symbol(self.cache_dir, curve.conductor,
-                                       curve.label, sign)
+                                       curve.label, sign, space=space)
         if cached is not None:
             cert = [tuple(x) for x in cached["ap_certificate"]]
             # eigenvalue certificate must agree with fresh point counts
@@ -125,10 +127,10 @@ class Workbench:
                 sym = EigenSymbol(cached["level"], cached["sign"],
                                   cached["values"], Fraction(cached["content"]),
                                   label=cached["label"], ap_certificate=cert,
-                                  _space=self.space(curve.conductor))
+                                  _space=space)
                 self._symbols[key] = sym
                 return sym, "disk"
-        sym = extract_eigensymbol(self.space(curve.conductor), curve, sign)
+        sym = extract_eigensymbol(space, curve, sign)
         self._symbols[key] = sym
         cache_mod.store_symbol(self.cache_dir, sym)
         return sym, "computed"

@@ -68,6 +68,43 @@ def test_corrupted_cache_entry_recomputed(tmp_path):
     assert load_symbol(str(tmp_path), 32, "32a", 1) is not None
 
 
+def _truncate(values):
+    return values[:10]
+
+
+def _double_every_third(values):
+    return [2 * v if i % 3 == 0 else v for i, v in enumerate(values)]
+
+
+@pytest.mark.parametrize("damage", [_truncate, _double_every_third])
+def test_damaged_cache_values_recomputed(tmp_path, damage):
+    """Entries that parse but whose values are wrong are misses: the table
+    row is computed from fresh symbols and matches the frozen invariants."""
+    c = bundled_curve("32a")
+    wb = Workbench(RunConfig(cache_dir=str(tmp_path)))
+    fresh = {s: wb.symbol(c, s)[0].values_on_generators for s in (1, -1)}
+    for name in os.listdir(tmp_path):
+        path = os.path.join(tmp_path, name)
+        with open(path) as fh:
+            entry = json.load(fh)
+        entry["values"] = damage(entry["values"])
+        with open(path, "w") as fh:
+            json.dump(entry, fh)
+    wb2 = Workbench(RunConfig(cache_dir=str(tmp_path)))
+    space = wb2.space(32)
+    for s in (1, -1):
+        assert load_symbol(str(tmp_path), 32, "32a", s, space=space) is None
+        sym, src = wb2.symbol(c, s)
+        assert src == "computed"
+        assert sym.values_on_generators == fresh[s]
+        # the damaged entry was overwritten with a valid one
+        assert load_symbol(str(tmp_path), 32, "32a", s,
+                           space=space)["values"] == fresh[s]
+    (row,) = wb2.run_table([{"curve": "32a", "discriminant": -107, "p": 3}])
+    assert "error" not in row, row
+    assert row["reference_diff"]["match"]
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("WORKBENCH_CACHE", str(tmp_path))
     wb = Workbench(RunConfig())

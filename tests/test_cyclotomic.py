@@ -2,6 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import fraction_oracle
 
 from thetapm import (CyclotomicInt, InvalidArgument, TameCharacter,
                      WildCharacter, cyclotomic_poly_shifted,
@@ -205,3 +209,100 @@ def test_zeta_x_basis_round_trip():
         poly = zeta_to_x_basis(a)
         back = x_poly_at_zeta_minus_one(poly, 3, 3)
         assert back == a
+
+
+# -- integer kernels against the Fraction oracle ------------------------------
+
+LEVELS = [(p, k) for p in (3, 5, 7) for k in (1, 2, 3, 4)]
+
+
+@st.composite
+def rationals(draw, p):
+    """Rationals whose denominators mix powers of p, p - 1 and other primes."""
+    num = draw(st.one_of(st.integers(-30, 30), st.integers(-10 ** 40, 10 ** 40)))
+    den = (p ** draw(st.integers(0, 6)) * (p - 1) ** draw(st.integers(0, 3))
+           * draw(st.sampled_from([1, 1, 11, 13, 101, 11 * 13])))
+    return Fraction(num, den)
+
+
+@st.composite
+def rational_vectors(draw, p, length, max_nonzero=None):
+    """Exactly ``length`` coefficients: dense blocks separated by zero runs."""
+    out = []
+    nonzero = 0
+    while len(out) < length:
+        run = draw(st.integers(1, max(1, length // 3)))
+        if draw(st.booleans()) or (max_nonzero is not None and nonzero >= max_nonzero):
+            out += [Fraction(0)] * run
+        else:
+            block = draw(st.lists(rationals(p), min_size=1, max_size=min(run, 12)))
+            out += block
+            nonzero += len(block)
+    return out[:length]
+
+
+@st.composite
+def level_and_element(draw, max_nonzero=None):
+    p, k = draw(st.sampled_from(LEVELS))
+    m = p ** k
+    co = draw(rational_vectors(p, euler_phi(m), max_nonzero))
+    return p, k, CyclotomicInt(m, co)
+
+
+@st.composite
+def level_and_x_poly(draw):
+    """X-polynomials up to degree 3 phi(p^k), as re-interpolation passes
+    polynomials longer than phi(p^k); the Horner oracle costs length * phi,
+    so the two largest levels stop at degree 300."""
+    p, k = draw(st.sampled_from(LEVELS))
+    d = euler_phi(p ** k)
+    top = 3 * d if d <= 300 else 300
+    length = draw(st.integers(0, top + 1))
+    return p, k, draw(rational_vectors(p, length))
+
+
+ORACLE_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                           database=None,
+                           suppress_health_check=[HealthCheck.too_slow,
+                                                  HealthCheck.data_too_large])
+
+
+@ORACLE_SETTINGS
+@given(level_and_element(max_nonzero=60))
+def test_zeta_to_x_basis_matches_fraction_oracle(case):
+    p, k, z = case
+    got = zeta_to_x_basis(z, p, k)
+    want = fraction_oracle.zeta_to_x_basis(z, p, k)
+    assert got == want
+    assert all(type(c) is Fraction for c in got)
+    assert zeta_to_x_basis(z) == want
+
+
+@ORACLE_SETTINGS
+@given(level_and_x_poly())
+def test_x_poly_at_zeta_minus_one_matches_fraction_oracle(case):
+    p, k, poly = case
+    got = x_poly_at_zeta_minus_one(poly, p, k)
+    want = fraction_oracle.x_poly_at_zeta_minus_one(poly, p, k)
+    assert got.m == want.m and got.co == want.co
+    assert all(type(c) is Fraction for c in got.co)
+
+
+@ORACLE_SETTINGS
+@given(st.data())
+def test_cyclotomic_mul_matches_fraction_oracle(data):
+    p, k, a = data.draw(level_and_element())
+    b = CyclotomicInt(a.m, data.draw(rational_vectors(p, len(a.co))))
+    got = a * b
+    want = fraction_oracle.mul(a, b)
+    assert got.co == want.co
+    assert all(type(c) is Fraction for c in got.co)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, 2, 4, 6, 10, 12, 15, 18, 20, 21, 24]), st.data())
+def test_cyclotomic_mul_matches_oracle_off_prime_powers(m, data):
+    d = euler_phi(m)
+    a = CyclotomicInt(m, data.draw(rational_vectors(3, d)))
+    b = CyclotomicInt(m, data.draw(rational_vectors(3, d)))
+    assert (a * b).co == fraction_oracle.mul(a, b).co

@@ -225,3 +225,20 @@ def test_stabilization_monotonicity_one_level_deeper(workbench):
     keys = [(p["mu"], p["lambda"], tuple(map(tuple, p["slopes"]))) for p in profs]
     assert keys[-1] == keys[-2] == keys[-3]
     assert deep.profile.lam == 2
+
+
+@pytest.mark.parametrize("label,D", [("32a", 1), ("32a", -43), ("40a", 1),
+                                     ("40a", -331), ("56a", 1), ("56a", -487)])
+def test_family_value_even_under_negation(workbench, label, D):
+    """tev(q - a) = tev(a) for every unit residue a mod q = 3^5.
+
+    -1 is a Teichmueller unit, so a and -a feed the same Mazur-Tate
+    coefficient; the symmetry is asserted here, not assumed by the build."""
+    tgt = workbench.target(bundled_curve(label), D)
+    q = 3 ** 5
+    units = [a for a in range(1, q) if a % 3]
+    assert len(units) == 162
+    values = {a: tgt.family_value(a, q) for a in units}
+    assert any(values.values())
+    for a in units:
+        assert values[q - a] == values[a], (label, D, a)

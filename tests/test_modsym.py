@@ -184,6 +184,76 @@ def test_route_independence_negative_cf(sym32):
         assert ev(a, m) == negative_cf_value(a, m), (a, m)
 
 
+def _single_step_path_value(symbol, x, m):
+    """The evaluator's original loop: one Euclid step and a sign flip per
+    turn, full convergent denominators, every generator looked up in the
+    P^1 table."""
+    N = symbol.level
+    table = symbol._space.p1.table
+    vals = symbol.values_on_generators
+    if m < 0:
+        x, m = -x, -m
+    if m == 0:
+        return 0
+    g = gcd(x, m)
+    if g > 1:
+        x //= g
+        m //= g
+    xx = x % m if m > 1 else 0
+    yy = m
+    qm1 = 0
+    qj = 1
+    sign = -1
+    first = True
+    total = 0
+    while yy:
+        q0, r = divmod(xx, yy)
+        xx, yy = yy, r
+        if first:
+            qj = 1
+            first = False
+        else:
+            qj, qm1 = q0 * qj + qm1, qj
+        total += vals[table[((sign * qj) % N) * N + qm1 % N]]
+        sign = -sign
+    return total
+
+
+@pytest.mark.parametrize("label", ["32a", "40a", "56a", "11a"])
+def test_evaluator_matches_single_step_loop(label, sym32):
+    if label == "32a":
+        symbols = sym32[:2]
+    elif label == "11a":
+        c11 = CurveData("11a", (0, -1, 1, -10, -20), 11)
+        symbols = tuple(extract_eigensymbol(build_space(11), c11, s)
+                        for s in (1, -1))
+    else:
+        c = bundled_curve(label)
+        sp = build_space(c.conductor)
+        symbols = tuple(extract_eigensymbol(sp, c, s) for s in (1, -1))
+    rng = random.Random(label)
+    cases = [(0, 1), (5, 1), (-7, 1), (3, 0), (0, 0), (-4, 0), (6, 4),
+             (-6, -4), (12, 18), (1, -1), (0, -9)]
+    for _ in range(600):
+        m = rng.choice([rng.randint(-60, 60), rng.randint(-10 ** 6, 10 ** 6)])
+        x = rng.randint(-3 * abs(m) - 5, 3 * abs(m) + 5)
+        f = rng.choice([1, 1, 2, 3, 9, 4, 35])
+        cases.append((x * f, m * f))                  # non-reduced fractions
+    for sym in symbols:
+        ev = sym.evaluator()
+        for x, m in cases:
+            assert ev(x, m) == _single_step_path_value(sym, x, m), (label, x, m)
+
+
+def test_relations_vanish_detects_altered_values(sym32):
+    plus, minus, _, sp = sym32
+    for sym in (plus, minus):
+        vals = sym.values_on_generators
+        assert sp.relations_vanish(vals)
+        doubled = [2 * v if i % 3 == 0 else v for i, v in enumerate(vals)]
+        assert not sp.relations_vanish(doubled)
+
+
 def test_eval_path_requires_positive_denominator(sym32):
     plus, _, _, _ = sym32
     with pytest.raises(InvalidArgument):
