@@ -3,9 +3,10 @@
 Cache location comes from an explicit directory or the WORKBENCH_CACHE
 environment variable; without either, caching is disabled.  Entries are
 keyed by (level, label, sign, code version).  On load an entry must parse,
-match its key, and, when the Manin symbol space is given, hold one integer
-value per point of P^1(Z/N) on which both Manin relations vanish exactly.
-Anything else is a miss, and the caller recomputes and overwrites it.
+match its key and hold integer values, a rational content and an integer
+eigenvalue certificate; anything else is a miss.  Whether the values form
+a Manin symbol of the level is checked by the caller (``Workbench.symbol``),
+which recomputes and overwrites an entry that fails.
 """
 
 from __future__ import annotations
@@ -34,12 +35,8 @@ def _entry_path(cache_dir, level, label, sign, version=CODE_VERSION):
     return os.path.join(cache_dir, name)
 
 
-def load_symbol(cache_dir, level, label, sign, space=None):
-    """Cached generator values, or None on miss/corruption.
-
-    With ``space`` (the ManinSymbolSpace of the level) the values are also
-    checked mathematically: their count and both Manin relations.
-    """
+def load_symbol(cache_dir, level, label, sign):
+    """Cached generator values, or None on miss/corruption."""
     if not cache_dir:
         return None
     path = _entry_path(cache_dir, level, label, sign)
@@ -53,9 +50,6 @@ def load_symbol(cache_dir, level, label, sign, space=None):
         values = [int(v) for v in data["values"]]
         Fraction(data["content"])
         [(int(l), int(a)) for l, a in data["ap_certificate"]]
-        if space is not None and (len(values) != len(space.generators)
-                                  or not space.relations_vanish(values)):
-            return None
         return data | {"values": values}
     except (OSError, ValueError, KeyError, TypeError):
         return None

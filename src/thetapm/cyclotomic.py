@@ -291,19 +291,15 @@ class CyclotomicInt:
     def __neg__(self):
         return CyclotomicInt(self.m, [-a for a in self.co])
 
-    @classmethod
-    def from_integers(cls, m, ints, den=1):
-        """The element sum_e (ints[e] / den) zeta_m^e of the power basis."""
-        return cls(m, [Fraction(x, den) for x in ints])
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return CyclotomicInt(self.m, [a * other for a in self.co])
         other = self._coerce(other)
         a, da = _clear_denominators(self.co)
         b, db = _clear_denominators(other.co)
-        return CyclotomicInt.from_integers(
-            self.m, _fold_reduce(int_poly_mul_fast(a, b), self.m), da * db)
+        v = _fold_reduce(int_poly_mul_fast(a, b), self.m)
+        den = da * db
+        return CyclotomicInt(self.m, [Fraction(x, den) for x in v])
 
     __rmul__ = __mul__
 
@@ -764,8 +760,8 @@ def x_poly_at_zeta_minus_one(poly, p, k):
     """
     m = p ** k
     ints, den = _clear_denominators(poly)
-    return CyclotomicInt.from_integers(
-        m, _fold_reduce(_taylor_shift(ints, -1), m), den)
+    v = _fold_reduce(_taylor_shift(ints, -1), m)
+    return CyclotomicInt(m, [Fraction(x, den) for x in v])
 
 
 def embed_padic(z, p, precision):

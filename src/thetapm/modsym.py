@@ -368,18 +368,14 @@ class EigenSymbol:
 
         The Manin trick sums the generator values at (-+q_j : q_(j-1)) over
         the convergent denominators of x/m, the sign alternating from -1.
-        The values at (c : d) and (-c : d) are tabulated at c*N + d, the
-        denominators are carried mod N, and each loop turn takes one
-        Euclid step of each sign.
+        The denominators are carried mod N, so the point (-q : d) sits at
+        index d - q*N of the P^1 table (row N - q, or row 0 when q is 0),
+        and each loop turn takes one Euclid step of each sign.
         """
         N = self.level
+        table = self._space.p1.table
         vals = self.values_on_generators
-        plus = [vals[i] if i >= 0 else 0 for i in self._space.p1.table]
-        minus = []
-        for c in range(N):
-            row = (-c) % N * N
-            minus += plus[row:row + N]
-        start = minus[1 % N * N]
+        start = vals[table[(N - 1) * N]]
 
         def ev(x, m):
             if m < 0:
@@ -396,12 +392,12 @@ class EigenSymbol:
             while b:
                 t, a = divmod(a, b)
                 q, qm = (t * q + qm) % N, q
-                total += plus[q * N + qm]
+                total += vals[table[q * N + qm]]
                 if not a:
                     break
                 t, b = divmod(b, a)
                 q, qm = (t * q + qm) % N, q
-                total += minus[q * N + qm]
+                total += vals[table[qm - q * N]]
             return total
         return ev
 

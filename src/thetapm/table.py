@@ -117,15 +117,18 @@ class Workbench:
         if key in self._symbols:
             return self._symbols[key], "memory"
         space = self.space(curve.conductor)
-        # a truncated or altered entry fails the load checks and is a miss
         cached = cache_mod.load_symbol(self.cache_dir, curve.conductor,
-                                       curve.label, sign, space=space)
+                                       curve.label, sign)
         if cached is not None:
             cert = [tuple(x) for x in cached["ap_certificate"]]
-            # eigenvalue certificate must agree with fresh point counts
-            if all(curve.ap(ell) == a for ell, a in cert):
+            values = cached["values"]
+            # eigenvalue certificate must agree with fresh point counts, and
+            # a truncated or altered value list must not pass as a symbol
+            if (all(curve.ap(ell) == a for ell, a in cert)
+                    and len(values) == len(space.generators)
+                    and space.relations_vanish(values)):
                 sym = EigenSymbol(cached["level"], cached["sign"],
-                                  cached["values"], Fraction(cached["content"]),
+                                  values, Fraction(cached["content"]),
                                   label=cached["label"], ap_certificate=cert,
                                   _space=space)
                 self._symbols[key] = sym

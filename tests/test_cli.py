@@ -91,15 +91,16 @@ def test_damaged_cache_values_recomputed(tmp_path, damage):
         with open(path, "w") as fh:
             json.dump(entry, fh)
     wb2 = Workbench(RunConfig(cache_dir=str(tmp_path)))
-    space = wb2.space(32)
     for s in (1, -1):
-        assert load_symbol(str(tmp_path), 32, "32a", s, space=space) is None
         sym, src = wb2.symbol(c, s)
         assert src == "computed"
         assert sym.values_on_generators == fresh[s]
-        # the damaged entry was overwritten with a valid one
-        assert load_symbol(str(tmp_path), 32, "32a", s,
-                           space=space)["values"] == fresh[s]
+    # the damaged entries were overwritten with valid ones
+    wb3 = Workbench(RunConfig(cache_dir=str(tmp_path)))
+    for s in (1, -1):
+        sym, src = wb3.symbol(c, s)
+        assert src == "disk"
+        assert sym.values_on_generators == fresh[s]
     (row,) = wb2.run_table([{"curve": "32a", "discriminant": -107, "p": 3}])
     assert "error" not in row, row
     assert row["reference_diff"]["match"]
