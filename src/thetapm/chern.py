@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from . import polys
 from .curves import (CurveData, kronecker_symbol, local_reduction_type,
                      unit_square_class)
 from .exceptions import (CommonFactorWithinPrecision, InvalidArgument,
@@ -95,14 +96,6 @@ class C2Divisor:
 # F_p[[S]][T] helpers: terms as dict (i, j) -> residue
 
 
-def _fp2_from_element(f, p):
-    if isinstance(f, IwasawaElement2):
-        return f.mod_p()
-    if isinstance(f, dict):
-        return {k: v % p for k, v in f.items() if v % p}
-    raise InvalidArgument("expected a two-variable element")
-
-
 def _fp2_p_valuation(f):
     """Largest power of p dividing every coefficient (exact input)."""
     best = None
@@ -142,35 +135,6 @@ def _fp2_t_poly(h, p, s_trunc):
     return out
 
 
-def _fps_mul(a, b, p, s_trunc):
-    out = [0] * s_trunc
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if i + j >= s_trunc:
-                    break
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _fps_is_zero(a):
-    return all(x == 0 for x in a)
-
-
-def _fps_unit_inverse(a, p, s_trunc):
-    if a[0] % p == 0:
-        raise InvalidArgument("series is not a unit")
-    inv = [0] * s_trunc
-    inv[0] = pow(a[0], -1, p)
-    for n in range(1, s_trunc):
-        s = 0
-        for i in range(1, n + 1):
-            if i < len(a) and a[i]:
-                s += a[i] * inv[n - i]
-        inv[n] = (-s * inv[0]) % p
-    return inv
-
-
 def _t_divmod(f, w, p, s_trunc):
     """Divide T-polynomials over F_p[[S]] by monic w; (quotient, remainder)."""
     f = [list(c) + [0] * (s_trunc - len(c)) for c in f]
@@ -178,15 +142,14 @@ def _t_divmod(f, w, p, s_trunc):
     q = [[0] * s_trunc for _ in range(max(len(f) - dw, 1))]
     for i in range(len(f) - 1, dw - 1, -1):
         c = f[i]
-        if _fps_is_zero(c):
+        if not any(c):
             continue
         q[i - dw] = list(c)
-        for j in range(dw + 1):
-            prod = _fps_mul(c, w[j], p, s_trunc)
-            tgt = f[i - dw + j]
-            for t in range(s_trunc):
-                tgt[t] = (tgt[t] - prod[t]) % p
-    while len(f) > 1 and _fps_is_zero(f[-1]):
+        for j, wj in enumerate(w):
+            if any(wj):
+                prod = polys.series_mul_mod(c, wj, p, s_trunc)
+                f[i - dw + j] = [(x - y) % p for x, y in zip(f[i - dw + j], prod)]
+    while len(f) > 1 and not any(f[-1]):
         f.pop()
     return q, f
 
@@ -199,13 +162,12 @@ def _t_multiplicity(g, w, p, s_trunc, cap=64):
         if len(cur) - 1 < len(w) - 1:
             break
         q, r = _t_divmod(cur, w, p, s_trunc)
-        if all(_fps_is_zero(c) for c in r):
-            mult += 1
-            cur = q
-            if all(_fps_is_zero(c) for c in cur):
-                raise NotPseudoNull("generator vanishes after exact divisions")
-        else:
+        if any(map(any, r)):
             break
+        mult += 1
+        cur = q
+        if not any(map(any, cur)):
+            raise NotPseudoNull("generator vanishes after exact divisions")
     return mult
 
 
@@ -215,45 +177,36 @@ def _hensel_weierstrass_t(h, p, s_trunc):
     S-adic Hensel lift of h(0,T) = T^d * (unit): returns the monic degree-d
     factor W with W = T^d mod S, as a T-polynomial over F_p[S]/(S^s_trunc).
     """
-    from .iwasawa import (_fp_poly_bezout, _fp_poly_divmod, _fp_poly_mul,
-                          _fp_poly_sub, _fp_poly_trim)
-    h0 = _fp_poly_trim([c[0] % p for c in h])
+    h0 = polys.trim([c[0] % p for c in h])
     d = next((j for j, x in enumerate(h0) if x), None)
     if d is None:
         raise InvalidArgument("h(0, T) = 0; extract the S-content first")
-    A = [0] * d + [1]
-    B = _fp_poly_trim(h0[d:])
     if d == 0:
         return [[1] + [0] * (s_trunc - 1)]
-    s, t = _fp_poly_bezout(A, B, p)
-    dt_max = len(h) - 1
-    W = [list(A)]                 # S-digit expansions of the factors
-    U = [list(B)]
+    A = [0] * d + [1]
+    B = polys.trim(h0[d:])
+    _, t = polys.bezout_mod(A, B, p)
+    W = [A]                       # S-digit expansions of the factors
+    U = [B]
+    # digits 1.. packed as integers (a Kronecker substitution in T), so an
+    # error term is one sum of integer products over the nonzero W-digits
+    block = (len(h) * s_trunc * p * p).bit_length() // 8 + 1
+    Wk, Uk = [0], [0]
     for m in range(1, s_trunc):
-        # E = coefficient of S^m in (h - W*U)
-        conv = [[0] * (dt_max + 1) for _ in range(m + 1)]
-        E = [0] * (dt_max + 1)
-        for im in range(0, m + 1):
-            wm = W[im] if im < len(W) else [0]
-            um = U[m - im] if m - im < len(U) else [0]
-            pr = _fp_poly_mul(wm, um, p)
-            for j, x in enumerate(pr):
-                if j <= dt_max:
-                    E[j] = (E[j] + x) % p
-        for j in range(dt_max + 1):
-            hm = h[j][m] if m < len(h[j]) else 0
-            E[j] = (hm - E[j]) % p
-        E = _fp_poly_trim(E)
+        # E = coefficient of S^m in h - W*U; digits m of W and U are unknown
+        conv = polys.unpack(sum(Wk[i] * Uk[m - i] for i in range(1, m) if Wk[i]),
+                            block, len(h))
+        E = polys.mod(polys.sub([c[m] if m < len(c) else 0 for c in h], conv), p)
         if E == [0]:
-            W.append([0])
-            U.append([0])
-            continue
-        tE = _fp_poly_mul(t, E, p)
-        qq, dW = _fp_poly_divmod(tE, A, p)
-        sE = _fp_poly_mul(s, E, p)
-        dU = _fp_poly_sub(sE, [(-x) % p for x in _fp_poly_mul(B, qq, p)], p)
+            dW = dU = [0]
+        else:
+            # E = T^d*dU + B*dW with deg dW < d: dW = t*E mod T^d, then a shift
+            dW = polys.mod(polys.mul(t[:d], E[:d])[:d], p)
+            dU = polys.mod(polys.sub(E, polys.mul(B, dW))[d:], p) or [0]
         W.append(dW)
         U.append(dU)
+        Wk.append(polys.pack(dW, block))
+        Uk.append(polys.pack(dU, block))
     out = []
     for j in range(d + 1):
         col = [0] * s_trunc
@@ -451,18 +404,17 @@ def _unit_part_degree(vals, prof, p):
 
 
 def _fiber_gcd_at_origin(f, g, p):
-    """gcd of the T-specializations at S = 0, monic, over Q."""
-    fa = _t_spec_at_zero(f)
-    ga = _t_spec_at_zero(g)
-    while ga and any(x != 0 for x in ga):
-        fa, ga = ga, _q_mod(fa, ga)
-    fa = [x for x in fa]
-    while len(fa) > 1 and fa[-1] == 0:
-        fa.pop()
-    if not fa or all(x == 0 for x in fa):
+    """gcd of the T-specializations at S = 0, monic, over Q.
+
+    Runs on primitive integer polynomials: pseudo-remainders with the
+    content divided out, then one normalization to a monic rational list.
+    """
+    fa, ga = (_primitive(_t_spec_at_zero(x)) for x in (f, g))
+    while any(ga):
+        fa, ga = ga, _primitive(polys.prem(fa, ga))
+    if not any(fa):
         return None
-    lead = fa[-1]
-    return [x / lead for x in fa]
+    return [Fraction(x, fa[-1]) for x in fa]
 
 
 def _t_spec_at_zero(f):
@@ -474,19 +426,10 @@ def _t_spec_at_zero(f):
     return out
 
 
-def _q_mod(a, b):
-    a = list(a)
-    while len(b) > 1 and b[-1] == 0:
-        b = b[:-1]
-    db = len(b) - 1
-    if all(x == 0 for x in b):
-        return a
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            c = a[i] / b[-1]
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    return a[:db] if db else [Fraction(0)]
+def _primitive(co):
+    ints = polys.trim(polys.clear_denominators(co)[0])
+    g = gcd(*ints) or 1
+    return [x // g for x in ints]
 
 
 def _poly_str(co, var):

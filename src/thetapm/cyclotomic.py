@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 from operator import add, sub
 
 from .exceptions import InvalidArgument, PrecisionError
 from .padics import PadicScalar, is_prime, vp
+from .polys import clear_denominators, mul as poly_mul
 
 
 def euler_phi(m):
@@ -44,68 +45,13 @@ def euler_phi(m):
     return out
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _pack(co, block):
-    return int.from_bytes(b"".join(x.to_bytes(block, "little") for x in co),
-                          "little")
-
-
-def _unpack(n, block, count):
-    raw = n.to_bytes(block * count + block, "little")
-    return [int.from_bytes(raw[i * block:(i + 1) * block], "little")
-            for i in range(count)]
-
-
-def int_poly_mul_fast(a, b):
-    """Integer polynomial product via Kronecker substitution.
-
-    Signs are handled by splitting into nonnegative parts (four packed
-    big-integer multiplications); worthwhile from a few hundred terms up.
-    """
-    if not a or not b:
-        return []
-    if min(len(a), len(b)) < 40:
-        return _poly_mul(a, b)
-    amax = max(abs(x) for x in a) or 1
-    bmax = max(abs(x) for x in b) or 1
-    bound = amax * bmax * min(len(a), len(b))
-    block = (bound.bit_length() + 8) // 8
-    ap = [x if x > 0 else 0 for x in a]
-    an = [-x if x < 0 else 0 for x in a]
-    bp = [x if x > 0 else 0 for x in b]
-    bn = [-x if x < 0 else 0 for x in b]
-    Ap, An, Bp, Bn = (_pack(c, block) for c in (ap, an, bp, bn))
-    count = len(a) + len(b) - 1
-    pos = _unpack(Ap * Bp + An * Bn, block, count)
-    neg = _unpack(Ap * Bn + An * Bp, block, count)
-    return [x - y for x, y in zip(pos, neg)]
-
-
-def _clear_denominators(co):
-    """(integer numerators, common denominator) of a rational vector."""
-    den = 1
-    for c in co:
-        if c.denominator != 1:
-            den = lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in co], den
-
-
 def fraction_poly_mul(a, b):
     """Exact product of Fraction coefficient lists, fast at scale."""
     if not a or not b:
         return []
-    A, da = _clear_denominators(a)
-    B, db = _clear_denominators(b)
-    return [Fraction(x, da * db) for x in int_poly_mul_fast(A, B)]
+    A, da = clear_denominators(a)
+    B, db = clear_denominators(b)
+    return [Fraction(x, da * db) for x in poly_mul(A, B)]
 
 
 def _taylor_shift(a, sign=1):
@@ -184,7 +130,7 @@ def cyclotomic_polynomial(m):
         den = [1]
         for d in range(1, m):
             if m % d == 0:
-                den = _poly_mul(den, cyclotomic_polynomial(d))
+                den = poly_mul(den, cyclotomic_polynomial(d))
         out, rem = _poly_divmod_monic(num, den)
         assert all(r == 0 for r in rem)
     _cyclo_cache[m] = out
@@ -295,9 +241,9 @@ class CyclotomicInt:
         if isinstance(other, (int, Fraction)):
             return CyclotomicInt(self.m, [a * other for a in self.co])
         other = self._coerce(other)
-        a, da = _clear_denominators(self.co)
-        b, db = _clear_denominators(other.co)
-        v = _fold_reduce(int_poly_mul_fast(a, b), self.m)
+        a, da = clear_denominators(self.co)
+        b, db = clear_denominators(other.co)
+        v = _fold_reduce(poly_mul(a, b), self.m)
         den = da * db
         return CyclotomicInt(self.m, [Fraction(x, den) for x in v])
 
@@ -709,7 +655,7 @@ class EisensteinElement:
     def __mul__(self, other):
         if not isinstance(other, EisensteinElement) or (self.p, self.k) != (other.p, other.k):
             raise InvalidArgument("mixed Eisenstein quotients")
-        big = _poly_mul(self.co, other.co)
+        big = fraction_poly_mul(self.co, other.co)
         mod = cyclotomic_poly_shifted(self.p, self.k)
         co = _reduce_mod_shifted(big, mod)
         return EisensteinElement(self.p, self.k, co, min(self.precision, other.precision))
@@ -745,7 +691,7 @@ def zeta_to_x_basis(z, p=None, k=None):
             raise InvalidArgument("prime-power level required")
         p, k = pk
     d = (p - 1) * p ** (k - 1)
-    ints, den = _clear_denominators(z.co)
+    ints, den = clear_denominators(z.co)
     out = _taylor_shift(ints, 1)
     out += [0] * (d - len(out))
     return [Fraction(x, den) for x in out]
@@ -759,7 +705,7 @@ def x_poly_at_zeta_minus_one(poly, p, k):
     the polynomial may be longer than phi(p^k).
     """
     m = p ** k
-    ints, den = _clear_denominators(poly)
+    ints, den = clear_denominators(poly)
     v = _fold_reduce(_taylor_shift(ints, -1), m)
     return CyclotomicInt(m, [Fraction(x, den) for x in v])
 

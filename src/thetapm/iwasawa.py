@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
+from . import polys
 from .exceptions import (InvalidArgument, PrecisionError, TruncationError)
 from .padics import PadicScalar, vp
 from .cyclotomic import (CyclotomicInt, cyclotomic_poly_shifted,
@@ -215,9 +217,9 @@ def newton_invariants(f):
     for i, c in enumerate(f.coeffs):
         if c.is_zero_within_precision():
             if c.precision is not None:
-                unknown.append((i, Fraction(c.precision)))
+                unknown.append((i, c.precision))
             continue
-        known.append((i, Fraction(c.valuation())))
+        known.append((i, c.valuation()))
     if not known:
         raise PrecisionError("all coefficients are zero within precision")
     mu = min(v for _, v in known)
@@ -256,58 +258,6 @@ def newton_invariants_exact(coeffs, p):
 # Weierstrass preparation
 
 
-def _fp_poly_trim(a):
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_poly_trim(out)
-
-
-def _fp_poly_divmod(a, b, p):
-    a = list(a)
-    inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv % p
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return _fp_poly_trim(q), _fp_poly_trim(a)
-
-
-def _fp_poly_bezout(a, b, p):
-    """(s, t) with s*a + t*b = 1 in F_p[X] for coprime a, b."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], [0]
-    t0, t1 = [0], [1]
-    while r1 != [0]:
-        q, r = _fp_poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fp_poly_sub(s0, _fp_poly_mul(q, s1, p), p)
-        t0, t1 = t1, _fp_poly_sub(t0, _fp_poly_mul(q, t1, p), p)
-    if len(r0) != 1 or r0[0] == 0:
-        raise InvalidArgument("polynomials are not coprime mod p")
-    inv = pow(r0[0], -1, p)
-    return ([x * inv % p for x in s0], [x * inv % p for x in t0])
-
-
-def _fp_poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _fp_poly_trim([(x - y) % p for x, y in zip(a, b)])
-
-
 def weierstrass_prepare(f, digits=None):
     """Factor f = p^mu * unit * distinguished over the truncation window.
 
@@ -334,33 +284,29 @@ def weierstrass_prepare(f, digits=None):
         if c.is_zero_within_precision():
             fb.append(0)
         else:
-            if Fraction(c.val) < mu:
+            if c.val < mu:
                 raise InvalidArgument("inconsistent mu")
-            shifted = PadicScalar.from_unit(p, Fraction(c.val) - mu, c.num, c.den,
+            shifted = PadicScalar.from_unit(p, c.val - mu, c.num, c.den,
                                             precision=c.precision, ram=c.ram)
             fb.append(shifted.lift(digits))
-    fbar = [x % p for x in fb]
     A = [0] * lam + [1]                      # X^lambda
-    B = _fp_poly_trim([fbar[i] for i in range(lam, len(fb))]) or [0]
+    B = polys.trim([x % p for x in fb[lam:]]) or [0]
     if B == [0] or B[0] % p == 0:
         raise InvalidArgument("leading unit coefficient missing")
-    s, t = _fp_poly_bezout(A, B, p)
+    _, t = polys.bezout_mod(A, B, p)
     P = list(A)                              # lifted monic factor
     U = list(B)                              # lifted unit cofactor, a series mod X^(D+1)
     for m in range(1, digits):
         pm = p ** m
-        prod = _int_poly_mul(P, U)
-        E = [((fb[i] if i < len(fb) else 0) - (prod[i] if i < len(prod) else 0)) // pm % p
-             for i in range(len(fb))]
-        E = _fp_poly_trim(E)
+        E = polys.mod([x // pm for x in polys.sub(fb, polys.mul(P, U))[:len(fb)]], p)
         if E == [0]:
             continue
-        tE = _fp_poly_mul(t, E, p)
-        q, dP = _fp_poly_divmod(tE, A, p)     # t*E = q*A + dP, deg dP < lambda
-        sE = _fp_poly_mul(s, E, p)
-        dU = _fp_poly_sub(sE, [(-x) % p for x in _fp_poly_mul(B, q, p)], p)
-        P = _int_poly_add(P, [x * pm for x in dP])
-        U = _int_poly_add(U, [x * pm for x in dU])
+        # E = X^lambda*dU + B*dP with deg dP < lambda: dP = t*E mod X^lambda,
+        # then dU is a shift
+        dP = polys.mod(polys.mul(t[:lam], E[:lam])[:lam], p)
+        dU = polys.mod(polys.sub(E, polys.mul(B, dP))[lam:], p) or [0]
+        P = polys.add(P, [x * pm for x in dP])
+        U = polys.add(U, [x * pm for x in dU])
         P = [x % (mod * p) for x in P][:lam + 1]
         U = [x % (mod * p) for x in U][:D + 1 - lam] or [1]
     P = [x % mod for x in P[:lam]] + [1]
@@ -377,22 +323,6 @@ def weierstrass_prepare(f, digits=None):
     dist = IwasawaElement1(p, [wrap(x) for x in P], exact_tail=True)
     dist.coeffs[-1] = PadicScalar(p, 1)      # monic exactly
     return unit, dist, mu
-
-
-def _int_poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _int_poly_add(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return [x + y for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +342,7 @@ def half_log_product(p, parity, n):
     start = 2 if parity == "even" else 1
     co = [1]
     for k in range(start, n + 1, 2):
-        co = _int_poly_mul(co, cyclotomic_poly_shifted(p, k))
+        co = polys.mul(co, cyclotomic_poly_shifted(p, k))
     return IwasawaElement1.from_rationals(p, co)
 
 
@@ -528,42 +458,6 @@ def pi_cyc(f):
 # Resultants of T-polynomial presentations
 
 
-def _q_poly_trim(a):
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _q_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _q_poly_trim(out)
-
-
-def _q_poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return _q_poly_trim([x - y for x, y in zip(a, b)])
-
-
-def _q_poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    inv = b[-1]
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            c = a[i] / inv
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    return _q_poly_trim(q), _q_poly_trim(a)
-
-
 def resultant_in_T(f, g):
     """Sylvester resultant in T of two T-polynomial presentations.
 
@@ -578,22 +472,18 @@ def resultant_in_T(f, g):
     n = len(gp_) - 1
     if m < 0 or n < 0:
         raise InvalidArgument("empty polynomial")
-    lead_f, lead_g = fp_[-1], gp_[-1]
-    for lead in (lead_f, lead_g):
-        if _q_poly_trim(list(lead)) == [0]:
+    for lead in (fp_[-1], gp_[-1]):
+        if not any(lead):
             raise PrecisionError("leading T-coefficient vanishes; prepare first")
-    if m == 0 and n == 0:
-        return IwasawaElement1.from_rationals(p, [Fraction(1)])
-    if m == 0:
-        out = [Fraction(1)]
-        for _ in range(n):
-            out = _q_poly_mul(out, fp_[0])
-        return IwasawaElement1.from_rationals(p, out)
-    if n == 0:
-        out = [Fraction(1)]
-        for _ in range(m):
-            out = _q_poly_mul(out, gp_[0])
-        return IwasawaElement1.from_rationals(p, out)
+    if m == 0 or n == 0:
+        # a constant c in T: the resultant is c to the other degree
+        ints, den = polys.clear_denominators(fp_[0] if m == 0 else gp_[0])
+        e = n if m == 0 else m
+        out = [1]
+        for _ in range(e):
+            out = polys.mul(out, ints)
+        return IwasawaElement1.from_rationals(
+            p, [Fraction(c, den ** e) for c in polys.trim(out)])
     size = m + n
     M = [[[Fraction(0)] for _ in range(size)] for _ in range(size)]
     for r in range(n):
@@ -609,31 +499,35 @@ def resultant_in_T(f, g):
 
 
 def _bareiss_det(M):
-    """Fraction-free determinant over Q[S] (entries as coefficient lists)."""
+    """Determinant over Q[S] (entries as coefficient lists), fraction-free.
+
+    Each row is scaled to entries in Z[S] by the lcm of its denominators;
+    Bareiss elimination runs over Z[S] with exact divisions, and the
+    determinant is divided by the product of the row scales at the end.
+    """
     n = len(M)
-    M = [[_q_poly_trim([Fraction(c) for c in e]) for e in row] for row in M]
+    rows = []
+    scale = 1
+    for row in M:
+        den = lcm(*(c.denominator for e in row for c in e))
+        scale *= den
+        rows.append([polys.trim([c.numerator * (den // c.denominator) for c in e])
+                     for e in row])
     sign = 1
-    prev = [Fraction(1)]
+    prev = [1]
     for k in range(n - 1):
-        if _q_poly_trim(list(M[k][k])) == [0]:
-            piv = None
-            for r in range(k + 1, n):
-                if _q_poly_trim(list(M[r][k])) != [0]:
-                    piv = r
-                    break
+        if rows[k][k] == [0]:
+            piv = next((r for r in range(k + 1, n) if rows[r][k] != [0]), None)
             if piv is None:
                 return [Fraction(0)]
-            M[k], M[piv] = M[piv], M[k]
+            rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
+        pivot = rows[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = _q_poly_sub(_q_poly_mul(M[i][j], M[k][k]),
-                                  _q_poly_mul(M[i][k], M[k][j]))
-                q, r = _q_poly_divmod(num, prev)
-                if r != [Fraction(0)]:
-                    raise InvalidArgument("exact division failed in Bareiss step")
-                M[i][j] = q
-            M[i][k] = [Fraction(0)]
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return [c * sign for c in det]
+                num = polys.sub(polys.mul(rows[i][j], pivot),
+                                polys.mul(rows[i][k], rows[k][j]))
+                rows[i][j] = polys.exact_div(num, prev)     # raises if inexact
+            rows[i][k] = [0]
+        prev = pivot
+    return [Fraction(sign * c, scale) for c in rows[n - 1][n - 1]]

@@ -15,7 +15,7 @@ whose leading digits cancel below the precision floor degrades to a
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exceptions import InvalidArgument, PrecisionError
 
@@ -57,45 +57,38 @@ def vp(x, p):
     return v
 
 
-def unit_denominator_inverse(den, p, digits):
-    """Inverse of a p-unit denominator modulo p^digits."""
-    return pow(den, -1, p ** digits)
-
-
 class PadicScalar:
     """Immutable p-adic scalar with tracked precision.
 
-    Internally the unit part is kept as a pair of integers (num, den)
-    coprime to p, so that exact rational inputs stay exact through ring
-    operations; ``unit_part(digits)`` gives the canonical integer residue.
+    The value is p^val * num/den with num and den integers prime to p, so
+    ring operations run on integers: an exact scalar keeps num/den in
+    lowest terms with den > 0, a precision-tracked one keeps them modulo
+    p^(precision + 2).  ``unit_part(digits)`` gives the canonical integer
+    residue.  The valuation is an int unless the scalar is ramified.
     """
 
     __slots__ = ("p", "val", "num", "den", "precision", "ram", "_zero")
 
-    def __init__(self, p, value=None, precision=None, *, _raw=None):
+    def __init__(self, p, value=None, precision=None):
         if not is_prime(p) or p == 2:
             raise InvalidArgument("p must be an odd prime, got %r" % (p,))
-        self.p = p
-        if _raw is not None:
-            self.val, self.num, self.den, self.precision, self.ram, self._zero = _raw
-            return
         if value is None:
             raise InvalidArgument("missing value")
-        value = Fraction(value)
-        if value == 0:
-            self.val, self.num, self.den = 0, 0, 1
-            self.precision = precision
-            self.ram = 1
-            self._zero = True
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        num, den = value.numerator, value.denominator
+        self.p, self.precision, self.ram = p, precision, 1
+        if num == 0:
+            self.val, self.num, self.den, self._zero = 0, 0, 1, True
             return
-        v = vp(value, p)
-        u = value / Fraction(p) ** v
-        self.val = v
-        self.num = u.numerator
-        self.den = u.denominator
-        self.precision = precision
-        self.ram = 1
-        self._zero = False
+        v = 0
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        self.val, self.num, self.den, self._zero = v, num, den, False
         if precision is not None and precision < 1:
             raise InvalidArgument("precision must be >= 1 for a nonzero scalar")
 
@@ -112,16 +105,19 @@ class PadicScalar:
 
     @classmethod
     def from_unit(cls, p, val, num, den=1, precision=None, ram=1):
+        if not is_prime(p) or p == 2:
+            raise InvalidArgument("p must be an odd prime, got %r" % (p,))
         if num % p == 0 or den % p == 0:
             raise InvalidArgument("unit part must be prime to p")
-        val = Fraction(val)
-        if ram == 1 and val.denominator != 1:
-            raise InvalidArgument("fractional valuation needs a ramification degree")
-        if val.denominator > 1 and ram % val.denominator != 0:
-            raise InvalidArgument("valuation denominator must divide ramification degree")
-        if val.denominator == 1:
-            val = int(val)
-        return cls(p, _raw=(val, num, den, precision, ram, False))
+        if not isinstance(val, int):
+            val = Fraction(val)
+            if val.denominator == 1:
+                val = val.numerator
+            elif ram == 1:
+                raise InvalidArgument("fractional valuation needs a ramification degree")
+            elif ram % val.denominator != 0:
+                raise InvalidArgument("valuation denominator must divide ramification degree")
+        return _new(p, val, num, den, precision, ram)
 
     # -- predicates ---------------------------------------------------
 
@@ -167,9 +163,11 @@ class PadicScalar:
     def as_fraction(self):
         if self._zero:
             return Fraction(0)
-        if self.val != int(self.val):
+        if not isinstance(self.val, int):
             raise InvalidArgument("ramified scalar has no rational value")
-        return Fraction(self.num, self.den) * Fraction(self.p) ** int(self.val)
+        if self.val < 0:
+            return Fraction(self.num, self.den * self.p ** -self.val)
+        return Fraction(self.num * self.p ** self.val, self.den)
 
     def lift(self, digits=None):
         """Integer lift modulo p^digits (nonnegative valuation required)."""
@@ -179,7 +177,7 @@ class PadicScalar:
             raise InvalidArgument("negative valuation has no integral lift")
         digits = digits or (self.precision if self.precision is not None else DEFAULT_PRECISION)
         m = self.p ** digits
-        return int(self.p ** int(self.val)) * self.unit_part(digits) % m
+        return self.p ** int(self.val) * self.unit_part(digits) % m
 
     # -- arithmetic ---------------------------------------------------
 
@@ -194,35 +192,22 @@ class PadicScalar:
         other = self._coerce(other)
         p = self.p
         if self._zero or other._zero:
-            floors = []
-            for s in (self, other):
-                if s._zero:
-                    if s.precision is None:
-                        return PadicScalar.zero(p)
-                    floors.append(Fraction(s.precision))
-                else:
-                    floors.append(Fraction(s.val) + (Fraction(s.precision) if s.precision is not None else Fraction(10 ** 9)))
-            bound = floors[0] + floors[1] if len(floors) == 2 else None
-            # zero * nonzero: floor is zero-floor + other valuation
+            if self.is_exact_zero() or other.is_exact_zero():
+                return _new_zero(p, None)
+            # the zero's precision floor, shifted by the other valuation
             if not self._zero:
-                bound = Fraction(other.precision) + Fraction(self.val)
+                bound = other.precision + self.val
             elif not other._zero:
-                bound = Fraction(self.precision) + Fraction(other.val)
-            elif self.precision is not None and other.precision is not None:
-                bound = min(Fraction(self.precision), Fraction(other.precision))
-            if bound is None:
-                return PadicScalar.zero(p)
-            return PadicScalar.zero(p, known_to=_floor_int(bound))
-        prec = _min_prec(self.precision, other.precision)
-        ram = _lcm(self.ram, other.ram)
-        val = Fraction(self.val) + Fraction(other.val)
-        num = self.num * other.num
-        den = self.den * other.den
-        if prec is not None:
-            m = self.p ** (prec + 2)
-            num = num % m or num
-            den = den % m or den
-        return PadicScalar.from_unit(p, val, num, den, precision=prec, ram=ram)
+                bound = self.precision + other.val
+            else:
+                bound = min(self.precision, other.precision)
+            return _new_zero(p, _floor_int(bound))
+        val = self.val + other.val
+        if isinstance(val, Fraction) and val.denominator == 1:
+            val = val.numerator
+        return _unit_product(p, val, self.num * other.num, self.den * other.den,
+                             _min_prec(self.precision, other.precision),
+                             lcm(self.ram, other.ram))
 
     __rmul__ = __mul__
 
@@ -230,15 +215,16 @@ class PadicScalar:
         other = self._coerce(other)
         if other._zero:
             raise InvalidArgument("division by zero scalar")
-        inv = PadicScalar.from_unit(other.p, -Fraction(other.val), other.den, other.num,
-                                    precision=other.precision, ram=other.ram)
-        return self * inv
+        return self * _new(other.p, -other.val, other.den, other.num,
+                           other.precision, other.ram)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
 
     def __neg__(self):
         if self._zero:
             return self
-        return PadicScalar.from_unit(self.p, self.val, -self.num, self.den,
-                                     precision=self.precision, ram=self.ram)
+        return _new(self.p, self.val, -self.num, self.den, self.precision, self.ram)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -246,27 +232,27 @@ class PadicScalar:
         # absolute precision floors
         fa = self._abs_floor()
         fb = other._abs_floor()
-        floor = None
-        if fa is not None or fb is not None:
-            floor = min(x for x in (fa, fb) if x is not None)
-        if self._zero and other._zero:
-            if floor is None:
-                return PadicScalar.zero(p)
-            return PadicScalar.zero(p, known_to=_floor_int(floor))
+        floor = fb if fa is None else fa if fb is None else min(fa, fb)
         if self._zero:
+            if other._zero:
+                return _new_zero(p, None if floor is None else _floor_int(floor))
             return other._truncate_abs(floor)
         if other._zero:
             return self._truncate_abs(floor)
         if self.ram != 1 or other.ram != 1:
             raise InvalidArgument("addition of ramified scalars is not supported here")
-        s = Fraction(self.num, self.den) * Fraction(p) ** int(self.val) + \
-            Fraction(other.num, other.den) * Fraction(p) ** int(other.val)
-        if s == 0:
-            if floor is None:
-                return PadicScalar.zero(p)
-            return PadicScalar.zero(p, known_to=_floor_int(floor))
-        out = PadicScalar(p, s)
-        return out._truncate_abs(floor)
+        v, w = self.val, other.val
+        if v <= w:
+            num = self.num * other.den + other.num * self.den * p ** (w - v)
+        else:
+            num = self.num * other.den * p ** (v - w) + other.num * self.den
+            v = w
+        if num == 0:
+            return _new_zero(p, None if floor is None else _floor_int(floor))
+        while num % p == 0:       # only when the valuations were equal
+            num //= p
+            v += 1
+        return _unit_product(p, v, num, self.den * other.den, None, 1)._truncate_abs(floor)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -275,26 +261,26 @@ class PadicScalar:
     def __radd__(self, other):
         return self._coerce(other) + self
 
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
     def _abs_floor(self):
         if self.precision is None:
             return None
         if self._zero:
-            return Fraction(self.precision)
-        return Fraction(self.val) + self.precision
+            return self.precision
+        return self.val + self.precision
 
     def _truncate_abs(self, floor):
         """Re-express with absolute precision capped at floor."""
         if floor is None or self._zero:
             return self
-        if Fraction(self.val) >= floor:
-            return PadicScalar.zero(self.p, known_to=_floor_int(floor))
-        rel = floor - Fraction(self.val)
-        rel = int(rel) if rel == int(rel) else _floor_int(rel)
-        cur = self.precision
-        if cur is not None and cur <= rel:
+        if self.val >= floor:
+            return _new_zero(self.p, _floor_int(floor))
+        rel = _floor_int(floor - self.val)
+        if self.precision is not None and self.precision <= rel:
             return self
-        return PadicScalar.from_unit(self.p, self.val, self.num, self.den,
-                                     precision=rel, ram=self.ram)
+        return _new(self.p, self.val, self.num, self.den, rel, self.ram)
 
     # -- misc ---------------------------------------------------------
 
@@ -310,13 +296,13 @@ class PadicScalar:
             return False
         if self.is_exact() and other.is_exact() and self.ram == other.ram == 1:
             return self.as_fraction() == other.as_fraction()
-        if Fraction(self.val) != Fraction(other.val):
+        if self.val != other.val:
             return False
         d = _min_prec(self.precision, other.precision) or DEFAULT_PRECISION
         return self.unit_part(d) == other.unit_part(d)
 
     def __hash__(self):
-        return hash((self.p, self._zero, Fraction(self.val) if not self._zero else 0))
+        return hash((self.p, self._zero, self.val if not self._zero else 0))
 
     def __repr__(self):
         if self._zero:
@@ -327,6 +313,31 @@ class PadicScalar:
         return "%d^%s * (%d/%d) [%s]" % (self.p, self.val, self.num, self.den, prec)
 
 
+def _new(p, val, num, den, precision, ram=1):
+    """Scalar from parts already checked: p an odd prime, num and den units."""
+    out = object.__new__(PadicScalar)
+    out.p, out.val, out.num, out.den = p, val, num, den
+    out.precision, out.ram, out._zero = precision, ram, False
+    return out
+
+
+def _new_zero(p, known_to):
+    out = _new(p, 0, 0, 1, known_to)
+    out._zero = True
+    return out
+
+
+def _unit_product(p, val, num, den, precision, ram):
+    """p^val * num/den in lowest terms when exact, else mod p^(precision+2)."""
+    if precision is None:
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        return _new(p, val, num // g, den // g, None, ram)
+    m = p ** (precision + 2)
+    return _new(p, val, num % m or num, den % m or den, precision, ram)
+
+
 def _min_prec(a, b):
     if a is None:
         return b
@@ -335,10 +346,5 @@ def _min_prec(a, b):
     return min(a, b)
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
-def _floor_int(fr):
-    fr = Fraction(fr)
-    return fr.numerator // fr.denominator
+def _floor_int(x):
+    return x if isinstance(x, int) else x.numerator // x.denominator

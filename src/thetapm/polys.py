@@ -1,0 +1,161 @@
+"""Integer polynomial kernels shared by every exact layer.
+
+A polynomial is a list of integer coefficients, lowest degree first.  The
+kernels over F_p take residues in [0, p) and reduce once per output
+coefficient, not once per term: a product over F_p is ``mod(mul(a, b), p)``.  ``trim`` drops trailing zeros but keeps
+one coefficient, so the zero polynomial is [0].
+"""
+
+from __future__ import annotations
+
+from math import lcm
+from operator import add as _add, sub as _sub
+
+from .exceptions import InvalidArgument
+
+KRONECKER_MIN = 40       # shorter factor length from which packing pays off
+
+
+def trim(a):
+    """Drop trailing zero coefficients in place, keeping at least one."""
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    out[:len(b)] = map(_add, a, b)
+    return out
+
+
+def sub(a, b):
+    if len(a) >= len(b):
+        out = list(a)
+        out[:len(b)] = map(_sub, a, b)
+        return out
+    return list(map(_sub, a, b)) + [-y for y in b[len(a):]]
+
+
+def mod(a, p):
+    """Residues mod p, trimmed."""
+    return trim([x % p for x in a])
+
+
+def mul(a, b):
+    """Product over Z: schoolbook for short factors, Kronecker above.
+
+    The Kronecker product splits signs into nonnegative parts (four packed
+    big-integer multiplications), worthwhile from a few dozen terms up.
+    """
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) < KRONECKER_MIN:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return out
+    bound = (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1) * len(a)
+    block = (bound.bit_length() + 8) // 8
+    Ap, An, Bp, Bn = (pack(c, block) for c in (
+        [x if x > 0 else 0 for x in a], [-x if x < 0 else 0 for x in a],
+        [x if x > 0 else 0 for x in b], [-x if x < 0 else 0 for x in b]))
+    count = len(a) + len(b) - 1
+    pos = unpack(Ap * Bp + An * Bn, block, count)
+    neg = unpack(Ap * Bn + An * Bp, block, count)
+    return list(map(_sub, pos, neg))
+
+
+def pack(co, block):
+    """Kronecker substitution X = 256^block of nonnegative coefficients."""
+    return int.from_bytes(b"".join(x.to_bytes(block, "little") for x in co), "little")
+
+
+def unpack(n, block, count):
+    """The first count coefficients of a packed polynomial (each < 256^block)."""
+    raw = (n & ((1 << 8 * block * count) - 1)).to_bytes(block * count, "little")
+    return [int.from_bytes(raw[i * block:(i + 1) * block], "little")
+            for i in range(count)]
+
+
+def clear_denominators(co):
+    """(integer numerators, common denominator) of a rational vector."""
+    den = lcm(*(c.denominator for c in co))
+    return [c.numerator * (den // c.denominator) for c in co], den
+
+
+def series_mul_mod(a, b, p, n):
+    """Product over F_p truncated to exactly n coefficients; b may be sparse."""
+    out = [0] * n
+    for j, y in enumerate(b[:n]):
+        if y:
+            k = min(len(a), n - j)
+            out[j:j + k] = map(_add, out[j:j + k], [x * y for x in a[:k]])
+    return [x % p for x in out]
+
+
+def divmod_mod(a, b, p):
+    """(q, r) with a = q*b + r over F_p and deg r < deg b; b[-1] a unit."""
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - db, 1)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * inv % p
+        if c:
+            q[i - db] = c
+            r[i - db:i + 1] = map(_sub, r[i - db:i + 1], [c * y for y in b])
+    return trim(q), mod(r, p)
+
+
+def bezout_mod(a, b, p):
+    """(s, t) with s*a + t*b = 1 in F_p[X] for coprime a, b."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [1], [0]
+    t0, t1 = [0], [1]
+    while r1 != [0]:
+        q, r = divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, mod(sub(s0, mul(q, s1)), p)
+        t0, t1 = t1, mod(sub(t0, mul(q, t1)), p)
+    if len(r0) != 1 or r0[0] == 0:
+        raise InvalidArgument("polynomials are not coprime mod p")
+    inv = pow(r0[0], -1, p)
+    return ([x * inv % p for x in s0], [x * inv % p for x in t0])
+
+
+def exact_div(a, b):
+    """a / b over Z for trimmed nonzero b; raises unless b divides a exactly."""
+    if b == [1]:
+        return trim(list(a))
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 1)
+    for i in range(len(r) - 1, db - 1, -1):
+        if r[i]:
+            c, rem = divmod(r[i], b[-1])
+            if rem:
+                raise InvalidArgument("exact division failed: remainder is nonzero")
+            q[i - db] = c
+            r[i - db:i + 1] = map(_sub, r[i - db:i + 1], [c * y for y in b])
+    if any(r[:db]):
+        raise InvalidArgument("exact division failed: remainder is nonzero")
+    return trim(q)
+
+
+def prem(a, b):
+    """Pseudo-remainder: lead(b)^(deg a - deg b + 1) * a mod b over Z."""
+    r = list(a)
+    db = len(b) - 1
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        r = [x * b[-1] for x in r[:i]]
+        if c:
+            r[i - db:i] = map(_sub, r[i - db:i], [c * y for y in b[:-1]])
+    return trim(r or [0])
