@@ -14,9 +14,8 @@ from .config import RunConfig
 from .coprimality import (CoprimalityCertificate, conjecture_b_report,
                           coprime_certificate, is_unit, shadow_products)
 from .curves import CurveData, kronecker_symbol, local_reduction_type
-from .cyclotomic import (CyclotomicInt, EisensteinElement, TameCharacter,
-                         WildCharacter, cyclotomic_poly_shifted,
-                         cyclotomic_polynomial, embed_padic, gauss_sum)
+from .cyclotomic import (CyclotomicInt, cyclotomic_poly_shifted,
+                         cyclotomic_polynomial)
 from .exceptions import (BadReduction, CommonFactorWithinPrecision,
                          InvalidArgument, IsolationFailure, NotPseudoNull,
                          PrecisionError, ResourceLimit, TruncationError,
@@ -27,7 +26,7 @@ from .iwasawa import (InvariantProfile, IwasawaElement1, IwasawaElement2,
                       pollack_log_truncated, resultant_in_T,
                       weierstrass_prepare)
 from .mazurtate import (MazurTateElement, SignedLSeries, ThetaTarget,
-                        interpolation_value, mazur_tate, reconstruct_signed,
+                        interpolation_value, reconstruct_signed,
                         reinterpolation_check, trivial_character_ratio_check)
 from .modsym import (EigenSymbol, ManinSymbolSpace, build_space, eval_path,
                      extract_eigensymbol, make_twisted_evaluator,

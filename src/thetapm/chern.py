@@ -16,12 +16,10 @@ from fractions import Fraction
 from math import gcd
 
 from . import polys
-from .curves import (CurveData, kronecker_symbol, local_reduction_type,
-                     unit_square_class)
+from .curves import kronecker_symbol, local_reduction_type, unit_square_class
 from .exceptions import (CommonFactorWithinPrecision, InvalidArgument,
                          NotPseudoNull, UnsupportedShape)
-from .iwasawa import (IwasawaElement1, IwasawaElement2, newton_invariants,
-                      resultant_in_T, weierstrass_prepare)
+from .iwasawa import IwasawaElement2, newton_invariants, resultant_in_T
 from .padics import vp
 
 DEFAULT_S_TRUNC = 24

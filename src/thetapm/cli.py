@@ -30,9 +30,7 @@ EXIT_INPUT = 2
 def _config_from_args(args):
     return RunConfig(
         p=args.p, n_max=args.n_max, precision=args.precision,
-        trunc_degree=args.trunc_degree, cache_dir=args.cache_dir,
-        parallelism=args.parallelism,
-        strict_hypotheses=args.strict_hypotheses,
+        cache_dir=args.cache_dir, strict_hypotheses=args.strict_hypotheses,
         auto_extend=not args.no_auto_extend)
 
 
@@ -40,10 +38,8 @@ def _add_config_args(sp):
     sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--n-max", type=int, default=6)
     sp.add_argument("--precision", type=int, default=30)
-    sp.add_argument("--trunc-degree", type=int, default=800)
     sp.add_argument("--cache-dir", default=None,
                     help="eigensymbol cache directory (or WORKBENCH_CACHE)")
-    sp.add_argument("--parallelism", type=int, default=1)
     sp.add_argument("--strict-hypotheses", action="store_true")
     sp.add_argument("--no-auto-extend", action="store_true")
     sp.add_argument("--out", default=None, help="write the report to a file")

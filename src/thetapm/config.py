@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cyclotomic import euler_phi
 from .exceptions import InvalidArgument
 from .padics import is_prime
 
@@ -14,9 +13,7 @@ class RunConfig:
     p: int = 3
     n_max: int = 6
     precision: int = 30
-    trunc_degree: int = 800
     cache_dir: str = None
-    parallelism: int = 1
     strict_hypotheses: bool = False
     auto_extend: bool = True
 
@@ -30,11 +27,4 @@ class RunConfig:
             raise InvalidArgument("n_max must be at least 2")
         if self.precision < 10:
             raise InvalidArgument("precision must be at least 10")
-        need = sum(euler_phi(self.p ** k) for k in range(1, self.n_max + 1))
-        if self.trunc_degree < need:
-            raise InvalidArgument(
-                "trunc_degree %d too small; levels up to %d need %d"
-                % (self.trunc_degree, self.n_max, need))
-        if self.parallelism < 1:
-            raise InvalidArgument("parallelism must be positive")
         return self

@@ -9,14 +9,13 @@ obstruction was found, ``inconclusive`` means the data could not decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exceptions import InvalidArgument, PrecisionError
 from .iwasawa import (InvariantProfile, IwasawaElement1, newton_invariants,
                       weierstrass_prepare)
 from .mazurtate import SignedLSeries
-from .padics import vp
 
 
 @dataclass

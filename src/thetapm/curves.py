@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .exceptions import BadReduction, InvalidArgument, ResourceLimit
 from .padics import is_prime, vp

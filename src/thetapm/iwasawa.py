@@ -15,8 +15,7 @@ from math import lcm
 from . import polys
 from .exceptions import (InvalidArgument, PrecisionError, TruncationError)
 from .padics import PadicScalar, vp
-from .cyclotomic import (CyclotomicInt, cyclotomic_poly_shifted,
-                         x_poly_at_zeta_minus_one)
+from .cyclotomic import cyclotomic_poly_shifted, x_poly_at_zeta_minus_one
 
 DEFAULT_TRUNC = 200
 DEFAULT_PRECISION = 30
@@ -374,8 +373,9 @@ def pollack_log_truncated(p, sign, n_max, D=DEFAULT_TRUNC, N=DEFAULT_PRECISION):
 class IwasawaElement2:
     """Element of Z_p[[S, T]] truncated at total bidegree (D, D).
 
-    Coefficients are stored as a dict (i, j) -> PadicScalar with zero
-    entries omitted; S and T play symmetric roles.
+    Coefficients are stored as a dict (i, j) -> PadicScalar with exact
+    zeros omitted (zeros within precision stay, since they carry a
+    precision); S and T play symmetric roles.
     """
 
     __slots__ = ("p", "coeffs", "trunc_degree", "exact_tail")
@@ -384,7 +384,8 @@ class IwasawaElement2:
         self.p = p
         self.coeffs = {k: (v if isinstance(v, PadicScalar) else PadicScalar(p, v))
                        for k, v in coeffs.items()
-                       if not (isinstance(v, (int, Fraction)) and v == 0)}
+                       if not (v.is_exact_zero() if isinstance(v, PadicScalar)
+                               else v == 0)}
         self.trunc_degree = trunc_degree
         self.exact_tail = exact_tail
 

@@ -25,10 +25,10 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import (CyclotomicInt, cyclotomic_poly_shifted,
-                         phi_value_at_root_inverse, principal_unit_dlog,
-                         x_poly_at_zeta_minus_one, zeta_to_x_basis)
-from .exceptions import (BadReduction, InvalidArgument, PrecisionError,
-                         UnsupportedHypothesis)
+                         fraction_poly_mul, phi_value_at_root_inverse,
+                         principal_unit_dlog, x_poly_at_zeta_minus_one,
+                         zeta_to_x_basis)
+from .exceptions import InvalidArgument, WorkbenchError
 from .iwasawa import (InvariantProfile, IwasawaElement1, hull_value,
                       lower_hull, newton_invariants_exact)
 from .modsym import make_twisted_evaluator
@@ -149,30 +149,6 @@ class MazurTateElement:
         return MazurTateElement(self.p, self.level - 1, co, dict(self.provenance),
                                 self.raw_content)
 
-    def norm_to_next_level(self):
-        """Image under the norm map into level n+1 (gamma-class fibers)."""
-        size = self.p ** (self.level + 1)
-        co = [Fraction(0)] * size
-        for j in range(size):
-            co[j] = self.coeffs[j % self.p ** self.level]
-        return MazurTateElement(self.p, self.level + 1, co, dict(self.provenance),
-                                self.raw_content)
-
-
-def mazur_tate(target, sign, n):
-    """The level-n element labeled for the signed series it feeds.
-
-    All cyclotomic characters are even, so the numeric content is the
-    plus-type family either way; the sign only enters provenance and the
-    downstream interpolation factors.
-    """
-    if sign not in ("+", "-"):
-        raise InvalidArgument("sign must be '+' or '-'")
-    el = target.mazur_tate(n)
-    out = MazurTateElement(el.p, el.level, el.coeffs, dict(el.provenance))
-    out.provenance["sign"] = sign
-    return out
-
 
 # ---------------------------------------------------------------------------
 # signed reconstruction
@@ -261,17 +237,11 @@ def _crt_extend(theta, mod_coeffs, prev_ks, v_k, p, k):
         inv = inv * phi_value_at_root_inverse(p, j, k)
     delta = diff * inv
     dx = zeta_to_x_basis(delta, p, k)
-    prod = _poly_mul_fr(mod_coeffs, dx)
+    prod = fraction_poly_mul(mod_coeffs, dx)
     out = list(theta) + [Fraction(0)] * (len(prod) - len(theta))
     for i, c in enumerate(prod):
         out[i] += c
     return out
-
-
-def _poly_mul_fr(a, b):
-    from .cyclotomic import fraction_poly_mul
-    return fraction_poly_mul([Fraction(x) for x in a],
-                             [Fraction(y) for y in b])
 
 
 def _modulus_polygon(p, ks):
@@ -352,8 +322,7 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX,
             theta = zeta_to_x_basis(v_k, p, k)
         else:
             theta = _crt_extend(theta, mod_coeffs, list(used), v_k, p, k)
-        mod_coeffs = _poly_mul_fr(mod_coeffs,
-                                  [Fraction(c) for c in cyclotomic_poly_shifted(p, k)])
+        mod_coeffs = fraction_poly_mul(mod_coeffs, cyclotomic_poly_shifted(p, k))
         used.append(k)
         deg_mod = len(mod_coeffs) - 1
         prof = newton_invariants_exact(theta, p)
@@ -393,6 +362,10 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX,
     final = [c / cg for c in theta] if theta else []
     prof_final = newton_invariants_exact(final, p) if final else None
     if prof_final is not None:
+        if prof_final.mu < 0:
+            # the signed series are integral, so this means wrong input data
+            raise WorkbenchError("%s %s: normalized mu = %d is negative"
+                                 % (target.label, sign, prof_final.mu))
         prof_final = InvariantProfile(prof_final.mu, prof_final.lam,
                                       prof_final.slopes, stabilized_pair)
     certified = bool(history) and history[-1].get("certified", False)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .curves import CurveData, is_fundamental_discriminant, kronecker_symbol
+from .curves import is_fundamental_discriminant, kronecker_symbol
 from .exceptions import (InvalidArgument, IsolationFailure, ResourceLimit)
 
 LEVEL_BOUND = 10 ** 4
@@ -182,6 +182,12 @@ class ManinSymbolSpace:
         return all(sum(c * values[j] for j, c in row.items()) == 0
                    for row in self.relation_rows)
 
+    def star_holds(self, values, sign):
+        """True when values(-c:d) = sign * values(c:d) on every point."""
+        look = self.p1.lookup
+        return all(values[look(-c, d)] == sign * v
+                   for (c, d), v in zip(self.generators, values))
+
     def _eliminate(self, rows):
         n = len(self.generators)
         pivots = {}
@@ -282,7 +288,7 @@ class ManinSymbolSpace:
         N = self.level
         c0, d0 = c % N, d % N
         if c0 == 0:
-            return (1, 0, 0, 1) if d0 % N in (0, 1) else (1, 0, 0, 1)
+            return (1, 0, 0, 1)
         t = 0
         while gcd(c0, d0 + t * N) != 1:
             t += 1

@@ -9,13 +9,12 @@ mismatch is reported as a failure, never auto-corrected.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cache as cache_mod
 from .config import RunConfig
-from .coprimality import (conjecture_b_report, coprime_certificate, is_unit,
+from .coprimality import (conjecture_b_report, coprime_certificate,
                           shadow_products)
 from .curves import CurveData, is_fundamental_discriminant, kronecker_symbol
 from .exceptions import InvalidArgument, UnsupportedHypothesis, WorkbenchError
@@ -123,10 +122,12 @@ class Workbench:
             cert = [tuple(x) for x in cached["ap_certificate"]]
             values = cached["values"]
             # eigenvalue certificate must agree with fresh point counts, and
-            # a truncated or altered value list must not pass as a symbol
+            # a truncated, altered or opposite-sign value list must not pass
+            # as a symbol
             if (all(curve.ap(ell) == a for ell, a in cert)
                     and len(values) == len(space.generators)
-                    and space.relations_vanish(values)):
+                    and space.relations_vanish(values)
+                    and space.star_holds(values, sign)):
                 sym = EigenSymbol(cached["level"], cached["sign"],
                                   values, Fraction(cached["content"]),
                                   label=cached["label"], ap_certificate=cert,
@@ -169,24 +170,17 @@ class Workbench:
         p = self.config.p
         fs = FieldSpec(discriminant)
         fs.enforce_split(p, self.config.strict_hypotheses)
-        if self.config.parallelism > 1:
-            with ThreadPoolExecutor(max_workers=self.config.parallelism) as ex:
-                futs = {
-                    name: ex.submit(self.signed_series, curve, d, s)
-                    for name, d, s in (
-                        ("twist_plus", discriminant, "+"),
-                        ("twist_minus", discriminant, "-"),
-                        ("base_plus", 1, "+"),
-                        ("base_minus", 1, "-"))
-                }
-                series = {name: f.result() for name, f in futs.items()}
-        else:
-            series = {
-                "twist_plus": self.signed_series(curve, discriminant, "+"),
-                "twist_minus": self.signed_series(curve, discriminant, "-"),
-                "base_plus": self.signed_series(curve, 1, "+"),
-                "base_minus": self.signed_series(curve, 1, "-"),
-            }
+        series = {
+            "twist_plus": self.signed_series(curve, discriminant, "+"),
+            "twist_minus": self.signed_series(curve, discriminant, "-"),
+            "base_plus": self.signed_series(curve, 1, "+"),
+            "base_minus": self.signed_series(curve, 1, "-"),
+        }
+        failures = {name: reinterpolation_check(s) for name, s in series.items()}
+        if any(failures.values()):
+            # a representative that misses its own interpolation data is a
+            # defect of the reconstruction, never a result to report
+            raise WorkbenchError("reinterpolation failed at levels %s" % failures)
         Tp, Tm = series["twist_plus"], series["twist_minus"]
         tp, tm = series["base_plus"], series["base_minus"]
         facts = CURVE_FACTS.get(curve.label, {"cm": False, "surjective": False})
@@ -204,8 +198,7 @@ class Workbench:
                 curve.label, discriminant, p, (tp, tm), (Tp, Tm),
                 surjectivity_known=facts["surjective"], cm_curve=facts["cm"],
                 p_splits=fs.p_splits(p)),
-            "reinterpolation_failures": {
-                name: reinterpolation_check(s) for name, s in series.items()},
+            "reinterpolation_failures": failures,
         }
         expected = REFERENCE_INVARIANTS.get((curve.label, discriminant))
         if expected:

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from thetapm import RunConfig, Workbench, bundled_curve
+from thetapm import RunConfig, Workbench, bundled_curve, table
 from thetapm.cache import load_symbol, store_symbol
 from thetapm.cli import main
 from thetapm.reports import comparable, parse_report, render_report
@@ -68,18 +68,23 @@ def test_corrupted_cache_entry_recomputed(tmp_path):
     assert load_symbol(str(tmp_path), 32, "32a", 1) is not None
 
 
-def _truncate(values):
+def _truncate(values, opposite):
     return values[:10]
 
 
-def _double_every_third(values):
+def _double_every_third(values, opposite):
     return [2 * v if i % 3 == 0 else v for i, v in enumerate(values)]
 
 
-@pytest.mark.parametrize("damage", [_truncate, _double_every_third])
+def _swap_sign(values, opposite):
+    return opposite
+
+
+@pytest.mark.parametrize("damage", [_truncate, _double_every_third, _swap_sign])
 def test_damaged_cache_values_recomputed(tmp_path, damage):
     """Entries that parse but whose values are wrong are misses: the table
-    row is computed from fresh symbols and matches the frozen invariants."""
+    row is computed from fresh symbols and matches the frozen invariants.
+    ``damage`` gets an entry's values and those of the opposite sign."""
     c = bundled_curve("32a")
     wb = Workbench(RunConfig(cache_dir=str(tmp_path)))
     fresh = {s: wb.symbol(c, s)[0].values_on_generators for s in (1, -1)}
@@ -87,7 +92,7 @@ def test_damaged_cache_values_recomputed(tmp_path, damage):
         path = os.path.join(tmp_path, name)
         with open(path) as fh:
             entry = json.load(fh)
-        entry["values"] = damage(entry["values"])
+        entry["values"] = damage(entry["values"], fresh[-entry["sign"]])
         with open(path, "w") as fh:
             json.dump(entry, fh)
     wb2 = Workbench(RunConfig(cache_dir=str(tmp_path)))
@@ -232,6 +237,15 @@ def test_cmd_table_row_with_wrong_prime_isolates(tmp_path, capsys):
     assert recs[-1]["summary"]["failures"] == 1
 
 
+def test_reinterpolation_failure_is_row_error(workbench, monkeypatch):
+    """A representative that misses its interpolation data yields a row
+    error, not a row of invariants."""
+    monkeypatch.setattr(table, "reinterpolation_check", lambda series: [1])
+    (row,) = workbench.run_table([{"curve": "32a", "discriminant": -107, "p": 3}])
+    assert "reinterpolation failed" in row["error"]
+    assert "series" not in row
+
+
 def test_cmd_table_bad_file_is_input_error(capsys):
     code, _ = run_cli(["table", "--rows-file", "/nonexistent.jsonl"], capsys)
     assert code == 2
@@ -247,7 +261,7 @@ def test_out_file_written(tmp_path, capsys):
     assert recs[0]["lambda"] == 2
 
 
-# -- determinism and parallelism ---------------------------------------------------
+# -- determinism ---------------------------------------------------------------
 
 def test_reports_deterministic_modulo_timestamp(capsys):
     _, out1 = run_cli(["invariants", "--series-file",
@@ -257,21 +271,15 @@ def test_reports_deterministic_modulo_timestamp(capsys):
     assert comparable(out1) == comparable(out2)
 
 
-def test_parallel_equals_serial_row_and_cache_path(tmp_path):
+def test_cache_hit_row_equals_cache_miss_row(tmp_path):
     c = bundled_curve("32a")
-    wb1 = Workbench(RunConfig(parallelism=1))
-    wb2 = Workbench(RunConfig(parallelism=3))
+    wb1 = Workbench(RunConfig(cache_dir=str(tmp_path)))
+    assert wb1.symbol(c, +1)[1] == "computed"
     r1 = wb1.table_row(c, -43)
-    r2 = wb2.table_row(c, -43)
-    assert r1 == r2
-    # cache-miss then cache-hit symbol paths give the identical row
-    wb3 = Workbench(RunConfig(cache_dir=str(tmp_path)))
-    wb3.symbol(c, +1)
-    wb3.symbol(c, -1)
-    wb4 = Workbench(RunConfig(cache_dir=str(tmp_path)))
-    assert wb4.symbol(c, +1)[1] == "disk"
-    r3 = wb4.table_row(c, -43)
-    assert r3 == r1
+    wb2 = Workbench(RunConfig(cache_dir=str(tmp_path)))
+    assert wb2.symbol(c, +1)[1] == "disk"
+    assert wb2.symbol(c, -1)[1] == "disk"
+    assert wb2.table_row(c, -43) == r1
 
 
 def test_strict_hypothesis_flag_rejects_inert_rows():

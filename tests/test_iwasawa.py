@@ -239,6 +239,20 @@ def test_resultant_quadratic_example():
     assert [c.as_fraction() for c in res.coeffs] == [0, -1, 1]   # S^2 - S
 
 
+def test_resultant_after_cancelled_top_row():
+    f = two_var(3, {(0, 1): 1, (1, 0): 1})           # T + S
+    g = two_var(3, {(0, 1): 1})                      # T
+    h = two_var(3, {(0, 1): 1, (0, 0): 2})           # T + 2
+    d = f - g                                        # S: the T-row cancels
+    assert list(d.coeffs) == [(1, 0)]
+    res = resultant_in_T(d, h)
+    assert [c.as_fraction() for c in res.coeffs] == [0, 1]          # S
+    # a coefficient that is zero only within precision still carries
+    # information and stays
+    z = IwasawaElement2(3, {(0, 1): PadicScalar.zero(3, known_to=5)})
+    assert list(z.coeffs) == [(0, 1)]
+
+
 def test_resultant_antisymmetry_sign():
     rng = random.Random(41)
     for _ in range(40):

@@ -3,11 +3,9 @@ from fractions import Fraction
 import pytest
 
 from thetapm import (BadReduction, CurveData, CyclotomicInt, InvalidArgument,
-                     RunConfig, ThetaTarget, UnsupportedHypothesis, Workbench,
-                     bundled_curve, build_space, extract_eigensymbol,
-                     interpolation_value, kronecker_symbol, mazur_tate,
-                     reconstruct_signed, reinterpolation_check,
-                     trivial_character_ratio_check)
+                     ThetaTarget, WorkbenchError, bundled_curve,
+                     interpolation_value, kronecker_symbol, reconstruct_signed,
+                     reinterpolation_check, trivial_character_ratio_check)
 from thetapm.cyclotomic import principal_unit_dlog
 from thetapm.mazurtate import SignedLSeries
 
@@ -100,13 +98,6 @@ def test_mazur_tate_gate_checks():
         ThetaTarget(c36, 3)                         # 3 divides the conductor
 
 
-def test_mazur_tate_labeling(target32):
-    el = mazur_tate(target32, "+", 1)
-    assert el.provenance["sign"] == "+"
-    el2 = mazur_tate(target32, "-", 1)
-    assert el2.coeffs == el.coeffs                  # same numeric content
-
-
 # -- reconstruction ---------------------------------------------------------------
 
 def test_interpolation_parity_guards(target32):
@@ -130,6 +121,17 @@ def test_reinterpolation_exact(series_32a_43, base_series):
     for pair in base_series.values():
         for s in pair:
             assert reinterpolation_check(s) == []
+
+
+def test_negative_normalized_mu_raises(workbench):
+    """Family values that come from no modular symbol (here a point mass at
+    a = 1) leave p in the denominator after normalization; the negative mu
+    is an error, not a profile."""
+    c = bundled_curve("32a")
+    target = ThetaTarget(c, 3, plus_symbol=workbench.symbol(c, +1)[0])
+    target.family_value = lambda a, q: 1 if a % q == 1 else 0
+    with pytest.raises(WorkbenchError, match="mu = -1 is negative"):
+        reconstruct_signed(target, "+", n_max=3, auto_extend=False)
 
 
 def test_galois_equivariance_of_values(target32_43):
