@@ -14,8 +14,7 @@ from .config import RunConfig
 from .coprimality import (CoprimalityCertificate, conjecture_b_report,
                           coprime_certificate, is_unit, shadow_products)
 from .curves import CurveData, kronecker_symbol, local_reduction_type
-from .cyclotomic import (CyclotomicInt, cyclotomic_poly_shifted,
-                         cyclotomic_polynomial)
+from .cyclotomic import CyclotomicInt, cyclotomic_poly_shifted
 from .exceptions import (BadReduction, CommonFactorWithinPrecision,
                          InvalidArgument, IsolationFailure, NotPseudoNull,
                          PrecisionError, ResourceLimit, TruncationError,

@@ -35,6 +35,7 @@ def _config_from_args(args):
 
 
 def _add_config_args(sp):
+    """The RunConfig flags, for the subcommands that build a Workbench."""
     sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--n-max", type=int, default=6)
     sp.add_argument("--precision", type=int, default=30)
@@ -42,6 +43,10 @@ def _add_config_args(sp):
                     help="eigensymbol cache directory (or WORKBENCH_CACHE)")
     sp.add_argument("--strict-hypotheses", action="store_true")
     sp.add_argument("--no-auto-extend", action="store_true")
+    _add_out_arg(sp)
+
+
+def _add_out_arg(sp):
     sp.add_argument("--out", default=None, help="write the report to a file")
 
 
@@ -233,7 +238,7 @@ def build_parser():
 
     sp = sub.add_parser("invariants", help="profile of a series file")
     sp.add_argument("--series-file", required=True)
-    _add_config_args(sp)
+    _add_out_arg(sp)
     sp.set_defaults(func=cmd_invariants)
 
     sp = sub.add_parser("table", help="run the example rows")
@@ -256,17 +261,18 @@ def build_parser():
     sp.add_argument("--discriminant", type=int, required=True)
     sp.add_argument("--sigma-file", default=None)
     sp.add_argument("--frobenius-file", default=None)
-    _add_config_args(sp)
+    sp.add_argument("--p", type=int, default=3)
+    _add_out_arg(sp)
     sp.set_defaults(func=cmd_fudge)
 
     sp = sub.add_parser("c2", help="local length at a vertical prime")
     sp.add_argument("--ideal-file", required=True)
-    _add_config_args(sp)
+    _add_out_arg(sp)
     sp.set_defaults(func=cmd_c2)
 
     sp = sub.add_parser("specialize", help="cyclotomic specialization")
     sp.add_argument("--twovar-file", required=True)
-    _add_config_args(sp)
+    _add_out_arg(sp)
     sp.set_defaults(func=cmd_specialize)
     return ap
 

@@ -1,43 +1,30 @@
-"""Exact cyclotomic arithmetic and the change to the X = zeta - 1 basis.
+"""Exact cyclotomic arithmetic in Q(zeta_{p^k}) and the X = zeta - 1 basis.
 
-Elements of Q(zeta_m) are kept in the power basis 1, zeta, ..., zeta^(d-1)
-with d = phi(m), reduced modulo the m-th cyclotomic polynomial, with
-Fraction coefficients, so every ring operation is exact.  For prime-power m
-the reduction uses the sparse shape of Phi_{p^k}; general m falls back to
-polynomial division.
+An element of Q(zeta_m), m = p^k for an odd prime p, is an integer vector
+``co`` in the power basis 1, zeta, ..., zeta^(d-1), d = phi(m), over one
+positive denominator ``den``, kept in lowest terms: equal elements have
+equal (co, den) and every ring operation is exact.  Any other m raises
+InvalidArgument.
 
-The hot kernels (products, the change to the X = zeta - 1 basis and the
-evaluation of an X-polynomial at zeta - 1) clear denominators once and work
-on integer vectors with one common denominator: a Taylor shift by +-1 by
-synthetic division, then one fold of the exponents mod m and one reduction
-pass modulo Phi_m.
+Every element is built the same way: an integer vector indexed by exponent,
+of any length, over one denominator; its exponents fold mod m and one pass
+reduces modulo Phi_m.  Roots of unity, Galois images, products, the
+inverses 1/(zeta^t - 1) and 1/Phi_{p^j}(zeta), Mazur-Tate character sums
+and the evaluation of an X-polynomial at zeta - 1 (an integer Taylor shift
+by -1 before the fold) all go through that one fold.  The change to the X
+basis is the Taylor shift by +1 of the numerators, by synthetic division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import gcd, isqrt, lcm
 from operator import add, sub
 
 from .exceptions import InvalidArgument
 from .padics import is_prime
 from .polys import clear_denominators, mul as poly_mul
-
-
-def euler_phi(m):
-    out = m
-    n = m
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out -= out // f
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out -= out // n
-    return out
 
 
 def fraction_poly_mul(a, b):
@@ -70,66 +57,40 @@ def _taylor_shift(a, sign=1):
     return r
 
 
-def _fold_reduce(v, m):
-    """Power-basis integer coefficients of sum_e v_e zeta_m^e.
+def _level(m):
+    """(p, s) with m = p^k and s = p^(k-1) for an odd prime p.
 
-    Exponents fold mod m, then one pass reduces modulo Phi_m: for m = p^k,
+    Any other m raises InvalidArgument.
+    """
+    if not isinstance(m, int) or m < 3 or m % 2 == 0:
+        raise InvalidArgument("level must be a power of an odd prime, got %r" % (m,))
+    p = next((f for f in range(3, isqrt(m) + 1, 2) if m % f == 0), m)
+    n = m
+    while n % p == 0:
+        n //= p
+    if n != 1:
+        raise InvalidArgument("level must be a power of an odd prime, got %d" % m)
+    return p, m // p
+
+
+def _fold_reduce(v, m):
+    """Power-basis integer coefficients of sum_e v_e zeta_m^e, m = p^k.
+
+    Exponents fold mod m, then one pass reduces modulo Phi_m:
     zeta^(d+j) = -sum_{i<p-1} zeta^(j+i*s) with s = p^(k-1), d = (p-1)s and
     j < s, so no term needs reducing twice.
     """
+    _, s = _level(m)
     out = [0] * m
     for start in range(0, len(v), m):
         chunk = v[start:start + m]
         out[:len(chunk)] = map(add, out, chunk)
-    pk = _prime_power(m)
-    if pk is None:
-        d = euler_phi(m)
-        _, rem = _poly_divmod_monic(out, cyclotomic_polynomial(m))
-        return rem + [0] * (d - len(rem))
-    s = m // pk[0]
     d = m - s
     top = out[d:]
     for lo in range(0, d, s):
         out[lo:lo + s] = map(sub, out[lo:lo + s], top)
     del out[d:]
     return out
-
-
-def _poly_divmod_monic(a, b):
-    """Divide a by monic b; exact coefficient arithmetic."""
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            q[i - db] = c
-            for j, y in enumerate(b):
-                a[i - db + j] -= c * y
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-_cyclo_cache = {}
-
-
-def cyclotomic_polynomial(m):
-    """Integer coefficient list of Phi_m, ascending degree."""
-    if m in _cyclo_cache:
-        return list(_cyclo_cache[m])
-    if m == 1:
-        out = [-1, 1]
-    else:
-        num = [-1] + [0] * (m - 1) + [1]       # x^m - 1
-        den = [1]
-        for d in range(1, m):
-            if m % d == 0:
-                den = poly_mul(den, cyclotomic_polynomial(d))
-        out, rem = _poly_divmod_monic(num, den)
-        assert all(r == 0 for r in rem)
-    _cyclo_cache[m] = out
-    return list(out)
 
 
 def cyclotomic_poly_shifted(p, k):
@@ -151,93 +112,86 @@ def cyclotomic_poly_shifted(p, k):
 
 
 class CyclotomicInt:
-    """Exact element of Q(zeta_m) in the power basis modulo Phi_m.
+    """Exact element co/den of Q(zeta_m), m = p^k, in the power basis.
 
+    ``co`` holds phi(m) integers and ``den`` > 0 with gcd(den, *co) = 1.
     The name reflects the main use (integral cyclotomic values such as
-    Birch sums); rational coefficients are allowed and denominators are
-    tracked explicitly.
+    Birch sums); denominators such as 1/(p - 1) are carried in ``den``.
     """
 
-    __slots__ = ("m", "co")
+    __slots__ = ("m", "co", "den")
 
-    def __init__(self, m, co=None):
-        self.m = m
-        d = euler_phi(m)
+    def __init__(self, m, co=None, den=1):
+        _, s = _level(m)
         if co is None:
-            co = [Fraction(0)] * d
-        elif len(co) != d:
+            co = [0] * (m - s)
+        elif len(co) != m - s:
             raise InvalidArgument("coefficient vector must have length phi(m)")
+        if den <= 0:
+            raise InvalidArgument("denominator must be positive")
+        g = gcd(den, *co)
+        if g > 1:
+            co = [c // g for c in co]
+            den //= g
+        self.m = m
         self.co = co
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, m):
-        return cls(m)
+    def from_exponents(cls, m, v, den=1):
+        """sum_e v[e] zeta_m^e / den for an integer vector v of any length."""
+        return cls(m, _fold_reduce(v, m), den)
 
     @classmethod
     def one(cls, m):
-        return cls.root_of_unity(m, 0)
+        return cls.from_rational(m, 1)
 
     @classmethod
     def from_rational(cls, m, value):
-        z = cls(m)
-        z.co[0] = Fraction(value)
-        return z
+        return cls.root_of_unity(m, 0, value)
 
     @classmethod
     def root_of_unity(cls, m, exponent, coeff=1):
         """coeff * zeta_m^exponent."""
-        z = cls(m)
-        z._add_monomial(exponent, Fraction(coeff))
-        return z
-
-    # -- reduction ----------------------------------------------------
-
-    def _add_monomial(self, e, c):
-        m = self.m
-        e %= m
-        d = len(self.co)
-        if e < d:
-            self.co[e] += c
-            return
-        pk = _prime_power(m)
-        if pk is not None:
-            p, _ = pk
-            step = m // p
-            t = e - d
-            for i in range(p - 1):
-                self._add_monomial(i * step + t, -c)
-            return
-        phi = cyclotomic_polynomial(m)
-        # zeta^e = zeta^e mod Phi_m: subtract zeta^(e-d) * Phi_m tail
-        t = e - d
-        for j in range(d):
-            if phi[j]:
-                self._add_monomial(t + j, -c * phi[j])
+        _level(m)
+        c = Fraction(coeff)
+        e = exponent % m
+        v = [0] * (e + 1)
+        v[e] = c.numerator
+        return cls.from_exponents(m, v, c.denominator)
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
+    def _aligned(self, other):
+        """Numerators of self and other over their least common denominator."""
         other = self._coerce(other)
-        return CyclotomicInt(self.m, [a + b for a, b in zip(self.co, other.co)])
+        if self.den == other.den:
+            return self.co, other.co, self.den
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return [c * a for c in self.co], [c * b for c in other.co], den
+
+    def __add__(self, other):
+        a, b, den = self._aligned(other)
+        return CyclotomicInt(self.m, list(map(add, a, b)), den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return CyclotomicInt(self.m, [a - b for a, b in zip(self.co, other.co)])
+        a, b, den = self._aligned(other)
+        return CyclotomicInt(self.m, list(map(sub, a, b)), den)
 
     def __neg__(self):
-        return CyclotomicInt(self.m, [-a for a in self.co])
+        return CyclotomicInt(self.m, [-c for c in self.co], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CyclotomicInt(self.m, [a * other for a in self.co])
+            c = Fraction(other)
+            return CyclotomicInt(self.m, [x * c.numerator for x in self.co],
+                                 self.den * c.denominator)
         other = self._coerce(other)
-        a, da = clear_denominators(self.co)
-        b, db = clear_denominators(other.co)
-        v = _fold_reduce(poly_mul(a, b), self.m)
-        den = da * db
-        return CyclotomicInt(self.m, [Fraction(x, den) for x in v])
+        return CyclotomicInt.from_exponents(self.m, poly_mul(self.co, other.co),
+                                            self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -246,23 +200,23 @@ class CyclotomicInt:
             other = CyclotomicInt.from_rational(self.m, other)
         if not isinstance(other, CyclotomicInt) or other.m != self.m:
             return NotImplemented
-        return self.co == other.co
+        return self.den == other.den and self.co == other.co
 
     def __hash__(self):
-        return hash((self.m, tuple(self.co)))
+        return hash((self.m, self.den, tuple(self.co)))
 
     def is_zero(self):
-        return all(c == 0 for c in self.co)
+        return not any(self.co)
 
     def galois(self, s):
         """Image under zeta -> zeta^s; s must be prime to m."""
-        if gcd(s, self.m) != 1:
+        m = self.m
+        if gcd(s, m) != 1:
             raise InvalidArgument("galois exponent must be prime to m")
-        z = CyclotomicInt(self.m)
+        v = [0] * m
         for e, c in enumerate(self.co):
-            if c:
-                z._add_monomial(e * s % self.m, c)
-        return z
+            v[e * s % m] = c
+        return CyclotomicInt.from_exponents(m, v, self.den)
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
@@ -271,33 +225,12 @@ class CyclotomicInt:
             raise InvalidArgument("cannot combine with %r" % (other,))
         if other.m == self.m:
             return other
-        raise InvalidArgument("mixed cyclotomic levels; embed into a common one first")
+        raise InvalidArgument("mixed cyclotomic levels")
 
     def __repr__(self):
-        terms = ["%s*z^%d" % (c, e) for e, c in enumerate(self.co) if c]
+        terms = ["%s*z^%d" % (Fraction(c, self.den), e)
+                 for e, c in enumerate(self.co) if c]
         return "Cyc(%d: %s)" % (self.m, " + ".join(terms) or "0")
-
-
-def _prime_power(m):
-    """(p, k) if m = p^k for an odd prime p, else None."""
-    if m < 3 or m % 2 == 0:
-        return None
-    p = _smallest_factor(m)
-    k = 0
-    n = m
-    while n % p == 0:
-        n //= p
-        k += 1
-    return (p, k) if n == 1 else None
-
-
-def _smallest_factor(n):
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
 
 
 def root_of_unity_minus_one_inverse(m, t):
@@ -306,46 +239,35 @@ def root_of_unity_minus_one_inverse(m, t):
     Uses 1/(w - 1) = (1/q) * sum_{i=1}^{q-1} i w^i for w of exact order q,
     obtained by differentiating (x^q - 1)/(x - 1) at x = w.
     """
+    _level(m)
     t %= m
     if t == 0:
         raise InvalidArgument("zeta^t = 1 is not invertible after subtracting 1")
     q = m // gcd(t, m)
-    z = CyclotomicInt(m)
+    v = [0] * m
     for i in range(1, q):
-        z._add_monomial(t * i, Fraction(i, q))
-    return z
-
-
-def phi_value_at_root(p, j, k):
-    """Phi_{p^j}(zeta) for zeta of order p^k, as an exact CyclotomicInt.
-
-    For j < k this is Phi_p(zeta^(p^(j-1))), a sum of p roots of unity of
-    valuation 1/p^(k-j); for j > k it is p; at j = k it vanishes.
-    """
-    m = p ** k
-    if j == k:
-        return CyclotomicInt.zero(m)
-    if j > k:
-        return CyclotomicInt.from_rational(m, p)
-    z = CyclotomicInt(m)
-    e = p ** (j - 1)
-    for i in range(p):
-        z._add_monomial(i * e, Fraction(1))
-    return z
+        v[t * i % m] += i
+    return CyclotomicInt.from_exponents(m, v, q)
 
 
 def phi_value_at_root_inverse(p, j, k):
     """Exact 1/Phi_{p^j}(zeta_{p^k}) for j < k.
 
     Phi_p(w) = (w^p - 1)/(w - 1) with w = zeta^(p^(j-1)), so the inverse is
-    (w - 1) * (w^p - 1)^(-1), both factors explicit.
+    (w - 1)/(u - 1) with u = w^p of order q = p^(k-j), and
+    1/(u - 1) = (1/q) * sum_{i<q} i u^i as in root_of_unity_minus_one_inverse:
+    the exponents e*p*i + e and e*p*i, e = p^(j-1), stay below p^k.
     """
     if j >= k:
         raise InvalidArgument("inverse formula needs j < k")
-    m = p ** k
     e = p ** (j - 1)
-    num = CyclotomicInt.root_of_unity(m, e) - CyclotomicInt.one(m)
-    return num * root_of_unity_minus_one_inverse(m, e * p)
+    q = p ** (k - j)
+    v = [0] * p ** k
+    for i in range(1, q):
+        u = e * p * i
+        v[u + e] += i
+        v[u] -= i
+    return CyclotomicInt.from_exponents(p ** k, v, q)
 
 
 def principal_unit_dlog(p, n):
@@ -363,30 +285,24 @@ def principal_unit_dlog(p, n):
 def zeta_to_x_basis(z, p=None, k=None):
     """Rewrite an element of Q(zeta_{p^k}) as a polynomial in X = zeta - 1.
 
-    Returns coefficients of degree < phi(p^k).  This is the binomial
-    transform c'_j = sum_i c_i * C(i, j), i.e. the Taylor shift of the
-    power-basis coefficients by +1, done on integers over one denominator.
+    Returns Fraction coefficients of degree < phi(p^k).  This is the
+    binomial transform c'_j = sum_i c_i * C(i, j), i.e. the Taylor shift of
+    the power-basis numerators by +1 over the one denominator.  The level
+    is z.m; p and k, when given, must name it.
     """
-    if p is None:
-        pk = _prime_power(z.m)
-        if pk is None:
-            raise InvalidArgument("prime-power level required")
-        p, k = pk
-    d = (p - 1) * p ** (k - 1)
-    ints, den = clear_denominators(z.co)
-    out = _taylor_shift(ints, 1)
-    out += [0] * (d - len(out))
-    return [Fraction(x, den) for x in out]
+    if None not in (p, k) and p ** k != z.m:
+        raise InvalidArgument("element level %d is not %d^%d" % (z.m, p, k))
+    out = _taylor_shift(z.co, 1)
+    out += [0] * (len(z.co) - len(out))
+    return [Fraction(x, z.den) for x in out]
 
 
 def x_poly_at_zeta_minus_one(poly, p, k):
     """Evaluate a polynomial in X at X = zeta_{p^k} - 1, exactly.
 
     poly(zeta - 1) is the Taylor shift of poly by -1 read at zeta, so the
-    shifted integer coefficients fold into the power basis of Q(zeta_{p^k});
+    shifted integer numerators fold into the power basis of Q(zeta_{p^k});
     the polynomial may be longer than phi(p^k).
     """
-    m = p ** k
     ints, den = clear_denominators(poly)
-    v = _fold_reduce(_taylor_shift(ints, -1), m)
-    return CyclotomicInt(m, [Fraction(x, den) for x in v])
+    return CyclotomicInt.from_exponents(p ** k, _taylor_shift(ints, -1), den)

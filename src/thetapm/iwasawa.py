@@ -84,23 +84,6 @@ class IwasawaElement1:
     def one(cls, p):
         return cls.from_rationals(p, [1])
 
-    def coeff_precision(self):
-        precs = [c.precision for c in self.coeffs]
-        if any(x is None for x in precs):
-            return None if all(x is None for x in precs) else min(x for x in precs if x is not None)
-        return min(precs) if precs else None
-
-    def degree_observed(self):
-        """Largest index with a coefficient not zero-within-precision."""
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[i].is_zero_within_precision():
-                return i
-        return None
-
-    def is_unit_flagged(self):
-        return (not self.coeffs[0].is_zero_within_precision()
-                and self.coeffs[0].valuation() == 0)
-
     def rationals(self):
         return [c.as_fraction() for c in self.coeffs]
 
@@ -145,12 +128,6 @@ class IwasawaElement1:
                     continue
                 out[i + j] = out[i + j] + x * y
         return IwasawaElement1(self.p, out, exact_tail=tail)
-
-    def truncate(self, D):
-        out = self.coeffs[:D + 1]
-        out += [PadicScalar.zero(self.p)] * (D + 1 - len(out))
-        return IwasawaElement1(self.p, out,
-                               exact_tail=self.exact_tail and D >= self.trunc_degree)
 
     def _known_degree(self):
         return 10 ** 9 if self.exact_tail else self.trunc_degree

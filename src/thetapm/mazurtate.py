@@ -33,9 +33,11 @@ from .iwasawa import (InvariantProfile, IwasawaElement1, hull_value,
                       lower_hull, newton_invariants_exact)
 from .modsym import make_twisted_evaluator
 from .padics import vp
+from .polys import mul as poly_mul
 
 DEFAULT_N_MAX = 6
 DEFAULT_PRECISION = 30
+MAX_EXTENSION = 2             # levels auto-extension may add beyond n_max
 
 
 class ThetaTarget:
@@ -82,9 +84,10 @@ class ThetaTarget:
 class MazurTateElement:
     """Level-n element over Gamma_n = Z/p^n, conductor p^(n+1) data.
 
-    ``coeffs[j]`` is the coefficient of gamma^j: the averaged sum of path
-    values over residues whose principal-unit logarithm is j.  Averaging
-    over the p-1 tame translates divides by p-1, a p-adic unit.
+    ``coeffs[j]`` is p - 1 times the coefficient of gamma^j: the integer
+    sum of path values over residues whose principal-unit logarithm is j.
+    Averaging over the p-1 tame translates divides by p-1, a p-adic unit;
+    ``evaluate`` applies it as the one denominator of the character sum.
     ``raw_content`` is the gcd of the integer path values that fed the
     element, used downstream for the family normalization.
     """
@@ -113,16 +116,12 @@ class MazurTateElement:
             v = fv(a, q)
             co[j] += v
             content = gcd(content, v)
-        co = [Fraction(c, p - 1) for c in co]
         return cls(p, n, co, raw_content=content,
                    provenance={"target": target.label,
                                "discriminant": target.discriminant})
 
-    def order(self):
-        return self.p ** self.level
-
     def evaluate(self, t=1, level=None):
-        """Character sum sum_j c_j zeta^(t*j), zeta of order p^level.
+        """Character sum sum_j (c_j / (p-1)) zeta^(t*j), zeta of order p^level.
 
         t prime to p selects the Galois-orbit representative; level defaults
         to the element's own level (primitive characters), lower levels give
@@ -132,18 +131,17 @@ class MazurTateElement:
         if k > self.level:
             raise InvalidArgument("character level exceeds element level")
         m = self.p ** k
-        z = CyclotomicInt(m)
+        v = [0] * m
         for j, c in enumerate(self.coeffs):
-            if c:
-                z._add_monomial((t * j) % m, c)
-        return z
+            v[t * j % m] += c
+        return CyclotomicInt.from_exponents(m, v, self.p - 1)
 
     def project(self):
         """Image at level n-1 under the natural group projection."""
         if self.level <= 1:
             raise InvalidArgument("cannot project below level 1")
         size = self.p ** (self.level - 1)
-        co = [Fraction(0)] * size
+        co = [0] * size
         for j, c in enumerate(self.coeffs):
             co[j % size] += c
         return MazurTateElement(self.p, self.level - 1, co, dict(self.provenance),
@@ -229,7 +227,11 @@ class SignedLSeries:
 
 
 def _crt_extend(theta, mod_coeffs, prev_ks, v_k, p, k):
-    """One Garner step: extend theta (exact X-poly) by the level-k datum."""
+    """One Garner step: extend theta (exact X-poly) by the level-k datum.
+
+    ``mod_coeffs`` is the integer product of Phi_{p^j}(1+X) over the levels
+    already used.
+    """
     th_at = x_poly_at_zeta_minus_one(theta, p, k)
     diff = v_k - th_at
     inv = CyclotomicInt.one(p ** k)
@@ -283,7 +285,7 @@ def _dominance_certified(profile, rep_coeffs, p, ks):
 
 def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX,
                        precision=DEFAULT_PRECISION, auto_extend=True,
-                       extension_cap=None, orbit_rep=1):
+                       orbit_rep=1):
     """Reconstruct the signed series of the target modulo a half-log product.
 
     Runs over increasing level sets of matching parity, recording the
@@ -291,13 +293,14 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX,
     (mu, lambda, slopes).  The dominance certificate additionally marks
     profiles that provably survive to the full series.  When stabilization
     fails within n_max and auto_extend is set, up to two deeper levels are
-    attempted (each costs a factor ~p^2 in path evaluations).
+    attempted (each costs a factor ~p^2 in path evaluations), so the
+    deepest level is n_max + MAX_EXTENSION.
     """
     if sign not in ("+", "-"):
         raise InvalidArgument("sign must be '+' or '-'")
     p = target.p
     parity = 1 if sign == "+" else 0
-    cap = extension_cap if extension_cap is not None else n_max + 2
+    cap = n_max + MAX_EXTENSION
     ks_all = [k for k in range(1, n_max + 1) if k % 2 == parity]
     if not ks_all:
         raise InvalidArgument("n_max too small for sign %s" % sign)
@@ -305,7 +308,7 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX,
     history = []
     notes = []
     theta = None
-    mod_coeffs = [Fraction(1)]
+    mod_coeffs = [1]
     used = []
     values = {}
     stabilized_pair = False
@@ -322,7 +325,7 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX,
             theta = zeta_to_x_basis(v_k, p, k)
         else:
             theta = _crt_extend(theta, mod_coeffs, list(used), v_k, p, k)
-        mod_coeffs = fraction_poly_mul(mod_coeffs, cyclotomic_poly_shifted(p, k))
+        mod_coeffs = poly_mul(mod_coeffs, cyclotomic_poly_shifted(p, k))
         used.append(k)
         deg_mod = len(mod_coeffs) - 1
         prof = newton_invariants_exact(theta, p)

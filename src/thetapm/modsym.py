@@ -540,23 +540,10 @@ def twist_symbol_value(symbol_pair, D, a, m):
         return plus.evaluator()(a, m), minus.evaluator()(a, m)
     if gcd(D, m) != 1:
         raise InvalidArgument("twist discriminant must be prime to the denominator")
-    absD = abs(D)
-    chi = [kronecker_symbol(D, u) for u in range(absD)]
-    flip = D < 0
-    base_for_plus = minus if flip else plus
-    base_for_minus = plus if flip else minus
-    evp = base_for_plus.evaluator()
-    evm = base_for_minus.evaluator()
-    M = m * absD
-    tot_p = 0
-    tot_m = 0
-    for u in range(1, absD):
-        w = chi[u]
-        if w:
-            x = (a * absD + u * m) % M
-            tot_p += w * evp(x, M)
-            tot_m += w * evm(x, M)
-    return tot_p, tot_m
+    if D < 0:
+        plus, minus = minus, plus
+    return (make_twisted_evaluator(plus, D)(a, m),
+            make_twisted_evaluator(minus, D)(a, m))
 
 
 def make_twisted_evaluator(base_symbol, D):

@@ -159,8 +159,7 @@ class Workbench:
             self._series[key] = reconstruct_signed(
                 target, sign, n_max=self.config.n_max,
                 precision=self.config.precision,
-                auto_extend=self.config.auto_extend,
-                extension_cap=self.config.n_max + 2)
+                auto_extend=self.config.auto_extend)
         return self._series[key]
 
     # -- rows ---------------------------------------------------------------

@@ -2,15 +2,19 @@
 
 Only the tests use these: the pipeline reaches its characters through the
 principal-unit logarithm of ``thetapm.cyclotomic`` and never forms a Gauss
-sum, since the Gauss sums cancel against the character sums.  The
-``CyclotomicInt`` helpers below (conjugation, embedding into a larger
-level, absolute value squared) serve the Gauss-sum identities only.
+sum, since the Gauss sums cancel against the character sums.  Values are
+elements of the ``Fraction`` oracle class of ``fraction_oracle``, which
+works at any level: a tame character of modulus p^c takes values in
+Q(zeta_e) with e = phi(p^c), which is not a prime power.  The helpers below
+(conjugation, embedding into a larger level, absolute value squared) serve
+the Gauss-sum identities only.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from thetapm.cyclotomic import CyclotomicInt, euler_phi, principal_unit_dlog
+from fraction_oracle import CyclotomicInt, euler_phi
+from thetapm.cyclotomic import principal_unit_dlog
 from thetapm.exceptions import InvalidArgument
 
 

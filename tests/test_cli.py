@@ -251,6 +251,22 @@ def test_cmd_table_bad_file_is_input_error(capsys):
     assert code == 2
 
 
+def test_subcommands_take_only_the_flags_they_read():
+    from thetapm.cli import build_parser
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    config = {"--p", "--n-max", "--precision", "--cache-dir",
+              "--strict-hypotheses", "--no-auto-extend"}
+
+    def flags(name):
+        return {o for a in sub.choices[name]._actions for o in a.option_strings
+                if o not in ("-h", "--help")}
+    for name in ("symbols", "theta", "table", "coprime"):
+        assert config | {"--out"} <= flags(name)
+    assert flags("fudge") & config == {"--p"} and "--out" in flags("fudge")
+    for name in ("invariants", "c2", "specialize"):
+        assert not flags(name) & config and "--out" in flags(name)
+
+
 def test_out_file_written(tmp_path, capsys):
     out_path = tmp_path / "report.jsonl"
     code, _ = run_cli(["invariants", "--series-file",
@@ -294,10 +310,20 @@ def test_strict_hypothesis_flag_rejects_inert_rows():
 
 
 def test_strict_hypothesis_row_isolated(tmp_path, capsys):
+    """Under --strict-hypotheses an inert-p row becomes a row error and the
+    split row beside it still gets its report."""
     rows = tmp_path / "rows.jsonl"
-    rows.write_text('{"curve": "32a", "discriminant": -107, "p": 3}\n')
-    # -107 splits, so the strict flag accepts it; use a cheap assertion on
-    # the config path only (full run exercised elsewhere)
-    from thetapm import RunConfig
-    cfg = RunConfig(strict_hypotheses=True)
-    assert cfg.strict_hypotheses
+    rows.write_text('{"curve": "32a", "discriminant": -43, "p": 3}\n'
+                    '{"curve": "32a", "discriminant": -107, "p": 3}\n')
+    code, out = run_cli(["table", "--rows-file", str(rows), "--strict-hypotheses",
+                         "--n-max", "3"], capsys)
+    assert code == 1
+    _, (inert, split, summary) = parse_report(out)
+    assert (inert["curve"], inert["discriminant"]) == ("32a", -43)
+    assert inert["error"].startswith("UnsupportedHypothesis: p = 3 does not split")
+    assert "series" not in inert
+    assert (split["curve"], split["discriminant"]) == ("32a", -107)
+    assert "error" not in split and split["p_splits_in_K"]
+    assert set(split["series"]) == {"twist_plus", "twist_minus",
+                                    "base_plus", "base_minus"}
+    assert summary["summary"]["rows"] == 2 and summary["summary"]["failures"] == 1

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,14 +9,29 @@ from hypothesis import strategies as st
 import fraction_oracle
 from characters import (TameCharacter, WildCharacter, conjugate, embed,
                         gauss_sum, norm_abs_squared)
+from fraction_oracle import euler_phi, from_int
 
-from thetapm import (CyclotomicInt, InvalidArgument, cyclotomic_poly_shifted,
-                     cyclotomic_polynomial)
-from thetapm.cyclotomic import (euler_phi, phi_value_at_root,
-                                phi_value_at_root_inverse,
+from thetapm import (CyclotomicInt, InvalidArgument, MazurTateElement,
+                     cyclotomic_poly_shifted)
+from thetapm.cyclotomic import (phi_value_at_root_inverse,
                                 root_of_unity_minus_one_inverse,
                                 x_poly_at_zeta_minus_one, zeta_to_x_basis)
 from thetapm.padics import vp
+from thetapm.polys import clear_denominators
+
+
+def to_int(w):
+    """The integer-vector element equal to a Fraction oracle element."""
+    nums, den = clear_denominators(w.co)
+    return CyclotomicInt(w.m, nums, den)
+
+
+def assert_same(z, w):
+    """z is the oracle element w, as integers over one lowest-terms denominator."""
+    assert z.m == w.m
+    assert all(type(c) is int for c in z.co)
+    assert type(z.den) is int and z.den > 0 and gcd(z.den, *z.co) == 1
+    assert from_int(z).co == w.co
 
 
 # -- shifted cyclotomic polynomials -----------------------------------------
@@ -56,7 +72,7 @@ def test_eisenstein_newton_polygon_single_slope():
 
 def test_cyclotomic_polynomial_agrees_with_shift():
     # Phi_9(x) at x = 1 + X reproduces the shifted coefficients
-    phi9 = cyclotomic_polynomial(9)
+    phi9 = fraction_oracle.cyclotomic_polynomial(9)
     got = [Fraction(0)] * 7
     for i, c in enumerate(phi9):
         if c:
@@ -74,8 +90,8 @@ def test_exactness_add_mul_roundtrip():
     m = 27
     d = euler_phi(m)
     for _ in range(100):
-        a = CyclotomicInt(m, [Fraction(rng.randint(-9, 9)) for _ in range(d)])
-        b = CyclotomicInt(m, [Fraction(rng.randint(-9, 9)) for _ in range(d)])
+        a = CyclotomicInt(m, [rng.randint(-9, 9) for _ in range(d)], rng.randint(1, 12))
+        b = CyclotomicInt(m, [rng.randint(-9, 9) for _ in range(d)], rng.randint(1, 12))
         assert (a + b) - b == a
         prod = a * b
         assert prod * CyclotomicInt.one(m) == prod
@@ -91,7 +107,32 @@ def test_reduction_is_canonical():
     w = CyclotomicInt.root_of_unity(m, 6)
     assert z == w
     # zeta^6 reduces against Phi_9 = x^6 + x^3 + 1
-    assert w.co == [Fraction(-1), 0, 0, Fraction(-1), 0, 0]
+    assert w.co == [-1, 0, 0, -1, 0, 0] and w.den == 1
+
+
+def test_integer_vector_in_lowest_terms():
+    z = CyclotomicInt(9, [2, 4, 0, 0, 0, -6], 4)
+    assert (z.co, z.den) == ([1, 2, 0, 0, 0, -3], 2)
+    zero = CyclotomicInt(9, [0] * 6, 7)
+    assert (zero.co, zero.den) == ([0] * 6, 1) and zero == CyclotomicInt(9)
+    half = CyclotomicInt.from_rational(27, Fraction(3, 6))
+    assert half.den == 2 and half.co[0] == 1 and not any(half.co[1:])
+    with pytest.raises(InvalidArgument):
+        CyclotomicInt(9, [1] * 6, 0)
+    with pytest.raises(InvalidArgument):
+        CyclotomicInt(9, [1] * 5)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 4, 6, 12, 15, 21, 45, 54, 75, -9])
+def test_non_prime_power_levels_raise(m):
+    with pytest.raises(InvalidArgument):
+        CyclotomicInt(m)
+    with pytest.raises(InvalidArgument):
+        CyclotomicInt.root_of_unity(m, 1)
+    with pytest.raises(InvalidArgument):
+        CyclotomicInt.from_exponents(m, [1, 2, 3])
+    with pytest.raises(InvalidArgument):
+        root_of_unity_minus_one_inverse(m, 1)
 
 
 def test_galois_and_conjugate():
@@ -110,7 +151,7 @@ def test_root_of_unity_minus_one_inverse():
 
 def test_phi_value_inverse():
     for (j, k) in [(1, 2), (1, 3), (2, 3), (2, 4)]:
-        val = phi_value_at_root(3, j, k)
+        val = to_int(fraction_oracle.phi_value_at_root(3, j, k))
         inv = phi_value_at_root_inverse(3, j, k)
         assert val * inv == CyclotomicInt.one(3 ** k)
 
@@ -121,7 +162,7 @@ def test_quadratic_gauss_sum_mod_3():
     chi = TameCharacter(3, 1, 1)                    # the quadratic character
     assert chi.order() == 2 and chi.is_primitive()
     tau = gauss_sum(chi)
-    assert tau * tau == CyclotomicInt.from_rational(tau.m, -3)
+    assert tau * tau == fraction_oracle.CyclotomicInt.from_rational(tau.m, -3)
 
 
 def test_gauss_sum_conductor_9_order_3():
@@ -150,7 +191,8 @@ def test_gauss_sum_identity_all_primitive_conductors_up_to_p5():
             taubar = gauss_sum(chi.inverse())
             m = tau.m
             lhs = tau * embed(taubar, m) if taubar.m != m else tau * taubar
-            assert lhs == CyclotomicInt.from_rational(m, chi.parity() * q), \
+            assert lhs == fraction_oracle.CyclotomicInt.from_rational(
+                m, chi.parity() * q), \
                 "failed for modulus 3^%d, t=%d" % (c, t)
 
 
@@ -175,7 +217,7 @@ def test_zeta_x_basis_round_trip():
     m = 27
     d = euler_phi(m)
     for _ in range(20):
-        a = CyclotomicInt(m, [Fraction(rng.randint(-9, 9)) for _ in range(d)])
+        a = CyclotomicInt(m, [rng.randint(-9, 9) for _ in range(d)], rng.randint(1, 12))
         poly = zeta_to_x_basis(a)
         back = x_poly_at_zeta_minus_one(poly, 3, 3)
         assert back == a
@@ -213,10 +255,11 @@ def rational_vectors(draw, p, length, max_nonzero=None):
 
 @st.composite
 def level_and_element(draw, max_nonzero=None):
+    """(p, k, oracle element) with rational coefficients."""
     p, k = draw(st.sampled_from(LEVELS))
     m = p ** k
     co = draw(rational_vectors(p, euler_phi(m), max_nonzero))
-    return p, k, CyclotomicInt(m, co)
+    return p, k, fraction_oracle.CyclotomicInt(m, co)
 
 
 @st.composite
@@ -240,39 +283,81 @@ ORACLE_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
 @ORACLE_SETTINGS
 @given(level_and_element(max_nonzero=60))
 def test_zeta_to_x_basis_matches_fraction_oracle(case):
-    p, k, z = case
-    got = zeta_to_x_basis(z, p, k)
-    want = fraction_oracle.zeta_to_x_basis(z, p, k)
-    assert got == want
-    assert all(type(c) is Fraction for c in got)
+    p, k, w = case
+    z = to_int(w)
+    want = fraction_oracle.zeta_to_x_basis(w, p, k)
+    assert zeta_to_x_basis(z, p, k) == want
     assert zeta_to_x_basis(z) == want
+    with pytest.raises(InvalidArgument):
+        zeta_to_x_basis(z, p, k + 1)
 
 
 @ORACLE_SETTINGS
 @given(level_and_x_poly())
 def test_x_poly_at_zeta_minus_one_matches_fraction_oracle(case):
     p, k, poly = case
-    got = x_poly_at_zeta_minus_one(poly, p, k)
-    want = fraction_oracle.x_poly_at_zeta_minus_one(poly, p, k)
-    assert got.m == want.m and got.co == want.co
-    assert all(type(c) is Fraction for c in got.co)
+    assert_same(x_poly_at_zeta_minus_one(poly, p, k),
+                fraction_oracle.x_poly_at_zeta_minus_one(poly, p, k))
 
 
 @ORACLE_SETTINGS
 @given(st.data())
 def test_cyclotomic_mul_matches_fraction_oracle(data):
     p, k, a = data.draw(level_and_element())
-    b = CyclotomicInt(a.m, data.draw(rational_vectors(p, len(a.co))))
-    got = a * b
-    want = fraction_oracle.mul(a, b)
-    assert got.co == want.co
-    assert all(type(c) is Fraction for c in got.co)
+    b = fraction_oracle.CyclotomicInt(a.m, data.draw(rational_vectors(p, len(a.co))))
+    assert_same(to_int(a) * to_int(b), a * b)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([1, 2, 4, 6, 10, 12, 15, 18, 20, 21, 24]), st.data())
-def test_cyclotomic_mul_matches_oracle_off_prime_powers(m, data):
-    d = euler_phi(m)
-    a = CyclotomicInt(m, data.draw(rational_vectors(3, d)))
-    b = CyclotomicInt(m, data.draw(rational_vectors(3, d)))
-    assert (a * b).co == fraction_oracle.mul(a, b).co
+@ORACLE_SETTINGS
+@given(st.data())
+def test_cyclotomic_add_sub_scale_match_fraction_oracle(data):
+    p, k, a = data.draw(level_and_element())
+    b = fraction_oracle.CyclotomicInt(a.m, data.draw(rational_vectors(p, len(a.co))))
+    c = data.draw(rationals(p))
+    A, B = to_int(a), to_int(b)
+    assert_same(A + B, a + b)
+    assert_same(A - B, a - b)
+    assert_same(-A, -a)
+    assert_same(A * c, a * c)
+    assert_same(c * A, a * c)
+    assert_same(A + c, a + c)
+    assert (A == B) == (a == b) and A + B - B == A
+
+
+@ORACLE_SETTINGS
+@given(st.data())
+def test_galois_matches_fraction_oracle(data):
+    p, k, a = data.draw(level_and_element())
+    s = data.draw(st.integers(-a.m, 3 * a.m).filter(lambda s: s % p))
+    assert_same(to_int(a).galois(s), a.galois(s))
+    with pytest.raises(InvalidArgument):
+        to_int(a).galois(p * s)
+
+
+@ORACLE_SETTINGS
+@given(st.sampled_from(LEVELS), st.data())
+def test_inverses_match_fraction_oracle(level, data):
+    p, k = level
+    m = p ** k
+    t = data.draw(st.integers(-3 * m, 3 * m).filter(lambda t: t % m))
+    assert_same(root_of_unity_minus_one_inverse(m, t),
+                fraction_oracle.root_of_unity_minus_one_inverse(m, t))
+    if k > 1:
+        j = data.draw(st.integers(1, k - 1))
+        assert_same(phi_value_at_root_inverse(p, j, k),
+                    fraction_oracle.phi_value_at_root_inverse(p, j, k))
+
+
+@ORACLE_SETTINGS
+@given(st.sampled_from(LEVELS), st.data())
+def test_mazur_tate_evaluate_matches_fraction_oracle(level, data):
+    p, n = level
+    coeffs = data.draw(st.lists(st.one_of(st.integers(-30, 30),
+                                          st.integers(-10 ** 40, 10 ** 40)),
+                                min_size=p ** n, max_size=p ** n))
+    el = MazurTateElement(p, n, coeffs)
+    t = data.draw(st.integers(0, p ** n))
+    k = data.draw(st.integers(1, n))
+    assert all(type(c) is int for c in el.coeffs)
+    assert_same(el.evaluate(t=t, level=k),
+                fraction_oracle.mazur_tate_evaluate(el, t=t, level=k))
