@@ -245,60 +245,27 @@ def _mono(c, var, i):
 # local lengths at vertical primes
 
 
-def vertical_prime(p, pbar_terms, label=None):
-    """PrimeDescriptor for (p, Pbar) with Pbar given as {(i, j): coeff}."""
-    s = label or _terms_str(pbar_terms)
-    return PrimeDescriptor("vertical", ("p", s))
-
-
-def _terms_str(terms):
-    parts = []
-    for (i, j) in sorted(terms):
-        c = terms[(i, j)]
-        if not c:
-            continue
-        body = []
-        if c != 1 or (i == 0 and j == 0):
-            body.append(str(c))
-        if i:
-            body.append("S^%d" % i if i > 1 else "S")
-        if j:
-            body.append("T^%d" % j if j > 1 else "T")
-        parts.append("*".join(body))
-    return " + ".join(parts) if parts else "0"
-
-
 def local_length_vertical(ideal, pbar_terms, s_trunc=DEFAULT_S_TRUNC):
     """Length of Z_p[[S,T]]/(f, g) localized at Q = (p, Pbar).
 
     Supported shape: one generator is p^v times a unit at Q; the length is
     then v times the Pbar-multiplicity of the other generator mod p,
-    through the p-power filtration.  Light eliminations (g - f, f - g) are
-    tried before giving up; an unsupported shape raises rather than risking
-    a wrong number.
+    through the p-power filtration.  Either generator may play that role,
+    and then f - g (paired with g; the length of g - f with f is the same,
+    as f = g mod p once p divides f - g); an unsupported shape raises rather
+    than risking a wrong number.
     """
     f, g = ideal
     p = f.p
     pbar = {k: v % p for k, v in pbar_terms.items() if v % p}
     if not pbar:
         raise InvalidArgument("Pbar vanishes mod p")
-    candidates = [(f, g), (g, f), (f - g if _same_ring(f, g) else None, g),
-                  (g - f if _same_ring(f, g) else None, f)]
-    last_error = None
-    for cand in candidates:
-        a, b = cand
-        if a is None:
-            continue
+    for a, b in ((f, g), (g, f)):
         try:
             return _length_shape(a, b, pbar, p, s_trunc)
-        except UnsupportedShape as exc:
-            last_error = exc
-            continue
-    raise last_error or UnsupportedShape("no generator reduces to p^v * unit at Q")
-
-
-def _same_ring(f, g):
-    return isinstance(f, IwasawaElement2) and isinstance(g, IwasawaElement2)
+        except UnsupportedShape:
+            pass
+    return _length_shape(f - g, g, pbar, p, s_trunc)
 
 
 def _length_shape(a, b, pbar, p, s_trunc):
@@ -692,38 +659,18 @@ def place_contribution(place, p, frobenius=None, s_trunc=DEFAULT_S_TRUNC):
     terms = []
     contrib = []
     for desc, mult in parts:
-        total = _split_place_length(m, hbar, desc, mult, p, s_trunc, v)
+        total = v * mult
         terms.append((desc, total))
         contrib.append({"prime": desc.as_dict(), "multiplicity": total})
     entry["contribution"] = contrib
     return terms, entry
 
 
-def _split_place_length(m, hbar, desc, mult, p, s_trunc, v):
-    """Length v_p(m) * v_P(hbar) via the p-power filtration, cross-checked."""
-    if not desc.resolved:
-        return v * mult
-    pbar = _descriptor_terms(desc)
-    if pbar is None:
-        return v * mult
-    ideal = (IwasawaElement2.from_dict(p, {(0, 0): m}),
-             IwasawaElement2.from_dict(p, {k: Fraction(c) for k, c in hbar.items()}))
-    return local_length_vertical(ideal, pbar, s_trunc)
-
-
-def _descriptor_terms(desc):
-    # only the simple labels round-trip; composite labels fall back
-    if desc.generators[1] == "S":
-        return {(1, 0): 1}
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the symbolic ledger
 
 
-def theorem_ledger(coprimality_shadow=None, two_variable_pushforward=None,
-                   fudge_divisor=None, fudge_report=None):
+def theorem_ledger(coprimality_shadow=None, fudge_divisor=None, fudge_report=None):
     """Assemble the codimension-two identity as a status ledger.
 
     The two Galois-cohomological terms on the right are never computable
@@ -732,14 +679,7 @@ def theorem_ledger(coprimality_shadow=None, two_variable_pushforward=None,
     absent.
     """
     lhs = {"status": "absent"}
-    if two_variable_pushforward is not None:
-        lhs = {"status": "partial",
-               "pushforward": two_variable_pushforward.as_dict()
-               if isinstance(two_variable_pushforward, C2Divisor)
-               else two_variable_pushforward,
-               "note": "pushforward of the intersection divisor along one "
-                       "variable; horizontal fibers unresolved"}
-    elif coprimality_shadow is not None:
+    if coprimality_shadow is not None:
         status = coprimality_shadow.get("verdict") if isinstance(
             coprimality_shadow, dict) else coprimality_shadow.verdict
         lhs = {"status": "shadow",
@@ -762,8 +702,6 @@ def theorem_ledger(coprimality_shadow=None, two_variable_pushforward=None,
         verified.append("local fudge contributions at the listed places")
     if lhs["status"] == "shadow":
         conditional.append("left side pseudo-nullity via the coprimality shadow")
-    if lhs["status"] == "partial":
-        verified.append("one-variable pushforward of the intersection divisor")
     return {
         "identity": "c2(quotient) = c2(Z) + c2(Z*) + sum of local fudge terms",
         "lhs": lhs,

@@ -29,8 +29,8 @@ EXIT_INPUT = 2
 
 def _config_from_args(args):
     return RunConfig(
-        p=args.p, n_max=args.n_max, precision=args.precision,
-        cache_dir=args.cache_dir, strict_hypotheses=args.strict_hypotheses,
+        p=args.p, n_max=args.n_max, cache_dir=args.cache_dir,
+        strict_hypotheses=args.strict_hypotheses,
         auto_extend=not args.no_auto_extend)
 
 
@@ -38,7 +38,6 @@ def _add_config_args(sp):
     """The RunConfig flags, for the subcommands that build a Workbench."""
     sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--n-max", type=int, default=6)
-    sp.add_argument("--precision", type=int, default=30)
     sp.add_argument("--cache-dir", default=None,
                     help="eigensymbol cache directory (or WORKBENCH_CACHE)")
     sp.add_argument("--strict-hypotheses", action="store_true")

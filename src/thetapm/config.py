@@ -12,7 +12,6 @@ from .padics import is_prime
 class RunConfig:
     p: int = 3
     n_max: int = 6
-    precision: int = 30
     cache_dir: str = None
     strict_hypotheses: bool = False
     auto_extend: bool = True
@@ -25,6 +24,4 @@ class RunConfig:
             raise InvalidArgument("p must be an odd prime")
         if self.n_max < 2:
             raise InvalidArgument("n_max must be at least 2")
-        if self.precision < 10:
-            raise InvalidArgument("precision must be at least 10")
         return self

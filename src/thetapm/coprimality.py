@@ -3,8 +3,12 @@
 Two signed series with stabilized profiles are certified coprime either by
 slope disjointness (no common root valuation, no shared p-factor, no shared
 roots at the origin) or by a nonvanishing resultant of their distinguished
-parts.  Failure modes are kept apart: ``not-certified`` means a structural
-obstruction was found, ``inconclusive`` means the data could not decide.
+parts.  That resultant is the integer Sylvester determinant of the
+coefficients lifted mod p^floor, floor being the least absolute precision
+among them; it is exact mod p^floor, and a resultant divisible by p^floor
+decides nothing.  Failure modes are kept apart: ``not-certified`` means a
+structural obstruction was found, ``inconclusive`` means the data could not
+decide.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exceptions import InvalidArgument, PrecisionError
-from .iwasawa import (InvariantProfile, IwasawaElement1, newton_invariants,
-                      weierstrass_prepare)
+from .iwasawa import (InvariantProfile, IwasawaElement1, _bareiss_det,
+                      newton_invariants, sylvester_matrix, weierstrass_prepare)
 from .mazurtate import SignedLSeries
+from .padics import vp
 
 
 @dataclass
@@ -103,19 +108,18 @@ def coprime_certificate(f, g):
     try:
         _, df, _ = weierstrass_prepare(ef)
         _, dg, _ = weierstrass_prepare(eg)
-        res = _resultant_1var(df, dg)
     except PrecisionError as exc:
         return CoprimalityCertificate("inconclusive", pf, pg, "inconclusive",
                                       detail="resultant: %s" % exc)
     floor = _abs_floor_bound(df, dg)
-    if res.is_zero_within_precision() or \
-            (floor is not None and Fraction(res.valuation()) >= floor):
-        # a valuation at or beyond the coefficient floor is indistinguishable
-        # from an exact zero, so no certificate is issued
+    res = _resultant_mod(df, dg, floor)
+    if res % df.p ** floor == 0:
+        # the resultant is only determined mod p^floor, where a zero is
+        # indistinguishable from a common factor, so no certificate is issued
         return CoprimalityCertificate("inconclusive", pf, pg, "inconclusive",
                                       detail="resultant vanishes within precision")
     return CoprimalityCertificate("resultant", pf, pg, "coprime",
-                                  resultant_valuation=Fraction(res.valuation()),
+                                  resultant_valuation=Fraction(vp(res, df.p)),
                                   detail="resultant has determined nonzero valuation")
 
 
@@ -126,53 +130,22 @@ def _obviously_equal(f, g):
 
 
 def _abs_floor_bound(df, dg):
-    floors = []
-    for el in (df, dg):
-        for c in el.coeffs:
-            fl = c._abs_floor()
-            if fl is not None:
-                floors.append(fl)
-    return min(floors) if floors else None
+    """Least absolute precision of the non-leading coefficients of two
+    distinguished parts (each carries one; the leading 1 is exact)."""
+    return min(c._abs_floor() for el in (df, dg) for c in el.coeffs[:-1])
 
 
-def _resultant_1var(f, g):
-    """Resultant of two monic one-variable polynomials over Z_p (scalars)."""
-    from .padics import PadicScalar
-    p = f.p
-    a = list(f.coeffs)
-    b = list(g.coeffs)
-    m, n = len(a) - 1, len(b) - 1
-    size = m + n
-    rows = []
-    for r in range(n):
-        row = [PadicScalar.zero(p)] * size
-        for c in range(m + 1):
-            row[r + c] = a[m - c]
-        rows.append(row)
-    for r in range(m):
-        row = [PadicScalar.zero(p)] * size
-        for c in range(n + 1):
-            row[r + c] = b[n - c]
-        rows.append(row)
-    # fraction-free elimination is overkill at these sizes; use division
-    det = PadicScalar(p, 1)
-    for k in range(size):
-        piv = next((i for i in range(k, size)
-                    if not rows[i][k].is_zero_within_precision()), None)
-        if piv is None:
-            return PadicScalar.zero(p, known_to=1)
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            det = det * -1
-        det = det * rows[k][k]
-        inv_row = rows[k]
-        for i in range(k + 1, size):
-            c = rows[i][k]
-            if c.is_exact_zero():
-                continue
-            factor = c / inv_row[k]
-            rows[i] = [x - factor * y for x, y in zip(rows[i], inv_row)]
-    return det
+def _resultant_mod(f, g, floor):
+    """Sylvester resultant of two monic distinguished polynomials, over Z
+    from their coefficients lifted mod p^floor.
+
+    The resultant is an integer polynomial in the coefficients, so the
+    result is correct mod p^floor when every coefficient is known to
+    absolute precision p^floor.
+    """
+    f, g = ([[c.lift(floor)] for c in el.coeffs] for el in (f, g))
+    (res,) = _bareiss_det(sylvester_matrix(f, g))
+    return int(res)
 
 
 def shadow_products(theta_E_pair, theta_EK_pair):

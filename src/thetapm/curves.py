@@ -106,10 +106,6 @@ class CurveData:
         b2, b4, b6, b8 = self.b_invariants()
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
-    def j_numerator_denominator(self):
-        c4, _ = self.c_invariants()
-        return c4 ** 3, self.discriminant()
-
     # -- point counting -------------------------------------------------
 
     def count_points(self, ell):

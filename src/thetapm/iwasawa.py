@@ -34,9 +34,6 @@ class InvariantProfile:
     slopes: tuple
     stabilized: bool = True
 
-    def key(self):
-        return (self.mu, self.lam, self.slopes)
-
     def is_unit(self):
         return self.mu == 0 and self.lam == 0
 
@@ -216,9 +213,7 @@ def newton_invariants(f):
     for i, bound in unknown:
         if i <= lam and (i < hull[0][0] or bound < hull_value(hull, i)):
             stabilized = False
-    if mu != int(mu):
-        raise InvalidArgument("fractional mu: element is not over Z_p")
-    return InvariantProfile(int(mu), lam, tuple(slopes), stabilized)
+    return InvariantProfile(mu, lam, tuple(slopes), stabilized)
 
 
 def newton_invariants_exact(coeffs, p):
@@ -263,7 +258,7 @@ def weierstrass_prepare(f, digits=None):
             if c.val < mu:
                 raise InvalidArgument("inconsistent mu")
             shifted = PadicScalar.from_unit(p, c.val - mu, c.num, c.den,
-                                            precision=c.precision, ram=c.ram)
+                                            precision=c.precision)
             fb.append(shifted.lift(digits))
     A = [0] * lam + [1]                      # X^lambda
     B = polys.trim([x % p for x in fb[lam:]]) or [0]
@@ -462,18 +457,24 @@ def resultant_in_T(f, g):
             out = polys.mul(out, ints)
         return IwasawaElement1.from_rationals(
             p, [Fraction(c, den ** e) for c in polys.trim(out)])
-    size = m + n
-    M = [[[Fraction(0)] for _ in range(size)] for _ in range(size)]
-    for r in range(n):
-        for c in range(m + 1):
-            M[r][r + c] = list(fp_[m - c])
-    for r in range(m):
-        for c in range(n + 1):
-            M[n + r][r + c] = list(gp_[n - c])
-    det = _bareiss_det(M)
+    det = _bareiss_det(sylvester_matrix(fp_, gp_))
     # normalized so that a monic g gives the product of f over its roots
     sign = (-1) ** (m * n)
     return IwasawaElement1.from_rationals(p, [sign * c for c in det])
+
+
+def sylvester_matrix(f, g):
+    """Sylvester matrix of f and g, lists of coefficients lowest degree
+    first, each coefficient a polynomial in S as ``_bareiss_det`` takes
+    it: deg g shifted rows of f, then deg f shifted rows of g, leading
+    coefficients on the left."""
+    m, n = len(f) - 1, len(g) - 1
+    M = [[[0]] * (m + n) for _ in range(m + n)]
+    for r in range(n):
+        M[r][r:r + m + 1] = f[::-1]
+    for r in range(m):
+        M[n + r][r:r + n + 1] = g[::-1]
+    return M
 
 
 def _bareiss_det(M):

@@ -14,8 +14,8 @@ their data at odd k, minus-series at even k.  A Chinese-remainder lift over
 the pairwise-coprime Eisenstein moduli Phi_{p^k}(1+X) then produces the
 representative of the signed series modulo the half-log product.
 
-Everything here is exact rational/cyclotomic arithmetic; the declared
-working precision only caps what the exported elements report.
+Everything here is exact rational/cyclotomic arithmetic, and the
+representative is exported exact.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .padics import vp
 from .polys import mul as poly_mul
 
 DEFAULT_N_MAX = 6
-DEFAULT_PRECISION = 30
 MAX_EXTENSION = 2             # levels auto-extension may add beyond n_max
 
 
@@ -190,7 +189,6 @@ class SignedLSeries:
     p: int
     sign: str
     label: str
-    modulus: IwasawaElement1
     representative: IwasawaElement1
     n_max: int
     profile: InvariantProfile
@@ -283,8 +281,7 @@ def _dominance_certified(profile, rep_coeffs, p, ks):
     return True
 
 
-def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX,
-                       precision=DEFAULT_PRECISION, auto_extend=True,
+def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX, auto_extend=True,
                        orbit_rep=1):
     """Reconstruct the signed series of the target modulo a half-log product.
 
@@ -381,13 +378,11 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX,
                 entry["profile"]["mu"] -= shift
         notes.append("family content divides out p^%d" % shift)
 
-    modulus = IwasawaElement1.from_rationals(p, mod_coeffs)
-    rep = IwasawaElement1.from_rationals(p, final, precision=precision) if final \
-        else IwasawaElement1.zero(p)
+    rep = IwasawaElement1.from_rationals(p, final) if final else IwasawaElement1.zero(p)
     norm_values = {k: v * Fraction(1, cg) for k, v in values.items()}
     return SignedLSeries(
-        p=p, sign=sign, label=target.label, modulus=modulus,
-        representative=rep, n_max=used[-1] if used else n_max,
+        p=p, sign=sign, label=target.label, representative=rep,
+        n_max=used[-1] if used else n_max,
         profile=prof_final, stabilization_history=history,
         family_content=cg, interpolation_data=norm_values,
         certified=certified, trusted=trusted, notes=notes,

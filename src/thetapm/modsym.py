@@ -1,7 +1,8 @@
 """Rational modular symbols for Gamma_0(N) via Manin symbols.
 
-Generators are the points of P^1(Z/N); the quotient by the two- and
-three-term relations is computed once by exact Gaussian elimination.  An
+Generators are the points of P^1(Z/N), one per orbit of the units of Z/N,
+found by enumerating the orbits; the quotient by the two- and three-term
+relations is computed once by exact Gaussian elimination.  An
 eigensymbol is a Hecke/involution eigenfunctional on the quotient, scaled
 to integer generator values of content one, and path values {oo, a/m} are
 produced by the continued-fraction (Manin) trick.
@@ -16,9 +17,9 @@ from math import gcd
 
 from .curves import is_fundamental_discriminant, kronecker_symbol
 from .exceptions import (InvalidArgument, IsolationFailure, ResourceLimit)
+from .padics import is_prime
 
 LEVEL_BOUND = 10 ** 4
-BRUTE_FORCE_BOUND = 600
 
 
 def _ext_gcd(a, b):
@@ -28,28 +29,13 @@ def _ext_gcd(a, b):
     return g, y, x - y * (a // b)
 
 
-def _lift_unit(t, d, N):
-    """Lift a unit t mod d (d | N) to a unit mod N."""
-    t %= d
-    if t == 0:
-        t = d
-    if gcd(t, N) == 1:
-        return t % N
-    # push in the factors of N missing from t via CRT with 1
-    u, v = 1, N
-    g = gcd(v, d)
-    while g > 1:
-        u *= g
-        v //= g
-        g = gcd(v, g)
-    # now N = u*v with v coprime to d and u supported on primes of d
-    g, x, y = _ext_gcd(u, v)
-    lifted = (t * y * v + u * x) % N
-    return lifted if lifted else N - 1
-
-
 class P1Table:
-    """Canonical representatives and a full lookup table for P^1(Z/N)."""
+    """Canonical representatives and a full lookup table for P^1(Z/N).
+
+    Each point's orbit under the units of Z/N is enumerated once; the
+    least point of the orbit is its representative, and the representatives
+    are indexed in increasing order.
+    """
 
     def __init__(self, N):
         if N < 1:
@@ -57,84 +43,18 @@ class P1Table:
         if N > LEVEL_BOUND:
             raise ResourceLimit("level %d beyond bound %d" % (N, LEVEL_BOUND))
         self.N = N
-        if N == 1:
-            self.reps = [(0, 0)]
-            self.index = {(0, 0): 0}
-            self.table = [0]
-            return
-        if N <= BRUTE_FORCE_BOUND:
-            self._build_brute(N)
-        else:
-            self._build_normalized(N)
-
-    def _build_brute(self, N):
-        units = [s for s in range(1, N) if gcd(s, N) == 1]
-        table = [-1] * (N * N)
-        reps = []
+        units = [s for s in range(N) if gcd(s, N) == 1]
+        self.table = table = [-1] * (N * N)
+        self.reps = reps = []
         for c in range(N):
             for d in range(N):
                 if table[c * N + d] != -1 or gcd(gcd(c, d), N) != 1:
                     continue
-                idx = len(reps)
-                reps.append(None)
-                best = (c, d)
-                orbit = []
+                # every smaller point is indexed already, so (c : d) is the
+                # least point of its orbit
                 for s in units:
-                    pt = (s * c % N, s * d % N)
-                    orbit.append(pt)
-                    if pt < best:
-                        best = pt
-                reps[idx] = best
-                for pt in orbit:
-                    table[pt[0] * N + pt[1]] = idx
-        order = sorted(range(len(reps)), key=lambda i: reps[i])
-        rank = [0] * len(reps)
-        for newpos, old in enumerate(order):
-            rank[old] = newpos
-        self.reps = [reps[i] for i in order]
-        self.table = [rank[t] if t != -1 else -1 for t in table]
-        self.index = {r: i for i, r in enumerate(self.reps)}
-
-    def _build_normalized(self, N):
-        self.index = {}
-        self.reps = []
-        table = [-1] * (N * N)
-        for c in range(N):
-            for d in range(N):
-                if gcd(gcd(c, d), N) != 1:
-                    continue
-                r = self.normalize(c, d)
-                if r not in self.index:
-                    self.index[r] = len(self.reps)
-                    self.reps.append(r)
-                table[c * N + d] = self.index[r]
-        self.table = table
-
-    def normalize(self, u, v):
-        """Canonical representative of (u : v), without orbit enumeration."""
-        N = self.N
-        u %= N
-        v %= N
-        if u == 0:
-            if gcd(v, N) != 1:
-                raise InvalidArgument("(0:%d) not a point of P1(Z/%d)" % (v, N))
-            return (0, 1)
-        g = gcd(u, N)
-        if gcd(g, v) != 1 and gcd(gcd(u, v), N) != 1:
-            raise InvalidArgument("(%d:%d) not a point of P1(Z/%d)" % (u, v, N))
-        t = pow(u // g, -1, N // g)
-        t = _lift_unit(t, N // g, N)
-        v1 = t * v % N
-        best = None
-        step = N // g
-        for j in range(g):
-            s = (1 + j * step) % N
-            if gcd(s, N) != 1:
-                continue
-            cand = s * v1 % N
-            if best is None or cand < best:
-                best = cand
-        return (g, best)
+                    table[s * c % N * N + s * d % N] = len(reps)
+                reps.append((c, d))
 
     def lookup(self, c, d):
         N = self.N
@@ -366,9 +286,6 @@ class EigenSymbol:
     _space: ManinSymbolSpace = None
     _basis_values: list = None
 
-    def value_on_generator(self, i):
-        return self.values_on_generators[i]
-
     def evaluator(self):
         """Fast integer path evaluator (x, m) -> value on {oo, x/m}.
 
@@ -508,13 +425,9 @@ def extract_eigensymbol(space, curve, sign, ell_bound=60):
 
 def _next_prime(n):
     n += 1
-    while True:
-        if n < 4:
-            return max(n, 2)
-        ok = all(n % q for q in range(2, int(n ** 0.5) + 1))
-        if ok:
-            return n
+    while not is_prime(n):
         n += 1
+    return n
 
 
 def eval_path(symbol, a, m):

@@ -1,11 +1,9 @@
 """Fixed-precision p-adic scalars over an odd prime p.
 
-A scalar is either an exact zero, or p^val * u with u a p-adic unit.  The
-valuation is an integer for unramified values; scalars arising from totally
-ramified (Eisenstein) quotients may carry a rational valuation whose
-denominator divides a declared ramification degree.  ``precision`` counts
-known unit digits beyond the valuation; ``None`` means the value is exact
-(constructed from a rational number, so all digits are determined).
+A scalar lives in Q_p: either an exact zero, or p^val * u with val an
+integer and u a p-adic unit.  ``precision`` counts known unit digits beyond
+the valuation; ``None`` means the value is exact (constructed from a
+rational number, so all digits are determined).
 
 Arithmetic never reports digits beyond what propagation allows.  A sum
 whose leading digits cancel below the precision floor degrades to a
@@ -15,7 +13,7 @@ whose leading digits cancel below the precision floor degrades to a
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .exceptions import InvalidArgument, PrecisionError
 
@@ -64,10 +62,10 @@ class PadicScalar:
     ring operations run on integers: an exact scalar keeps num/den in
     lowest terms with den > 0, a precision-tracked one keeps them modulo
     p^(precision + 2).  ``unit_part(digits)`` gives the canonical integer
-    residue.  The valuation is an int unless the scalar is ramified.
+    residue.
     """
 
-    __slots__ = ("p", "val", "num", "den", "precision", "ram", "_zero")
+    __slots__ = ("p", "val", "num", "den", "precision", "_zero")
 
     def __init__(self, p, value=None, precision=None):
         if not is_prime(p) or p == 2:
@@ -77,7 +75,7 @@ class PadicScalar:
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
         num, den = value.numerator, value.denominator
-        self.p, self.precision, self.ram = p, precision, 1
+        self.p, self.precision = p, precision
         if num == 0:
             self.val, self.num, self.den, self._zero = 0, 0, 1, True
             return
@@ -95,29 +93,17 @@ class PadicScalar:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def exact(cls, p, value):
-        return cls(p, value)
-
-    @classmethod
     def zero(cls, p, known_to=None):
         """Exact zero (known_to=None) or zero-within-precision marker."""
         return cls(p, 0, precision=known_to)
 
     @classmethod
-    def from_unit(cls, p, val, num, den=1, precision=None, ram=1):
+    def from_unit(cls, p, val, num, den=1, precision=None):
         if not is_prime(p) or p == 2:
             raise InvalidArgument("p must be an odd prime, got %r" % (p,))
         if num % p == 0 or den % p == 0:
             raise InvalidArgument("unit part must be prime to p")
-        if not isinstance(val, int):
-            val = Fraction(val)
-            if val.denominator == 1:
-                val = val.numerator
-            elif ram == 1:
-                raise InvalidArgument("fractional valuation needs a ramification degree")
-            elif ram % val.denominator != 0:
-                raise InvalidArgument("valuation denominator must divide ramification degree")
-        return _new(p, val, num, den, precision, ram)
+        return _new(p, val, num, den, precision)
 
     # -- predicates ---------------------------------------------------
 
@@ -163,8 +149,6 @@ class PadicScalar:
     def as_fraction(self):
         if self._zero:
             return Fraction(0)
-        if not isinstance(self.val, int):
-            raise InvalidArgument("ramified scalar has no rational value")
         if self.val < 0:
             return Fraction(self.num, self.den * self.p ** -self.val)
         return Fraction(self.num * self.p ** self.val, self.den)
@@ -177,7 +161,7 @@ class PadicScalar:
             raise InvalidArgument("negative valuation has no integral lift")
         digits = digits or (self.precision if self.precision is not None else DEFAULT_PRECISION)
         m = self.p ** digits
-        return self.p ** int(self.val) * self.unit_part(digits) % m
+        return self.p ** self.val * self.unit_part(digits) % m
 
     # -- arithmetic ---------------------------------------------------
 
@@ -194,20 +178,13 @@ class PadicScalar:
         if self._zero or other._zero:
             if self.is_exact_zero() or other.is_exact_zero():
                 return _new_zero(p, None)
-            # the zero's precision floor, shifted by the other valuation
-            if not self._zero:
-                bound = other.precision + self.val
-            elif not other._zero:
-                bound = self.precision + other.val
-            else:
-                bound = min(self.precision, other.precision)
-            return _new_zero(p, _floor_int(bound))
-        val = self.val + other.val
-        if isinstance(val, Fraction) and val.denominator == 1:
-            val = val.numerator
-        return _unit_product(p, val, self.num * other.num, self.den * other.den,
-                             _min_prec(self.precision, other.precision),
-                             lcm(self.ram, other.ram))
+            # O(p^a) * p^v u is O(p^(a + v)), and O(p^a) * O(p^b) is O(p^(a + b))
+            a = self.precision if self._zero else self.val
+            b = other.precision if other._zero else other.val
+            return _new_zero(p, a + b)
+        return _unit_product(p, self.val + other.val, self.num * other.num,
+                             self.den * other.den,
+                             _min_prec(self.precision, other.precision))
 
     __rmul__ = __mul__
 
@@ -216,7 +193,7 @@ class PadicScalar:
         if other._zero:
             raise InvalidArgument("division by zero scalar")
         return self * _new(other.p, -other.val, other.den, other.num,
-                           other.precision, other.ram)
+                           other.precision)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -224,7 +201,7 @@ class PadicScalar:
     def __neg__(self):
         if self._zero:
             return self
-        return _new(self.p, self.val, -self.num, self.den, self.precision, self.ram)
+        return _new(self.p, self.val, -self.num, self.den, self.precision)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -235,12 +212,10 @@ class PadicScalar:
         floor = fb if fa is None else fa if fb is None else min(fa, fb)
         if self._zero:
             if other._zero:
-                return _new_zero(p, None if floor is None else _floor_int(floor))
+                return _new_zero(p, floor)
             return other._truncate_abs(floor)
         if other._zero:
             return self._truncate_abs(floor)
-        if self.ram != 1 or other.ram != 1:
-            raise InvalidArgument("addition of ramified scalars is not supported here")
         v, w = self.val, other.val
         if v <= w:
             num = self.num * other.den + other.num * self.den * p ** (w - v)
@@ -248,11 +223,11 @@ class PadicScalar:
             num = self.num * other.den * p ** (v - w) + other.num * self.den
             v = w
         if num == 0:
-            return _new_zero(p, None if floor is None else _floor_int(floor))
+            return _new_zero(p, floor)
         while num % p == 0:       # only when the valuations were equal
             num //= p
             v += 1
-        return _unit_product(p, v, num, self.den * other.den, None, 1)._truncate_abs(floor)
+        return _unit_product(p, v, num, self.den * other.den, None)._truncate_abs(floor)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -276,11 +251,11 @@ class PadicScalar:
         if floor is None or self._zero:
             return self
         if self.val >= floor:
-            return _new_zero(self.p, _floor_int(floor))
-        rel = _floor_int(floor - self.val)
+            return _new_zero(self.p, floor)
+        rel = floor - self.val
         if self.precision is not None and self.precision <= rel:
             return self
-        return _new(self.p, self.val, self.num, self.den, rel, self.ram)
+        return _new(self.p, self.val, self.num, self.den, rel)
 
     # -- misc ---------------------------------------------------------
 
@@ -294,7 +269,7 @@ class PadicScalar:
             return True
         if self._zero != other._zero:
             return False
-        if self.is_exact() and other.is_exact() and self.ram == other.ram == 1:
+        if self.is_exact() and other.is_exact():
             return self.as_fraction() == other.as_fraction()
         if self.val != other.val:
             return False
@@ -313,11 +288,11 @@ class PadicScalar:
         return "%d^%s * (%d/%d) [%s]" % (self.p, self.val, self.num, self.den, prec)
 
 
-def _new(p, val, num, den, precision, ram=1):
+def _new(p, val, num, den, precision):
     """Scalar from parts already checked: p an odd prime, num and den units."""
     out = object.__new__(PadicScalar)
     out.p, out.val, out.num, out.den = p, val, num, den
-    out.precision, out.ram, out._zero = precision, ram, False
+    out.precision, out._zero = precision, False
     return out
 
 
@@ -327,15 +302,15 @@ def _new_zero(p, known_to):
     return out
 
 
-def _unit_product(p, val, num, den, precision, ram):
+def _unit_product(p, val, num, den, precision):
     """p^val * num/den in lowest terms when exact, else mod p^(precision+2)."""
     if precision is None:
         g = gcd(num, den)
         if den < 0:
             g = -g
-        return _new(p, val, num // g, den // g, None, ram)
+        return _new(p, val, num // g, den // g, None)
     m = p ** (precision + 2)
-    return _new(p, val, num % m or num, den % m or den, precision, ram)
+    return _new(p, val, num % m or num, den % m or den, precision)
 
 
 def _min_prec(a, b):
@@ -344,7 +319,3 @@ def _min_prec(a, b):
     if b is None:
         return a
     return min(a, b)
-
-
-def _floor_int(x):
-    return x if isinstance(x, int) else x.numerator // x.denominator

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import cache as cache_mod
 from .config import RunConfig
@@ -122,10 +123,13 @@ class Workbench:
             cert = [tuple(x) for x in cached["ap_certificate"]]
             values = cached["values"]
             # eigenvalue certificate must agree with fresh point counts, and
-            # a truncated, altered or opposite-sign value list must not pass
-            # as a symbol
+            # a truncated, altered, rescaled or opposite-sign value list must
+            # not pass as a symbol: extraction leaves content one and a
+            # positive first nonzero value
             if (all(curve.ap(ell) == a for ell, a in cert)
                     and len(values) == len(space.generators)
+                    and gcd(*values) == 1
+                    and next(v for v in values if v) > 0
                     and space.relations_vanish(values)
                     and space.star_holds(values, sign)):
                 sym = EigenSymbol(cached["level"], cached["sign"],
@@ -158,7 +162,6 @@ class Workbench:
             target = self.target(curve, discriminant)
             self._series[key] = reconstruct_signed(
                 target, sign, n_max=self.config.n_max,
-                precision=self.config.precision,
                 auto_extend=self.config.auto_extend)
         return self._series[key]
 

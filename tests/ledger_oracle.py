@@ -2,7 +2,9 @@
 
 These are the original bodies of the helpers that ``thetapm.polys`` and the
 integer ``PadicScalar`` replaced: the ``Fraction`` polynomial helpers and
-the Bareiss determinant of ``thetapm.iwasawa``, the F_p helpers that reduce
+the Bareiss determinant of ``thetapm.iwasawa``, the ``PadicScalar``
+Gaussian elimination that took the certificate resultant of
+``thetapm.coprimality``, the F_p helpers that reduce
 mod p after every term, the truncated series product and the rational
 remainder of ``thetapm.chern``, and the ``Fraction``-based sum and product
 of ``PadicScalar`` (as functions of two scalars; the quotient is the old
@@ -11,14 +13,9 @@ so the integer kernels are checked against them.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from thetapm.exceptions import InvalidArgument
 from thetapm.padics import PadicScalar, _min_prec
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 def _floor_int(fr):
@@ -46,29 +43,26 @@ def padic_mul(self, other):
             bound = Fraction(other.precision) + Fraction(self.val)
         elif not other._zero:
             bound = Fraction(self.precision) + Fraction(other.val)
-        elif self.precision is not None and other.precision is not None:
-            bound = min(Fraction(self.precision), Fraction(other.precision))
         if bound is None:
             return PadicScalar.zero(p)
         return PadicScalar.zero(p, known_to=_floor_int(bound))
     prec = _min_prec(self.precision, other.precision)
-    ram = _lcm(self.ram, other.ram)
-    val = Fraction(self.val) + Fraction(other.val)
+    val = self.val + other.val
     num = self.num * other.num
     den = self.den * other.den
     if prec is not None:
         m = self.p ** (prec + 2)
         num = num % m or num
         den = den % m or den
-    return PadicScalar.from_unit(p, val, num, den, precision=prec, ram=ram)
+    return PadicScalar.from_unit(p, val, num, den, precision=prec)
 
 
 def padic_truediv(self, other):
     other = self._coerce(other)
     if other._zero:
         raise InvalidArgument("division by zero scalar")
-    inv = PadicScalar.from_unit(other.p, -Fraction(other.val), other.den, other.num,
-                                precision=other.precision, ram=other.ram)
+    inv = PadicScalar.from_unit(other.p, -other.val, other.den, other.num,
+                                precision=other.precision)
     return padic_mul(self, inv)
 
 
@@ -89,8 +83,6 @@ def padic_add(self, other):
         return other._truncate_abs(floor)
     if other._zero:
         return self._truncate_abs(floor)
-    if self.ram != 1 or other.ram != 1:
-        raise InvalidArgument("addition of ramified scalars is not supported here")
     s = Fraction(self.num, self.den) * Fraction(p) ** int(self.val) + \
         Fraction(other.num, other.den) * Fraction(p) ** int(other.val)
     if s == 0:
@@ -259,3 +251,45 @@ def _q_mod(a, b):
             for j in range(db + 1):
                 a[i - db + j] -= c * b[j]
     return a[:db] if db else [Fraction(0)]
+
+
+# -- the certificate resultant (coprimality) ----------------------------------
+
+
+def _resultant_1var(f, g):
+    """Resultant of two monic one-variable polynomials over Z_p (scalars)."""
+    p = f.p
+    a = list(f.coeffs)
+    b = list(g.coeffs)
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    rows = []
+    for r in range(n):
+        row = [PadicScalar.zero(p)] * size
+        for c in range(m + 1):
+            row[r + c] = a[m - c]
+        rows.append(row)
+    for r in range(m):
+        row = [PadicScalar.zero(p)] * size
+        for c in range(n + 1):
+            row[r + c] = b[n - c]
+        rows.append(row)
+    # fraction-free elimination is overkill at these sizes; use division
+    det = PadicScalar(p, 1)
+    for k in range(size):
+        piv = next((i for i in range(k, size)
+                    if not rows[i][k].is_zero_within_precision()), None)
+        if piv is None:
+            return PadicScalar.zero(p, known_to=1)
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = det * -1
+        det = det * rows[k][k]
+        inv_row = rows[k]
+        for i in range(k + 1, size):
+            c = rows[i][k]
+            if c.is_exact_zero():
+                continue
+            factor = c / inv_row[k]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], inv_row)]
+    return det

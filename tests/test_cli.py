@@ -80,7 +80,16 @@ def _swap_sign(values, opposite):
     return opposite
 
 
-@pytest.mark.parametrize("damage", [_truncate, _double_every_third, _swap_sign])
+def _times_three(values, opposite):
+    return [3 * v for v in values]
+
+
+def _negate(values, opposite):
+    return [-v for v in values]
+
+
+@pytest.mark.parametrize("damage", [_truncate, _double_every_third, _swap_sign,
+                                    _times_three, _negate])
 def test_damaged_cache_values_recomputed(tmp_path, damage):
     """Entries that parse but whose values are wrong are misses: the table
     row is computed from fresh symbols and matches the frozen invariants.
@@ -254,8 +263,8 @@ def test_cmd_table_bad_file_is_input_error(capsys):
 def test_subcommands_take_only_the_flags_they_read():
     from thetapm.cli import build_parser
     sub = next(a for a in build_parser()._actions if a.dest == "command")
-    config = {"--p", "--n-max", "--precision", "--cache-dir",
-              "--strict-hypotheses", "--no-auto-extend"}
+    config = {"--p", "--n-max", "--cache-dir", "--strict-hypotheses",
+              "--no-auto-extend"}
 
     def flags(name):
         return {o for a in sub.choices[name]._actions for o in a.option_strings

@@ -5,7 +5,11 @@ import pytest
 
 from thetapm import (CoprimalityCertificate, InvariantProfile, IwasawaElement1,
                      PrecisionError, conjecture_b_report, coprime_certificate,
-                     is_unit, newton_invariants, shadow_products)
+                     is_unit, newton_invariants, shadow_products,
+                     weierstrass_prepare)
+from thetapm.coprimality import _abs_floor_bound, _resultant_mod
+
+from ledger_oracle import _resultant_1var
 
 
 def poly(co, p=3, precision=25):
@@ -116,12 +120,11 @@ def test_slope_disjoint_implies_resultant_nonzero():
         g = poly([3 * rng.choice([1, 2, -1, -2]), 0, 0, 1])     # slope 1/3
         cert = coprime_certificate(f, g)
         assert cert.verdict == "coprime" and cert.method == "slope-disjoint"
-        from thetapm.coprimality import _resultant_1var
-        from thetapm import weierstrass_prepare
         _, df, _ = weierstrass_prepare(f)
         _, dg, _ = weierstrass_prepare(g)
-        res = _resultant_1var(df, dg)
-        assert not res.is_zero_within_precision()
+        floor = _abs_floor_bound(df, dg)
+        assert _resultant_mod(df, dg, floor) % 3 ** floor != 0
+        assert not _resultant_1var(df, dg).is_zero_within_precision()
         checked += 1
     assert checked == 60
 

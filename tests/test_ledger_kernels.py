@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 import ledger_oracle as oracle
 
 from thetapm import (IwasawaElement1, IwasawaElement2, PadicScalar,
-                     coprime_certificate, polys, resultant_in_T)
+                     coprime_certificate, polys, resultant_in_T, vp)
 from thetapm.chern import _fiber_gcd_at_origin, _hensel_weierstrass_t, _t_divmod
 from thetapm.exceptions import InvalidArgument, PrecisionError
-from thetapm.iwasawa import _bareiss_det
+from thetapm.coprimality import _abs_floor_bound, _resultant_mod
+from thetapm.iwasawa import _bareiss_det, weierstrass_prepare
 
 PRIMES = (3, 5, 7, 11)
 ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -234,10 +235,10 @@ P = 3
 
 @st.composite
 def scalars(draw):
-    """Exact rationals and ints, precision-tracked units, zero markers and
-    the occasional ramified scalar, at p = 3."""
+    """Exact rationals and ints, precision-tracked units and zero markers,
+    at p = 3."""
     kind = draw(st.sampled_from(["int", "exact", "exact", "tracked", "tracked",
-                                 "zero", "marker", "ramified"]))
+                                 "zero", "marker"]))
     unit = st.integers(-80, 80).filter(lambda x: x % P)
     if kind == "int":
         return draw(st.integers(-200, 200))
@@ -249,17 +250,14 @@ def scalars(draw):
                                      draw(unit), precision=draw(st.integers(1, 8)))
     if kind == "zero":
         return PadicScalar.zero(P)
-    if kind == "marker":
-        return PadicScalar.zero(P, known_to=draw(st.integers(0, 8)))
-    return PadicScalar.from_unit(P, Fraction(draw(st.integers(-3, 5)), 2), draw(unit),
-                                 ram=2, precision=draw(st.none() | st.integers(1, 8)))
+    return PadicScalar.zero(P, known_to=draw(st.integers(0, 8)))
 
 
 def assert_same(new, old):
     assert (new._zero, new.precision) == (old._zero, old.precision)
     if new._zero:
         return
-    assert (new.val, new.ram) == (old.val, old.ram)
+    assert new.val == old.val
     if new.precision is None:
         assert new.num * old.den == old.num * new.den
         assert gcd(new.num, new.den) == 1 and new.den > 0     # lowest terms
@@ -335,7 +333,7 @@ def test_exact_scalars_in_lowest_terms():
 
 def test_zero_products_keep_todays_floors():
     o5, o7 = PadicScalar.zero(3, known_to=5), PadicScalar.zero(3, known_to=7)
-    assert repr(o5 * o7) == "O(3^5)"
+    assert repr(o5 * o7) == "O(3^12)"
     assert repr(o5 * 3) == "O(3^6)"
     assert repr(PadicScalar.from_unit(3, 1, 2, precision=5) * o7) == "O(3^8)"
     assert (o5 * PadicScalar.zero(3)).is_exact_zero()
@@ -375,3 +373,64 @@ def test_certificate_verdicts_unchanged_under_oracle_arithmetic(monkeypatch):
     old = [coprime_certificate(f, g).as_dict() for f, g in pairs]
     assert new == old
     assert {c["verdict"] for c in new} == {"coprime", "not-certified", "inconclusive"}
+
+
+@st.composite
+def distinguished_pairs(draw):
+    """Pairs like the certify ones, at p in {3, 5}: Eisenstein factors of
+    degree 2 to 4 times units, the second factor independent, equal, or
+    congruent to the first mod p^k, so the resultant's valuation falls on
+    both sides of the coefficient floor; precision 3 to 25 digits, or the
+    exact Eisenstein factors themselves."""
+    p = draw(st.sampled_from([3, 5]))
+    d = draw(st.integers(2, 4))
+    unit = st.integers(-4 * p, 4 * p).filter(lambda x: x % p)
+
+    def eisenstein():
+        return ([p * draw(unit)] + [p * draw(st.integers(-2, 2)) for _ in range(d - 1)]
+                + [1])
+
+    def unit_poly():
+        return [draw(unit)] + [draw(st.integers(-4, 4)) for _ in range(2)]
+    h = eisenstein()
+    kind = draw(st.sampled_from(["independent", "equal", "congruent"]))
+    if kind == "independent":
+        h2 = eisenstein()
+    elif kind == "equal":
+        h2 = h
+    else:
+        k = draw(st.integers(2, 12))
+        h2 = [c + p ** k * draw(st.integers(-2, 2)) for c in h[:-1]] + [1]
+    if draw(st.booleans()):
+        return tuple(IwasawaElement1.from_rationals(p, x) for x in (h, h2))
+    prec = draw(st.integers(3, 25))
+    return tuple(IwasawaElement1.from_rationals(p, polys.mul(x, unit_poly()), precision=prec)
+                 for x in (h, h2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(distinguished_pairs())
+def test_certificate_resultant_matches_padic_elimination_oracle(pair):
+    """The integer resultant mod p^floor against the PadicScalar Gaussian
+    elimination it replaced: the same valuation wherever the oracle
+    determines one below the floor, and a resultant divisible by p^floor
+    only where the oracle cannot decide either.  Exact distinguished inputs
+    give the exact Sylvester determinant mod p^floor."""
+    f, g = pair
+    p = f.p
+    _, df, _ = weierstrass_prepare(f)
+    _, dg, _ = weierstrass_prepare(g)
+    floor = _abs_floor_bound(df, dg)
+    res = _resultant_mod(df, dg, floor)
+    if f.coeffs[0].is_exact():
+        F, G = (IwasawaElement2.from_dict(p, {(0, j): c for j, c in enumerate(x.rationals())})
+                for x in (f, g))
+        (det,) = resultant_in_T(F, G).rationals()        # (-1)^(mn) times the determinant
+        mn = (len(f.coeffs) - 1) * (len(g.coeffs) - 1)
+        assert (res - (-1) ** mn * det) % p ** floor == 0
+    old = oracle._resultant_1var(df, dg)
+    old_val = None if old.is_zero_within_precision() else old.valuation()
+    if old_val is not None and old_val < floor:
+        assert vp(res, p) == old_val
+    if res % p ** floor == 0:
+        assert old_val is None or old_val >= floor

@@ -184,12 +184,12 @@ def test_ratio_check_consistent(base_series):
 
 def test_ratio_check_inconclusive_on_zero():
     zero = SignedLSeries(
-        p=3, sign="+", label="synthetic", modulus=None, representative=None,
+        p=3, sign="+", label="synthetic", representative=None,
         n_max=2, profile=None, stabilization_history=[], family_content=1,
         interpolation_data={}, certified=False, trusted=False, notes=[],
         levels=(1,), rep_exact=[Fraction(0), Fraction(1)])
     other = SignedLSeries(
-        p=3, sign="-", label="synthetic", modulus=None, representative=None,
+        p=3, sign="-", label="synthetic", representative=None,
         n_max=2, profile=None, stabilization_history=[], family_content=1,
         interpolation_data={}, certified=False, trusted=False, notes=[],
         levels=(2,), rep_exact=[Fraction(1)])
@@ -200,12 +200,12 @@ def test_ratio_check_inconclusive_on_zero():
 def test_ratio_check_p5_expectation():
     # formula instance: the expected tame ratio at p = 5 is 2
     a = SignedLSeries(
-        p=5, sign="+", label="synthetic", modulus=None, representative=None,
+        p=5, sign="+", label="synthetic", representative=None,
         n_max=2, profile=None, stabilization_history=[], family_content=1,
         interpolation_data={}, certified=False, trusted=False, notes=[],
         levels=(1,), rep_exact=[Fraction(2)])
     b = SignedLSeries(
-        p=5, sign="-", label="synthetic", modulus=None, representative=None,
+        p=5, sign="-", label="synthetic", representative=None,
         n_max=2, profile=None, stabilization_history=[], family_content=1,
         interpolation_data={}, certified=False, trusted=False, notes=[],
         levels=(2,), rep_exact=[Fraction(1)])

@@ -10,6 +10,8 @@ from thetapm import (CurveData, InvalidArgument, IsolationFailure,
                      twist_symbol_value)
 from thetapm.modsym import P1Table
 
+from p1_oracle import normalize
+
 
 # -- P1 and the quotient space -----------------------------------------------
 
@@ -22,15 +24,28 @@ def test_p1_sizes():
 
 
 def test_p1_normalize_agrees_with_brute_force():
-    for N in (12, 24, 32, 36, 49, 45):
+    """The orbit-enumerated table against the normalization oracle: every
+    point at the small levels, and above level 600 every representative
+    plus a fixed sample of points."""
+    for N in (12, 24, 32, 36, 40, 45, 49, 56):
         t = P1Table(N)
         for c in range(N):
             for d in range(N):
                 if gcd(gcd(c, d), N) != 1:
                     assert t.table[c * N + d] == -1
                     continue
-                r = t.normalize(c, d)
-                assert t.reps[t.table[c * N + d]] == r
+                assert t.reps[t.table[c * N + d]] == normalize(N, c, d)
+    N = 900
+    t = P1Table(N)
+    assert len(t) == 2160
+    assert t.reps == sorted(normalize(N, c, d) for c, d in t.reps)
+    rng = random.Random(900)
+    for _ in range(5000):
+        c, d = rng.randrange(N), rng.randrange(N)
+        if gcd(gcd(c, d), N) != 1:
+            assert t.table[c * N + d] == -1
+        else:
+            assert t.reps[t.table[c * N + d]] == normalize(N, c, d)
 
 
 def test_level_bound():

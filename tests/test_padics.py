@@ -76,15 +76,6 @@ def test_addition_valuation_and_floor():
     assert z.precision == 3
 
 
-def test_ramified_valuations():
-    x = PadicScalar.from_unit(3, Fraction(1, 2), 1, ram=2)
-    assert x.valuation() == Fraction(1, 2)
-    y = x * x
-    assert y.valuation() == 1
-    with pytest.raises(InvalidArgument):
-        PadicScalar.from_unit(3, Fraction(1, 2), 1)   # no ramification degree
-
-
 def test_unit_part_requires_nonzero():
     with pytest.raises(PrecisionError):
         PadicScalar.zero(3, known_to=3).unit_part()
