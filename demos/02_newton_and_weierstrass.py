@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from thetapm import (IwasawaElement1, half_log_product, newton_invariants,
-                     pollack_log_truncated, weierstrass_prepare)
+                     pollack_log_truncated, polys, weierstrass_prepare)
 
 p = 3
 
@@ -23,10 +23,8 @@ show("3 * (X^2 + 3)", [9, 0, 3])
 show("X^2 (X^2 + 3)", [0, 0, 3, 0, 1])
 
 print("\nWeierstrass preparation of 3 (1+X)(X^2+3):")
-f = IwasawaElement1.from_rationals(p, [1, 1]) * \
-    IwasawaElement1.from_rationals(p, [3, 0, 1])
 f = IwasawaElement1.from_rationals(
-    p, [3 * c.as_fraction() for c in f.coeffs], precision=25)
+    p, [3 * c for c in polys.mul([1, 1], [3, 0, 1])], precision=25)
 unit, dist, mu = weierstrass_prepare(f)
 print("  mu =", mu)
 print("  distinguished part:", [c.lift(6) for c in dist.coeffs])

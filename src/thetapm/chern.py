@@ -95,22 +95,18 @@ class C2Divisor:
 
 
 def _fp2_p_valuation(f):
-    """Largest power of p dividing every coefficient (exact input)."""
-    best = None
-    for v in f.coeffs.values():
-        if v.is_exact_zero():
-            continue
-        w = v.valuation()
-        best = w if best is None else min(best, w)
-    return best
+    """Largest power of p dividing every coefficient (None for zero)."""
+    if not f.coeffs:
+        return None
+    return min(vp(v, f.p) for v in f.coeffs.values()) - vp(f.den, f.p)
 
 
 def _fp2_scale_down(f, v):
-    out = {}
-    for k, c in f.coeffs.items():
-        if not c.is_exact_zero():
-            out[k] = c.as_fraction() / Fraction(f.p) ** int(v)
-    return IwasawaElement2(f.p, out, f.trunc_degree, f.exact_tail)
+    """f / p^v."""
+    if v >= 0:
+        return IwasawaElement2(f.p, f.coeffs, f.den * f.p ** v, f.trunc_degree)
+    return IwasawaElement2(f.p, {k: c * f.p ** -v for k, c in f.coeffs.items()},
+                           f.den, f.trunc_degree)
 
 
 def _fp2_s_content(h):
@@ -260,6 +256,8 @@ def local_length_vertical(ideal, pbar_terms, s_trunc=DEFAULT_S_TRUNC):
     pbar = {k: v % p for k, v in pbar_terms.items() if v % p}
     if not pbar:
         raise InvalidArgument("Pbar vanishes mod p")
+    if f.den % p == 0 or g.den % p == 0:
+        raise InvalidArgument("a generator has a coefficient outside Z_p")
     for a, b in ((f, g), (g, f)):
         try:
             return _length_shape(a, b, pbar, p, s_trunc)
@@ -278,14 +276,13 @@ def _length_shape(a, b, pbar, p, s_trunc):
         raise UnsupportedShape("generator not exactly p^v times a p-unit part")
     if _divisible_by_pbar(abar, pbar, p, s_trunc):
         raise UnsupportedShape("unit-part candidate lies in Q")
-    v = int(va)
-    if v == 0:
+    if va == 0:
         return 0                 # the ideal is the unit ideal at Q
     bbar = b.mod_p()
     if not bbar:
         raise NotPseudoNull("both generators vanish mod p: quotient has (p) in its support")
     mult = _pbar_multiplicity(bbar, pbar, p, s_trunc)
-    return v * mult
+    return va * mult
 
 
 def _divisible_by_pbar(hbar, pbar, p, s_trunc):
@@ -383,16 +380,17 @@ def _fiber_gcd_at_origin(f, g, p):
 
 
 def _t_spec_at_zero(f):
+    """Numerators of the T-polynomial f(0, T) (a positive multiple of it)."""
     dt = max((j for (_, j) in f.coeffs), default=0)
-    out = [Fraction(0)] * (dt + 1)
+    out = [0] * (dt + 1)
     for (i, j), v in f.coeffs.items():
         if i == 0:
-            out[j] = v.as_fraction()
+            out[j] = v
     return out
 
 
 def _primitive(co):
-    ints = polys.trim(polys.clear_denominators(co)[0])
+    ints = polys.trim(co)
     g = gcd(*ints) or 1
     return [x // g for x in ints]
 
@@ -532,21 +530,11 @@ class FrobeniusData:
 def binomial_series_mod_p(c, p, trunc):
     """(1+x)^c mod p as a length-``trunc`` list, for any integer c."""
     out = [1] + [0] * (trunc - 1)
-    num = 1
-    den = 1
+    b = 1
     for i in range(1, trunc):
-        num *= c - (i - 1)
-        den *= i
-        val = Fraction(num, den)
-        out[i] = int(val) % p if val.denominator == 1 else _frac_mod_p(val, p)
+        b = b * (c - i + 1) // i          # binom(c, i), exact: always an integer
+        out[i] = b % p
     return out
-
-
-def _frac_mod_p(x, p):
-    num, den = x.numerator, x.denominator
-    while den % p == 0:
-        raise InvalidArgument("binomial coefficient not p-integral")
-    return num * pow(den, -1, p) % p
 
 
 def frobenius_character_mod_p(a, b, p, trunc):

@@ -16,7 +16,7 @@ from .chern import (FrobeniusData, IwasawaElement2, fudge_c2,
                     local_length_vertical, theorem_ledger)
 from .config import RunConfig
 from .coprimality import coprime_certificate
-from .curves import CurveData
+from .curves import CurveData, check_conductor
 from .exceptions import InvalidArgument, ResourceLimit, WorkbenchError
 from .iwasawa import IwasawaElement1, newton_invariants, pi_cyc
 from .reports import render_report
@@ -83,8 +83,10 @@ def _resolve_curve(args):
     if args.curve_file:
         for rec in _load_jsonl(args.curve_file):
             if rec["label"] == args.curve:
-                return CurveData(rec["label"], rec["a_invariants"],
-                                 int(rec["conductor"]))
+                curve = CurveData(rec["label"], rec["a_invariants"],
+                                  int(rec["conductor"]))
+                check_conductor(curve)
+                return curve
         raise InvalidArgument("label %r not found in %s"
                               % (args.curve, args.curve_file))
     return bundled_curve(args.curve)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .exceptions import BadReduction, InvalidArgument, ResourceLimit
-from .padics import is_prime, vp
+from .padics import is_prime, prime_factors, vp
 
 POINT_COUNT_BOUND = 10 ** 5
 
@@ -220,6 +220,39 @@ def local_reduction_type(curve, ell):
         split = _is_local_square(-c6, ell)
         return LocalType("split-mult" if split else "nonsplit-mult", vd, v4, vj)
     return LocalType("additive", vd, v4, vj)
+
+
+def check_conductor(curve):
+    """Raise InvalidArgument unless the conductor fits the model.
+
+    A prime divides N exactly when the reduction there is bad, over the
+    primes of N and of the discriminant; for ell >= 5, v_ell(N) = 1 exactly
+    when the reduction is multiplicative.  Away from N the reduction must be
+    good, so what is left of the discriminant is a 12th power (the scaling
+    of a non-minimal model) and only its 12th root needs factoring.
+    """
+    N = curve.conductor
+    if N < 1:
+        raise InvalidArgument("conductor must be positive, got %d" % N)
+    primes = prime_factors(N)
+    rest = abs(curve.discriminant())
+    for ell in primes:
+        while rest % ell == 0:
+            rest //= ell
+    lo, hi = 0, 1 << (rest.bit_length() // 12 + 1)       # 12th root by bisection
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid ** 12 <= rest else (lo, mid - 1)
+    if lo ** 12 != rest:
+        raise InvalidArgument("%s has bad reduction at a prime not dividing "
+                              "its conductor %d" % (curve.label, N))
+    for ell in sorted(set(primes) | set(prime_factors(lo))):
+        kind = local_reduction_type(curve, ell).kind
+        e = vp(N, ell)
+        if (e > 0) != (kind != "good") or (
+                ell >= 5 and e > 0 and (e == 1) != kind.endswith("mult")):
+            raise InvalidArgument("conductor %d of %s does not fit its %s "
+                                  "reduction at %d" % (N, curve.label, kind, ell))
 
 
 def _is_local_square(a, ell):

@@ -1,16 +1,19 @@
 """Truncated Iwasawa-algebra elements, Newton polygons, Weierstrass theory.
 
-One-variable elements model Z_p[[X]] under gamma -> 1 + X; two-variable
-elements model Z_p[[S, T]].  Coefficients are PadicScalar values, so exact
-polynomials (tail known to vanish) and precision-truncated series coexist;
-an operation never claims digits or degrees beyond what its inputs carry.
+One-variable elements model Z_p[[X]] under gamma -> 1 + X.  Their
+coefficients are PadicScalar values, so exact polynomials (tail known to
+vanish) and precision-truncated series (input files, Weierstrass output,
+the signed logarithms) coexist; the Newton polygon never claims digits
+beyond what they carry.  Two-variable elements model Z_p[[S, T]] and are
+exact polynomials: integer numerators over one denominator.  Products and
+resultants run on integer polynomials in ``thetapm.polys``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import polys
 from .exceptions import (InvalidArgument, PrecisionError, TruncationError)
@@ -63,83 +66,25 @@ class IwasawaElement1:
 
     def __init__(self, p, coeffs, exact_tail=False):
         self.p = p
-        self.coeffs = [c if isinstance(c, PadicScalar) else PadicScalar(p, c)
-                       for c in coeffs]
+        self.coeffs = list(coeffs)
         self.trunc_degree = len(self.coeffs) - 1
         self.exact_tail = exact_tail
 
     @classmethod
-    def from_rationals(cls, p, values, precision=None, exact_tail=True):
+    def from_rationals(cls, p, values, precision=None):
         return cls(p, [PadicScalar(p, v, precision=precision) for v in values],
-                   exact_tail=exact_tail)
+                   exact_tail=True)
 
     @classmethod
     def zero(cls, p, D=0):
         return cls.from_rationals(p, [0] * (D + 1))
 
-    @classmethod
-    def one(cls, p):
-        return cls.from_rationals(p, [1])
-
     def rationals(self):
         return [c.as_fraction() for c in self.coeffs]
 
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        za = PadicScalar.zero(self.p)
-        a = self.coeffs + [za] * (n - len(self.coeffs))
-        b = other.coeffs + [za] * (n - len(other.coeffs))
-        out = [x + y for x, y in zip(a, b)]
-        tail = self.exact_tail and other.exact_tail
-        if not tail:
-            n = min(self._known_degree(), other._known_degree()) + 1
-            out = out[:n]
-        return IwasawaElement1(self.p, out, exact_tail=tail)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return IwasawaElement1(self.p, [x * c for x in self.coeffs],
-                               exact_tail=self.exact_tail)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PadicScalar)):
-            return self.scale(other)
-        other = self._coerce(other)
-        tail = self.exact_tail and other.exact_tail
-        cap = (len(self.coeffs) + len(other.coeffs) - 1 if tail
-               else min(self._known_degree(), other._known_degree()) + 1)
-        out = [PadicScalar.zero(self.p) for _ in range(cap)]
-        for i, x in enumerate(self.coeffs):
-            if x.is_exact_zero():
-                continue
-            for j, y in enumerate(other.coeffs):
-                if i + j >= cap:
-                    break
-                if y.is_exact_zero():
-                    continue
-                out[i + j] = out[i + j] + x * y
-        return IwasawaElement1(self.p, out, exact_tail=tail)
-
-    def _known_degree(self):
-        return 10 ** 9 if self.exact_tail else self.trunc_degree
-
-    def _coerce(self, other):
-        if not isinstance(other, IwasawaElement1):
-            raise InvalidArgument("expected a one-variable element")
-        if other.p != self.p:
-            raise InvalidArgument("mixed primes")
-        return other
-
     def evaluate_at_unity_root(self, k):
         """Exact value at X = zeta_{p^k} - 1 (requires exact coefficients)."""
-        return x_poly_at_zeta_minus_one([c.as_fraction() for c in self.coeffs],
-                                        self.p, k)
+        return x_poly_at_zeta_minus_one(self.rationals(), self.p, k)
 
     def __repr__(self):
         return "IwasawaElement1(p=%d, deg<=%d, %s)" % (
@@ -229,7 +174,7 @@ def newton_invariants_exact(coeffs, p):
 # Weierstrass preparation
 
 
-def weierstrass_prepare(f, digits=None):
+def weierstrass_prepare(f):
     """Factor f = p^mu * unit * distinguished over the truncation window.
 
     The distinguished part is monic of degree lambda with non-leading
@@ -248,7 +193,7 @@ def weierstrass_prepare(f, digits=None):
     base = min(finite) if finite else DEFAULT_PRECISION
     if finite and mu >= base:
         raise TruncationError("mu = %d exhausts coefficient precision %d" % (mu, base))
-    digits = digits or max(base - mu, 1)
+    digits = max(base - mu, 1)
     mod = p ** digits
     fb = []
     for c in f.coeffs:
@@ -343,52 +288,36 @@ def pollack_log_truncated(p, sign, n_max, D=DEFAULT_TRUNC, N=DEFAULT_PRECISION):
 
 
 class IwasawaElement2:
-    """Element of Z_p[[S, T]] truncated at total bidegree (D, D).
+    """Exact polynomial of Z_p[[S, T]], read up to total bidegree (D, D).
 
-    Coefficients are stored as a dict (i, j) -> PadicScalar with exact
-    zeros omitted (zeros within precision stay, since they carry a
-    precision); S and T play symmetric roles.
+    ``coeffs`` maps (i, j), the exponents of S and T, to integer numerators
+    over the positive denominator ``den``; zero terms are omitted and the
+    fraction is in lowest terms.
     """
 
-    __slots__ = ("p", "coeffs", "trunc_degree", "exact_tail")
+    __slots__ = ("p", "coeffs", "den", "trunc_degree")
 
-    def __init__(self, p, coeffs, trunc_degree=DEFAULT_TRUNC, exact_tail=False):
+    def __init__(self, p, coeffs, den=1, trunc_degree=DEFAULT_TRUNC):
+        g = gcd(den, *coeffs.values())
         self.p = p
-        self.coeffs = {k: (v if isinstance(v, PadicScalar) else PadicScalar(p, v))
-                       for k, v in coeffs.items()
-                       if not (v.is_exact_zero() if isinstance(v, PadicScalar)
-                               else v == 0)}
+        self.coeffs = {k: v // g for k, v in coeffs.items() if v}
+        self.den = den // g
         self.trunc_degree = trunc_degree
-        self.exact_tail = exact_tail
 
     @classmethod
-    def from_dict(cls, p, d, trunc_degree=DEFAULT_TRUNC, exact_tail=True):
-        return cls(p, d, trunc_degree, exact_tail)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return IwasawaElement2(self.p, out, min(self.trunc_degree, other.trunc_degree),
-                               self.exact_tail and other.exact_tail)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PadicScalar)):
-            return IwasawaElement2(self.p, {k: v * other for k, v in self.coeffs.items()},
-                                   self.trunc_degree, self.exact_tail)
-        D = min(self.trunc_degree, other.trunc_degree)
-        out = {}
-        for (i1, j1), v1 in self.coeffs.items():
-            for (i2, j2), v2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if not (self.exact_tail and other.exact_tail) and (i > D or j > D):
-                    continue
-                k = (i, j)
-                out[k] = out[k] + v1 * v2 if k in out else v1 * v2
-        return IwasawaElement2(self.p, out, D, self.exact_tail and other.exact_tail)
+    def from_dict(cls, p, d, trunc_degree=DEFAULT_TRUNC):
+        """From a dict (i, j) -> rational coefficient."""
+        d = {k: Fraction(v) for k, v in d.items()}
+        den = lcm(*(v.denominator for v in d.values()))
+        return cls(p, {k: v.numerator * (den // v.denominator) for k, v in d.items()},
+                   den, trunc_degree)
 
     def __sub__(self, other):
-        return self + other * -1
+        out = {k: v * other.den for k, v in self.coeffs.items()}
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, 0) - v * self.den
+        return IwasawaElement2(self.p, out, self.den * other.den,
+                               min(self.trunc_degree, other.trunc_degree))
 
     def t_polynomial(self):
         """Present as a T-polynomial: list of S-coefficient lists, exact."""
@@ -396,18 +325,19 @@ class IwasawaElement2:
         ds = max((i for (i, _) in self.coeffs), default=0)
         out = [[Fraction(0)] * (ds + 1) for _ in range(dt + 1)]
         for (i, j), v in self.coeffs.items():
-            out[j][i] = v.as_fraction()
+            out[j][i] = Fraction(v, self.den)
         return out
 
     def mod_p(self):
-        """Coefficient dict over F_p."""
+        """Coefficient dict over F_p; raises if a coefficient is not p-integral."""
+        p = self.p
+        q = p ** vp(self.den, p)
+        inv = pow(self.den // q, -1, p)
         out = {}
         for k, v in self.coeffs.items():
-            if v.is_zero_within_precision():
-                continue
-            if v.valuation() >= 1:
-                continue
-            r = v.lift(1) % self.p
+            if v % q:
+                raise InvalidArgument("negative valuation has no integral lift")
+            r = v // q * inv % p
             if r:
                 out[k] = r
         return out
@@ -418,13 +348,14 @@ class IwasawaElement2:
 
 def pi_cyc(f):
     """Cyclotomic specialization S -> X, T -> X of a two-variable element."""
-    D = f.trunc_degree
-    n = min(max((i + j for (i, j) in f.coeffs), default=0), D)
-    out = [PadicScalar.zero(f.p) for _ in range(n + 1)]
+    n = min(max((i + j for (i, j) in f.coeffs), default=0), f.trunc_degree)
+    out = [0] * (n + 1)
     for (i, j), v in f.coeffs.items():
         if i + j <= n:
-            out[i + j] = out[i + j] + v
-    return IwasawaElement1(f.p, out, exact_tail=f.exact_tail)
+            out[i + j] += v
+    if f.den != 1:
+        out = [Fraction(c, f.den) for c in out]
+    return IwasawaElement1.from_rationals(f.p, out)
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +363,15 @@ def pi_cyc(f):
 
 
 def resultant_in_T(f, g):
-    """Sylvester resultant in T of two T-polynomial presentations.
+    """Sylvester resultant in T of two two-variable elements.
 
-    Inputs are IwasawaElement2 values monic in T (after preparation) or raw
-    T-polynomial coefficient lists over Q[S]; output is the one-variable
-    resultant as an exact IwasawaElement1 in the surviving variable.
+    The inputs are read as T-polynomials over Q[S] (monic in T after
+    preparation); the output is the one-variable resultant in S as an exact
+    IwasawaElement1.
     """
-    fp_ = f.t_polynomial() if isinstance(f, IwasawaElement2) else [list(map(Fraction, r)) for r in f]
-    gp_ = g.t_polynomial() if isinstance(g, IwasawaElement2) else [list(map(Fraction, r)) for r in g]
-    p = f.p if isinstance(f, IwasawaElement2) else g.p
-    m = len(fp_) - 1
-    n = len(gp_) - 1
-    if m < 0 or n < 0:
-        raise InvalidArgument("empty polynomial")
+    p = f.p
+    fp_, gp_ = f.t_polynomial(), g.t_polynomial()
+    m, n = len(fp_) - 1, len(gp_) - 1
     for lead in (fp_[-1], gp_[-1]):
         if not any(lead):
             raise PrecisionError("leading T-coefficient vanishes; prepare first")

@@ -17,7 +17,7 @@ from math import gcd
 
 from .curves import is_fundamental_discriminant, kronecker_symbol
 from .exceptions import (InvalidArgument, IsolationFailure, ResourceLimit)
-from .padics import is_prime
+from .padics import is_prime, prime_factors
 
 LEVEL_BOUND = 10 ** 4
 
@@ -107,6 +107,12 @@ class ManinSymbolSpace:
         look = self.p1.lookup
         return all(values[look(-c, d)] == sign * v
                    for (c, d), v in zip(self.generators, values))
+
+    def hecke_holds(self, values, ell, a):
+        """True when values, read on the basis, satisfy T_ell w = a w."""
+        w = [values[g] for g in self.basis]
+        return all(sum(t * x for t, x in zip(row, w)) == a * wi
+                   for row, wi in zip(self.hecke_matrix(ell), w))
 
     def _eliminate(self, rows):
         n = len(self.generators)
@@ -340,18 +346,7 @@ def build_space(N):
         raise InvalidArgument("level must be positive")
     space = ManinSymbolSpace(N)
     expected = N
-    n = N
-    f = 2
-    seen = set()
-    while f * f <= n:
-        if n % f == 0:
-            seen.add(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        seen.add(n)
-    for q in seen:
+    for q in prime_factors(N):
         expected += expected // q
     if N > 1 and len(space.generators) != expected:
         raise InvalidArgument("P1 enumeration produced %d points, expected %d"

@@ -17,7 +17,8 @@ from . import cache as cache_mod
 from .config import RunConfig
 from .coprimality import (conjecture_b_report, coprime_certificate,
                           shadow_products)
-from .curves import CurveData, is_fundamental_discriminant, kronecker_symbol
+from .curves import (CurveData, check_conductor, is_fundamental_discriminant,
+                     kronecker_symbol)
 from .exceptions import InvalidArgument, UnsupportedHypothesis, WorkbenchError
 from .mazurtate import (ThetaTarget, reconstruct_signed, reinterpolation_check,
                         trivial_character_ratio_check)
@@ -122,16 +123,20 @@ class Workbench:
         if cached is not None:
             cert = [tuple(x) for x in cached["ap_certificate"]]
             values = cached["values"]
+            hecke = {ell for ell, _ in cert} | {self.config.p}
             # eigenvalue certificate must agree with fresh point counts, and
             # a truncated, altered, rescaled or opposite-sign value list must
             # not pass as a symbol: extraction leaves content one and a
-            # positive first nonzero value
+            # positive first nonzero value, and a T_ell eigenvector for the
+            # certificate primes and for p
             if (all(curve.ap(ell) == a for ell, a in cert)
                     and len(values) == len(space.generators)
                     and gcd(*values) == 1
                     and next(v for v in values if v) > 0
                     and space.relations_vanish(values)
-                    and space.star_holds(values, sign)):
+                    and space.star_holds(values, sign)
+                    and all(space.hecke_holds(values, ell, curve.ap(ell))
+                            for ell in hecke if curve.conductor % ell)):
                 sym = EigenSymbol(cached["level"], cached["sign"],
                                   values, Fraction(cached["content"]),
                                   label=cached["label"], ap_certificate=cert,
@@ -222,6 +227,7 @@ class Workbench:
             try:
                 if "a_invariants" in row:
                     curve = CurveData(label, row["a_invariants"], row["conductor"])
+                    check_conductor(curve)
                 else:
                     curve = bundled_curve(label)
                 out.append(self.table_row(curve, D))

@@ -1,21 +1,21 @@
 """The replaced ledger kernels, kept as the test oracle.
 
-These are the original bodies of the helpers that ``thetapm.polys`` and the
-integer ``PadicScalar`` replaced: the ``Fraction`` polynomial helpers and
-the Bareiss determinant of ``thetapm.iwasawa``, the ``PadicScalar``
-Gaussian elimination that took the certificate resultant of
-``thetapm.coprimality``, the F_p helpers that reduce
-mod p after every term, the truncated series product and the rational
-remainder of ``thetapm.chern``, and the ``Fraction``-based sum and product
-of ``PadicScalar`` (as functions of two scalars; the quotient is the old
-``__truediv__`` calling the old product).  Slow, but written term by term,
-so the integer kernels are checked against them.
+These are the original bodies of the helpers that ``thetapm.polys``
+replaced: the ``Fraction`` polynomial helpers and the Bareiss determinant
+of ``thetapm.iwasawa``, the ``PadicScalar`` Gaussian elimination that took
+the certificate resultant of ``thetapm.coprimality``, the F_p helpers that
+reduce mod p after every term, the truncated series product and the
+rational remainder of ``thetapm.chern``.  The elimination runs on the
+precision-propagating sum, product and quotient of scalars below, which
+the library no longer has (its scalars carry precision as data and do no
+arithmetic): ``Fraction``-based, as functions of two scalars.  Slow, but
+written term by term, so the integer kernels are checked against them.
 """
 
 from fractions import Fraction
 
 from thetapm.exceptions import InvalidArgument
-from thetapm.padics import PadicScalar, _min_prec
+from thetapm.padics import PadicScalar
 
 
 def _floor_int(fr):
@@ -25,8 +25,42 @@ def _floor_int(fr):
 
 # -- PadicScalar arithmetic ---------------------------------------------------
 
+def _coerce(self, other):
+    if isinstance(other, PadicScalar):
+        if other.p != self.p:
+            raise InvalidArgument("mixed primes")
+        return other
+    return PadicScalar(self.p, other)
+
+
+def _min_prec(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def _truncate_abs(x, floor):
+    """x re-expressed with absolute precision capped at floor."""
+    if floor is None or x._zero:
+        return x
+    if x.val >= floor:
+        return PadicScalar.zero(x.p, known_to=floor)
+    rel = floor - x.val
+    if x.precision is not None and x.precision <= rel:
+        return x
+    return PadicScalar.from_unit(x.p, x.val, x.num, x.den, precision=rel)
+
+
+def padic_neg(x):
+    if x._zero:
+        return x
+    return PadicScalar.from_unit(x.p, x.val, -x.num, x.den, precision=x.precision)
+
+
 def padic_mul(self, other):
-    other = self._coerce(other)
+    other = _coerce(self, other)
     p = self.p
     if self._zero or other._zero:
         floors = []
@@ -58,7 +92,7 @@ def padic_mul(self, other):
 
 
 def padic_truediv(self, other):
-    other = self._coerce(other)
+    other = _coerce(self, other)
     if other._zero:
         raise InvalidArgument("division by zero scalar")
     inv = PadicScalar.from_unit(other.p, -other.val, other.den, other.num,
@@ -67,7 +101,7 @@ def padic_truediv(self, other):
 
 
 def padic_add(self, other):
-    other = self._coerce(other)
+    other = _coerce(self, other)
     p = self.p
     # absolute precision floors
     fa = self._abs_floor()
@@ -80,17 +114,16 @@ def padic_add(self, other):
             return PadicScalar.zero(p)
         return PadicScalar.zero(p, known_to=_floor_int(floor))
     if self._zero:
-        return other._truncate_abs(floor)
+        return _truncate_abs(other, floor)
     if other._zero:
-        return self._truncate_abs(floor)
+        return _truncate_abs(self, floor)
     s = Fraction(self.num, self.den) * Fraction(p) ** int(self.val) + \
         Fraction(other.num, other.den) * Fraction(p) ** int(other.val)
     if s == 0:
         if floor is None:
             return PadicScalar.zero(p)
         return PadicScalar.zero(p, known_to=_floor_int(floor))
-    out = PadicScalar(p, s)
-    return out._truncate_abs(floor)
+    return _truncate_abs(PadicScalar(p, s), floor)
 
 
 # -- F_p polynomials (iwasawa) and series (chern) ---------------------------
@@ -283,13 +316,14 @@ def _resultant_1var(f, g):
             return PadicScalar.zero(p, known_to=1)
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
-            det = det * -1
-        det = det * rows[k][k]
+            det = padic_neg(det)
+        det = padic_mul(det, rows[k][k])
         inv_row = rows[k]
         for i in range(k + 1, size):
             c = rows[i][k]
             if c.is_exact_zero():
                 continue
-            factor = c / inv_row[k]
-            rows[i] = [x - factor * y for x, y in zip(rows[i], inv_row)]
+            factor = padic_truediv(c, inv_row[k])
+            rows[i] = [padic_add(x, padic_neg(padic_mul(factor, y)))
+                       for x, y in zip(rows[i], inv_row)]
     return det

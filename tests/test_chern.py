@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,7 +10,9 @@ from thetapm import (C2Divisor, CommonFactorWithinPrecision, CurveData,
                      UnsupportedShape, bundled_curve, classify_reduction,
                      fudge_c2, local_length_vertical, place_contribution,
                      pushforward_c2, theorem_ledger, vertical_divisor_mod_p)
-from thetapm.chern import frobenius_character_mod_p
+from thetapm.chern import binomial_series_mod_p, frobenius_character_mod_p
+
+from twovar import mul2
 
 
 def el2(terms, p=3):
@@ -38,7 +41,7 @@ def test_length_multiplicity_two():
     sq = {(0, 2): 1, (1, 1): -2, (2, 0): 1}
     unit_times = dict(sq)
     unit_times[(0, 2)] = 1
-    g = el2(sq) * el2({(0, 0): 1, (1, 0): 1})
+    g = mul2(el2(sq), el2({(0, 0): 1, (1, 0): 1}))
     f = el2({(0, 0): 3})
     assert local_length_vertical((f, g), T_MINUS_S) == 2
 
@@ -82,6 +85,17 @@ def test_length_elimination_fallback():
     assert local_length_vertical((f, g), T_MINUS_S) == 1
 
 
+def test_length_generator_outside_z_p_rejected():
+    # 1/3 is not in Z_3[[S, T]]: an input error, never a negative length
+    f = el2({(0, 0): Fraction(1, 3)})
+    g = el2(T_MINUS_S)
+    for ideal in ((f, g), (g, f)):
+        with pytest.raises(InvalidArgument):
+            local_length_vertical(ideal, T_MINUS_S)
+    # a denominator prime to p is a unit of Z_p
+    assert local_length_vertical((el2({(0, 0): Fraction(3, 2)}), g), T_MINUS_S) == 1
+
+
 def test_length_unit_generator_outside_q():
     # (T, S) at (p, T-S): T is a unit in the localization, so length 0
     f = el2({(0, 1): 1})                  # T
@@ -91,7 +105,7 @@ def test_length_unit_generator_outside_q():
 
 def test_length_unsupported_shape():
     # both generators and their differences stay inside (p, T-S) mod p
-    f = el2({(0, 1): 1, (1, 0): -1}) * el2({(0, 0): 1, (1, 0): 1})
+    f = mul2(el2({(0, 1): 1, (1, 0): -1}), el2({(0, 0): 1, (1, 0): 1}))
     g = el2({(0, 2): 1, (1, 1): -2, (2, 0): 1, (0, 0): 9})
     with pytest.raises(UnsupportedShape):
         local_length_vertical((f, g), T_MINUS_S)
@@ -264,6 +278,15 @@ def test_fudge_missing_frobenius_flagged():
     assert len(terms) == 1
     desc, mult = terms[0]
     assert not desc.resolved and mult == 2      # v_5(25) = 2
+
+
+def test_binomial_series_mod_p_matches_comb():
+    # binom(c, i) = (-1)^i binom(i - c - 1, i) for negative c
+    for p in (3, 5, 7):
+        for c in range(-12, 13):
+            want = [(comb(c, i) if c >= 0 else (-1) ** i * comb(i - c - 1, i)) % p
+                    for i in range(20)]
+            assert binomial_series_mod_p(c, p, 20) == want, (c, p)
 
 
 def test_frobenius_character_divisor():

@@ -1,9 +1,10 @@
 import json
 import os
+from math import gcd, lcm
 
 import pytest
 
-from thetapm import RunConfig, Workbench, bundled_curve, table
+from thetapm import RunConfig, Workbench, build_space, bundled_curve, table
 from thetapm.cache import load_symbol, store_symbol
 from thetapm.cli import main
 from thetapm.reports import comparable, parse_report, render_report
@@ -88,8 +89,31 @@ def _negate(values, opposite):
     return [-v for v in values]
 
 
+def _other_star_vector(values, opposite):
+    """Another vector of the same star eigenspace, normalized as extraction
+    normalizes a symbol: it passes every check but T_3 w = a_3 w."""
+    from thetapm.modsym import _nullspace
+    space = build_space(32)
+    sign = 1 if space.star_holds(values, 1) else -1
+    rows = [[x - (sign if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(space.star_matrix())]
+    for w in _nullspace(rows, space.dim):
+        gens = [w[space.bindex[i]] if e is None
+                else sum(c * w[space.bindex[k]] for k, c in e.items())
+                for i, e in enumerate(space.reduction)]
+        den = lcm(*(x.denominator for x in gens))
+        ints = [int(x * den) for x in gens]
+        g = gcd(*ints)
+        ints = [x // g for x in ints]
+        if next(x for x in ints if x) < 0:
+            ints = [-x for x in ints]
+        if not space.hecke_holds(ints, 3, 0):
+            return ints
+    raise AssertionError("the star eigenspace holds T_3 eigenvectors only")
+
+
 @pytest.mark.parametrize("damage", [_truncate, _double_every_third, _swap_sign,
-                                    _times_three, _negate])
+                                    _times_three, _negate, _other_star_vector])
 def test_damaged_cache_values_recomputed(tmp_path, damage):
     """Entries that parse but whose values are wrong are misses: the table
     row is computed from fresh symbols and matches the frozen invariants.
@@ -244,6 +268,29 @@ def test_cmd_table_row_with_wrong_prime_isolates(tmp_path, capsys):
     _, recs = parse_report(out)
     assert "error" in recs[0]
     assert recs[-1]["summary"]["failures"] == 1
+
+
+def test_cmd_table_row_with_wrong_conductor_isolates(tmp_path, capsys):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text('{"curve": "x32", "a_invariants": [0, 0, 0, -1, 0], '
+                    '"conductor": 160, "discriminant": -43, "p": 3}\n')
+    code, out = run_cli(["table", "--rows-file", str(rows)], capsys)
+    assert code == 1
+    _, recs = parse_report(out)
+    assert "does not fit" in recs[0]["error"]
+    assert recs[-1]["summary"]["failures"] == 1
+
+
+def test_curve_file_with_wrong_conductor_is_input_error(tmp_path, capsys):
+    curves = tmp_path / "curves.jsonl"
+    curves.write_text('{"label": "11x", "a_invariants": [0, -1, 1, -10, -20], '
+                      '"conductor": 121}\n')
+    code, _ = run_cli(["symbols", "--curve", "11x", "--curve-file", str(curves),
+                       "--sign", "+"], capsys)
+    assert code == 2
+    code, _ = run_cli(["fudge", "--curve", "11x", "--curve-file", str(curves),
+                       "--discriminant", "-43"], capsys)
+    assert code == 2
 
 
 def test_reinterpolation_failure_is_row_error(workbench, monkeypatch):

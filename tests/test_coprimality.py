@@ -5,7 +5,7 @@ import pytest
 
 from thetapm import (CoprimalityCertificate, InvariantProfile, IwasawaElement1,
                      PrecisionError, conjecture_b_report, coprime_certificate,
-                     is_unit, newton_invariants, shadow_products,
+                     is_unit, newton_invariants, polys, shadow_products,
                      weierstrass_prepare)
 from thetapm.coprimality import _abs_floor_bound, _resultant_mod
 
@@ -81,9 +81,9 @@ def test_certificate_resultant_route():
 
 def test_certificate_resultant_detects_common_factor():
     # both share the factor X^2 + 3
-    common = poly([3, 0, 1])
-    f = common * poly([1, 1])
-    g = common * poly([2, 0, 0, 1])
+    common = [3, 0, 1]
+    f = poly(polys.mul(common, [1, 1]))
+    g = poly(polys.mul(common, [2, 0, 0, 1]))
     cert = coprime_certificate(f, g)
     assert cert.verdict in ("not-certified", "inconclusive")
 
@@ -91,11 +91,10 @@ def test_certificate_resultant_detects_common_factor():
 def test_soundness_never_coprime_with_common_factor():
     rng = random.Random(77)
     for _ in range(40):
-        h = poly([3 * rng.choice([1, 2, -1]), 3 * rng.randint(-2, 2), 1])
-        u = poly([rng.choice([1, 2, 4, 5])] +
-                 [rng.randint(-4, 4) for _ in range(2)])
-        f = (h * u)
-        g = h * poly([3 * rng.randint(-4, 4), 1])
+        h = [3 * rng.choice([1, 2, -1]), 3 * rng.randint(-2, 2), 1]
+        u = [rng.choice([1, 2, 4, 5])] + [rng.randint(-4, 4) for _ in range(2)]
+        f = poly(polys.mul(h, u))
+        g = poly(polys.mul(h, [3 * rng.randint(-4, 4), 1]))
         cert = coprime_certificate(f, g)
         assert cert.verdict != "coprime", cert.as_dict()
 
@@ -103,12 +102,11 @@ def test_soundness_never_coprime_with_common_factor():
 def test_unit_robustness_of_verdicts():
     rng = random.Random(78)
     for _ in range(30):
-        f = poly([3 * rng.choice([1, -1, 2]), 0, 1])
+        f = [3 * rng.choice([1, -1, 2]), 0, 1]
         g = poly([3 * rng.choice([1, -1, 2]), 0, 0, 1])
-        u = poly([rng.choice([1, 2, 4, 5, 7])] +
-                 [rng.randint(-5, 5) for _ in range(2)])
-        c1 = coprime_certificate(f, g)
-        c2 = coprime_certificate(f * u, g)
+        u = [rng.choice([1, 2, 4, 5, 7])] + [rng.randint(-5, 5) for _ in range(2)]
+        c1 = coprime_certificate(poly(f), g)
+        c2 = coprime_certificate(poly(polys.mul(f, u)), g)
         assert c1.verdict == c2.verdict
 
 

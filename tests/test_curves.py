@@ -2,7 +2,8 @@ import pytest
 
 from thetapm import (BadReduction, CurveData, InvalidArgument,
                      bundled_curve, kronecker_symbol, local_reduction_type)
-from thetapm.curves import _is_local_square, is_fundamental_discriminant
+from thetapm.curves import (_is_local_square, check_conductor,
+                            is_fundamental_discriminant)
 
 
 def brute_count(ainvs, ell):
@@ -130,3 +131,21 @@ def test_local_square_classes():
     assert _is_local_square(17, 2)      # 17 = 1 mod 8
     assert not _is_local_square(5, 2)
     assert not _is_local_square(12, 3)  # odd valuation
+
+
+def test_conductor_checked_against_reduction_types():
+    for label in ("32a", "40a", "56a"):
+        check_conductor(bundled_curve(label))
+    check_conductor(CurveData("11a1", (0, -1, 1, -10, -20), 11))
+    # 32a scaled by u = 5 is not minimal at 5; the reduction there is good
+    check_conductor(CurveData("32a-scaled", (0, 0, 0, -625, 0), 32))
+    bad = [
+        CurveData("x", (0, 0, 0, -1, 0), 160),       # good at 5, yet 5 | N
+        CurveData("x", (0, 0, 0, -1, 0), 96),        # good at 3, yet 3 | N
+        CurveData("x", (0, 0, 0, -7, -6), 8),        # multiplicative at 5, 5 does not divide N
+        CurveData("x", (0, -1, 1, -10, -20), 121),   # multiplicative at 11, v_11(N) = 2
+        CurveData("x", (0, 0, 0, -1, 0), 0),
+    ]
+    for c in bad:
+        with pytest.raises(InvalidArgument):
+            check_conductor(c)

@@ -5,10 +5,12 @@ import pytest
 
 from thetapm import (InvalidArgument, IwasawaElement1, IwasawaElement2,
                      PrecisionError, TruncationError, half_log_product,
-                     newton_invariants, pi_cyc, pollack_log_truncated,
+                     newton_invariants, pi_cyc, pollack_log_truncated, polys,
                      resultant_in_T, weierstrass_prepare)
 from thetapm.cyclotomic import cyclotomic_poly_shifted
 from thetapm.padics import PadicScalar
+
+from twovar import mul2
 
 
 def poly(p, co, **kw):
@@ -74,11 +76,7 @@ def test_table_row_profile_from_series(series_32a_43):
 
 def test_prepare_constructed_factorization():
     # f = 3 (1+X)(X^2+3)
-    f = poly(3, [1, 1]) * poly(3, [3, 0, 1])
-    f = f.scale(3)
-    f = IwasawaElement1(3, [PadicScalar.from_unit(3, c.val, c.num, c.den, precision=25)
-                            if not c.is_exact_zero() else c for c in f.coeffs],
-                        exact_tail=True)
+    f = poly(3, [3 * c for c in polys.mul([1, 1], [3, 0, 1])], precision=25)
     unit, dist, mu = weierstrass_prepare(f)
     assert mu == 1
     assert [c.as_fraction() if c.is_exact() else c.lift(25) for c in dist.coeffs] \
@@ -96,10 +94,7 @@ def test_prepare_unit_case():
 
 def test_prepare_shifted_cyclotomic_factor():
     # f = Phi_9(1+X) * (1 + 3X): distinguished part recovers Phi_9(1+X)
-    phi9 = poly(3, cyclotomic_poly_shifted(3, 2))
-    f = phi9 * poly(3, [1, 3])
-    f = IwasawaElement1(3, [PadicScalar(3, c.as_fraction(), precision=22)
-                            for c in f.coeffs], exact_tail=True)
+    f = poly(3, polys.mul(cyclotomic_poly_shifted(3, 2), [1, 3]), precision=22)
     unit, dist, mu = weierstrass_prepare(f)
     assert mu == 0
     got = [c.lift(20) % 3 ** 18 for c in dist.coeffs]
@@ -111,22 +106,19 @@ def test_prepare_roundtrip_randomized():
     for _ in range(60):
         lam = rng.randint(0, 4)
         mu = rng.randint(0, 2)
-        dist = [Fraction(3 * rng.randint(-8, 8)) for _ in range(lam)] + [Fraction(1)]
-        unit = [Fraction(rng.choice([1, 2, 4, 5, 7, 8]))] + \
-            [Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(0, 3))]
-        f = (poly(3, dist) * poly(3, unit)).scale(3 ** mu)
-        f = IwasawaElement1(3, [PadicScalar(3, c.as_fraction(), precision=18)
-                                for c in f.coeffs], exact_tail=True)
+        dist = [3 * rng.randint(-8, 8) for _ in range(lam)] + [1]
+        unit = [rng.choice([1, 2, 4, 5, 7, 8])] + \
+            [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+        fco = [3 ** mu * c for c in polys.mul(dist, unit)]
+        f = poly(3, fco, precision=18)
         u, d, m = weierstrass_prepare(f)
         assert m == mu
-        recomposed = (u * d).scale(3 ** m)
+        # p^m * unit * dist from lifts mod p^digits agrees with f mod p^digits
         digits = 14
-        for a, b in zip(recomposed.coeffs, f.coeffs):
-            if b.is_zero_within_precision():
-                assert a.is_zero_within_precision() or a.valuation() >= digits
-            else:
-                assert (a - b).is_zero_within_precision() or \
-                    (a - b).valuation() >= digits + min(0, b.val)
+        recomposed = [3 ** m * c for c in polys.mul([c.lift(digits) for c in u.coeffs],
+                                                   [c.lift(digits) for c in d.coeffs])]
+        for a, b in zip(recomposed, fco):
+            assert (a - b) % 3 ** digits == 0
 
 
 def test_prepare_truncation_guard():
@@ -207,10 +199,8 @@ def test_pi_cyc_ring_homomorphism_randomized():
                         rng.randint(-5, 5) for _ in range(4)})
         g = two_var(3, {(rng.randint(0, 3), rng.randint(0, 3)):
                         rng.randint(-5, 5) for _ in range(4)})
-        lhs = pi_cyc(f * g)
-        rhs = pi_cyc(f) * pi_cyc(g)
-        la = [c.as_fraction() for c in lhs.coeffs]
-        rb = [c.as_fraction() for c in rhs.coeffs]
+        la = pi_cyc(mul2(f, g)).rationals()
+        rb = polys.mul(pi_cyc(f).rationals(), pi_cyc(g).rationals())
         n = max(len(la), len(rb))
         la += [Fraction(0)] * (n - len(la))
         rb += [Fraction(0)] * (n - len(rb))
@@ -247,10 +237,6 @@ def test_resultant_after_cancelled_top_row():
     assert list(d.coeffs) == [(1, 0)]
     res = resultant_in_T(d, h)
     assert [c.as_fraction() for c in res.coeffs] == [0, 1]          # S
-    # a coefficient that is zero only within precision still carries
-    # information and stays
-    z = IwasawaElement2(3, {(0, 1): PadicScalar.zero(3, known_to=5)})
-    assert list(z.coeffs) == [(0, 1)]
 
 
 def test_resultant_antisymmetry_sign():
@@ -278,27 +264,26 @@ def test_resultant_antisymmetry_sign():
 # -- invariant algebra properties (randomized) ------------------------------------
 
 def random_distinguished(rng, p=3, max_lam=4):
+    """Integer coefficients of a distinguished polynomial."""
     lam = rng.randint(0, max_lam)
-    co = [Fraction(p * rng.randint(-6, 6)) for _ in range(lam)] + [Fraction(1)]
+    co = [p * rng.randint(-6, 6) for _ in range(lam)] + [1]
     if lam and co[0] == 0:
-        co[0] = Fraction(p * rng.choice([1, 2, -1, 4]))
-    return poly(p, co)
+        co[0] = p * rng.choice([1, 2, -1, 4])
+    return co
 
 
 def random_unit(rng, p=3, deg=3):
-    co = [Fraction(rng.choice([1, 2, 4, 5, 7, 8]))] + \
-        [Fraction(rng.randint(-8, 8)) for _ in range(deg)]
-    return poly(p, co)
+    return [rng.choice([1, 2, 4, 5, 7, 8])] + [rng.randint(-8, 8) for _ in range(deg)]
 
 
 def test_additivity_of_invariants_under_products():
     rng = random.Random(101)
     for _ in range(500):
         mu1, mu2 = rng.randint(0, 2), rng.randint(0, 2)
-        f = random_distinguished(rng).scale(3 ** mu1)
-        g = random_distinguished(rng).scale(3 ** mu2)
-        pf, pg = newton_invariants(f), newton_invariants(g)
-        prod = newton_invariants(f * g)
+        f = [3 ** mu1 * c for c in random_distinguished(rng)]
+        g = [3 ** mu2 * c for c in random_distinguished(rng)]
+        pf, pg = newton_invariants(poly(3, f)), newton_invariants(poly(3, g))
+        prod = newton_invariants(poly(3, polys.mul(f, g)))
         assert prod.mu == pf.mu + pg.mu
         assert prod.lam == pf.lam + pg.lam
         merged = {}
@@ -313,8 +298,10 @@ def test_additivity_of_invariants_under_products():
 def test_unit_invariance_of_profiles():
     rng = random.Random(103)
     for _ in range(500):
-        f = random_distinguished(rng).scale(3 ** rng.randint(0, 1))
+        d = random_distinguished(rng)
+        scale = 3 ** rng.randint(0, 1)
+        f = [scale * c for c in d]
         u = random_unit(rng)
-        pf = newton_invariants(f)
-        pfu = newton_invariants(f * u)
+        pf = newton_invariants(poly(3, f))
+        pfu = newton_invariants(poly(3, polys.mul(f, u)))
         assert (pf.mu, pf.lam, pf.slopes) == (pfu.mu, pfu.lam, pfu.slopes)
