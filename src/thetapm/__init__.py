@@ -27,7 +27,7 @@ from .iwasawa import (InvariantProfile, IwasawaElement1, IwasawaElement2,
 from .mazurtate import (MazurTateElement, SignedLSeries, ThetaTarget,
                         interpolation_value, reconstruct_signed,
                         reinterpolation_check, trivial_character_ratio_check)
-from .modsym import (EigenSymbol, ManinSymbolSpace, build_space, eval_path,
+from .modsym import (EigenSymbol, ManinSymbolSpace, build_space,
                      extract_eigensymbol, make_twisted_evaluator,
                      twist_symbol_value)
 from .padics import PadicScalar, vp

@@ -1,8 +1,11 @@
 """Second-Chern bookkeeping for cyclic quotients of Z_p[[S, T]].
 
 Local lengths at vertical height-two primes (p, Pbar) are computed through
-the p-power filtration; the horizontal part of an intersection is pushed
-forward through the T-resultant rather than resolved prime by prime.  The
+the p-power filtration, from the p-splits ``IwasawaElement2.p_split`` gives;
+the horizontal part of an intersection is pushed forward through the
+T-resultant rather than resolved prime by prime.  Two-variable elements are
+read only through ``p_split`` and ``t_polynomial``; everything mod p runs on
+term dicts over F_p at the S-adic precision ``S_TRUNC``.  The
 fudge factors at primes away from p depend only on the reduction type of
 the curve at the places of the quadratic field, with a contribution exactly
 when the reduction is split multiplicative and p divides the Tate-parameter
@@ -19,10 +22,10 @@ from . import polys
 from .curves import kronecker_symbol, local_reduction_type, unit_square_class
 from .exceptions import (CommonFactorWithinPrecision, InvalidArgument,
                          NotPseudoNull, UnsupportedShape)
-from .iwasawa import IwasawaElement2, newton_invariants, resultant_in_T
+from .iwasawa import newton_invariants, resultant_in_T
 from .padics import vp
 
-DEFAULT_S_TRUNC = 24
+S_TRUNC = 24               # S-adic precision of the F_p[[S]] computations
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +80,6 @@ class C2Divisor:
     def is_zero(self):
         return not self.terms
 
-    def total_multiplicity(self):
-        return sum(m for _, m in self.terms)
-
     def as_dict(self):
         return {
             "terms": [{"prime": d.as_dict(), "multiplicity": m}
@@ -91,22 +91,8 @@ class C2Divisor:
 
 
 # ---------------------------------------------------------------------------
-# F_p[[S]][T] helpers: terms as dict (i, j) -> residue
-
-
-def _fp2_p_valuation(f):
-    """Largest power of p dividing every coefficient (None for zero)."""
-    if not f.coeffs:
-        return None
-    return min(vp(v, f.p) for v in f.coeffs.values()) - vp(f.den, f.p)
-
-
-def _fp2_scale_down(f, v):
-    """f / p^v."""
-    if v >= 0:
-        return IwasawaElement2(f.p, f.coeffs, f.den * f.p ** v, f.trunc_degree)
-    return IwasawaElement2(f.p, {k: c * f.p ** -v for k, c in f.coeffs.items()},
-                           f.den, f.trunc_degree)
+# F_p[[S]][T] helpers: terms as dict (i, j) -> residue, as
+# ``IwasawaElement2.p_split`` returns them; S-adic precision S_TRUNC
 
 
 def _fp2_s_content(h):
@@ -117,23 +103,23 @@ def _fp2_shift_s(h, e):
     return {(i - e, j): c for (i, j), c in h.items()}
 
 
-def _fp2_t_poly(h, p, s_trunc):
+def _fp2_t_poly(h, p):
     """As a T-polynomial: list over T-degree of F_p[S] coefficient lists."""
     dt = max((j for (_, j) in h), default=0)
-    out = [[0] * s_trunc for _ in range(dt + 1)]
+    out = [[0] * S_TRUNC for _ in range(dt + 1)]
     for (i, j), c in h.items():
-        if i < s_trunc:
+        if i < S_TRUNC:
             out[j][i] = c % p
     while len(out) > 1 and all(x == 0 for x in out[-1]):
         out.pop()
     return out
 
 
-def _t_divmod(f, w, p, s_trunc):
+def _t_divmod(f, w, p):
     """Divide T-polynomials over F_p[[S]] by monic w; (quotient, remainder)."""
-    f = [list(c) + [0] * (s_trunc - len(c)) for c in f]
+    f = [list(c) + [0] * (S_TRUNC - len(c)) for c in f]
     dw = len(w) - 1
-    q = [[0] * s_trunc for _ in range(max(len(f) - dw, 1))]
+    q = [[0] * S_TRUNC for _ in range(max(len(f) - dw, 1))]
     for i in range(len(f) - 1, dw - 1, -1):
         c = f[i]
         if not any(c):
@@ -141,21 +127,21 @@ def _t_divmod(f, w, p, s_trunc):
         q[i - dw] = list(c)
         for j, wj in enumerate(w):
             if any(wj):
-                prod = polys.series_mul_mod(c, wj, p, s_trunc)
+                prod = polys.series_mul_mod(c, wj, p, S_TRUNC)
                 f[i - dw + j] = [(x - y) % p for x, y in zip(f[i - dw + j], prod)]
     while len(f) > 1 and not any(f[-1]):
         f.pop()
     return q, f
 
 
-def _t_multiplicity(g, w, p, s_trunc, cap=64):
+def _t_multiplicity(g, w, p, cap=64):
     """Multiplicity of monic w in the T-polynomial g over F_p[[S]]."""
     mult = 0
     cur = g
     while mult < cap:
         if len(cur) - 1 < len(w) - 1:
             break
-        q, r = _t_divmod(cur, w, p, s_trunc)
+        q, r = _t_divmod(cur, w, p)
         if any(map(any, r)):
             break
         mult += 1
@@ -165,18 +151,18 @@ def _t_multiplicity(g, w, p, s_trunc, cap=64):
     return mult
 
 
-def _hensel_weierstrass_t(h, p, s_trunc):
+def _hensel_weierstrass_t(h, p):
     """Distinguished T-factor of h in F_p[[S]][T] with h(0, T) != 0.
 
     S-adic Hensel lift of h(0,T) = T^d * (unit): returns the monic degree-d
-    factor W with W = T^d mod S, as a T-polynomial over F_p[S]/(S^s_trunc).
+    factor W with W = T^d mod S, as a T-polynomial over F_p[S]/(S^S_TRUNC).
     """
     h0 = polys.trim([c[0] % p for c in h])
     d = next((j for j, x in enumerate(h0) if x), None)
     if d is None:
         raise InvalidArgument("h(0, T) = 0; extract the S-content first")
     if d == 0:
-        return [[1] + [0] * (s_trunc - 1)]
+        return [[1] + [0] * (S_TRUNC - 1)]
     A = [0] * d + [1]
     B = polys.trim(h0[d:])
     _, t = polys.bezout_mod(A, B, p)
@@ -184,9 +170,9 @@ def _hensel_weierstrass_t(h, p, s_trunc):
     U = [B]
     # digits 1.. packed as integers (a Kronecker substitution in T), so an
     # error term is one sum of integer products over the nonzero W-digits
-    block = (len(h) * s_trunc * p * p).bit_length() // 8 + 1
+    block = (len(h) * S_TRUNC * p * p).bit_length() // 8 + 1
     Wk, Uk = [0], [0]
-    for m in range(1, s_trunc):
+    for m in range(1, S_TRUNC):
         # E = coefficient of S^m in h - W*U; digits m of W and U are unknown
         conv = polys.unpack(sum(Wk[i] * Uk[m - i] for i in range(1, m) if Wk[i]),
                             block, len(h))
@@ -203,12 +189,12 @@ def _hensel_weierstrass_t(h, p, s_trunc):
         Uk.append(polys.pack(dU, block))
     out = []
     for j in range(d + 1):
-        col = [0] * s_trunc
-        for m in range(min(len(W), s_trunc)):
+        col = [0] * S_TRUNC
+        for m in range(min(len(W), S_TRUNC)):
             if j < len(W[m]):
                 col[m] = W[m][j] % p
         out.append(col)
-    out[d] = [1] + [0] * (s_trunc - 1)
+    out[d] = [1] + [0] * (S_TRUNC - 1)
     return out
 
 
@@ -241,7 +227,7 @@ def _mono(c, var, i):
 # local lengths at vertical primes
 
 
-def local_length_vertical(ideal, pbar_terms, s_trunc=DEFAULT_S_TRUNC):
+def local_length_vertical(ideal, pbar_terms):
     """Length of Z_p[[S,T]]/(f, g) localized at Q = (p, Pbar).
 
     Supported shape: one generator is p^v times a unit at Q; the length is
@@ -256,40 +242,38 @@ def local_length_vertical(ideal, pbar_terms, s_trunc=DEFAULT_S_TRUNC):
     pbar = {k: v % p for k, v in pbar_terms.items() if v % p}
     if not pbar:
         raise InvalidArgument("Pbar vanishes mod p")
-    if f.den % p == 0 or g.den % p == 0:
+    sf, sg = f.p_split(), g.p_split()
+    if any(v is not None and v < 0 for v, _ in (sf, sg)):
         raise InvalidArgument("a generator has a coefficient outside Z_p")
-    for a, b in ((f, g), (g, f)):
+    for sa, sb in ((sf, sg), (sg, sf)):
         try:
-            return _length_shape(a, b, pbar, p, s_trunc)
+            return _length_shape(sa, sb, pbar, p)
         except UnsupportedShape:
             pass
-    return _length_shape(f - g, g, pbar, p, s_trunc)
+    return _length_shape((f - g).p_split(), sg, pbar, p)
 
 
-def _length_shape(a, b, pbar, p, s_trunc):
-    va = _fp2_p_valuation(a)
+def _length_shape(sa, sb, pbar, p):
+    """Length from the p-splits (v, residues) of the two generators."""
+    va, abar = sa
     if va is None:
         raise NotPseudoNull("a generator is zero")
-    a1 = _fp2_scale_down(a, va)
-    abar = a1.mod_p()
-    if not abar:
-        raise UnsupportedShape("generator not exactly p^v times a p-unit part")
-    if _divisible_by_pbar(abar, pbar, p, s_trunc):
+    if _divisible_by_pbar(abar, pbar, p):
         raise UnsupportedShape("unit-part candidate lies in Q")
     if va == 0:
         return 0                 # the ideal is the unit ideal at Q
-    bbar = b.mod_p()
-    if not bbar:
+    vb, bbar = sb
+    if vb != 0:
         raise NotPseudoNull("both generators vanish mod p: quotient has (p) in its support")
-    mult = _pbar_multiplicity(bbar, pbar, p, s_trunc)
+    mult = _pbar_multiplicity(bbar, pbar, p)
     return va * mult
 
 
-def _divisible_by_pbar(hbar, pbar, p, s_trunc):
-    return _pbar_multiplicity(hbar, pbar, p, s_trunc, cap=1) >= 1
+def _divisible_by_pbar(hbar, pbar, p):
+    return _pbar_multiplicity(hbar, pbar, p, cap=1) >= 1
 
 
-def _pbar_multiplicity(hbar, pbar, p, s_trunc, cap=64):
+def _pbar_multiplicity(hbar, pbar, p, cap=64):
     """Pbar-adic valuation of hbar in F_p[[S,T]] localized at (Pbar)."""
     dt = max((j for (_, j) in pbar), default=0)
     ds = max((i for (i, _) in pbar), default=0)
@@ -300,21 +284,21 @@ def _pbar_multiplicity(hbar, pbar, p, s_trunc, cap=64):
         # monic in S after swapping variables
         hsw = {(j, i): c for (i, j), c in hbar.items()}
         psw = {(j, i): c for (i, j), c in pbar.items()}
-        return _pbar_multiplicity(hsw, psw, p, s_trunc, cap)
+        return _pbar_multiplicity(hsw, psw, p, cap)
     lead = {i: c for (i, j), c in pbar.items() if j == dt}
     if list(lead) != [0] or lead[0] % p == 0:
         raise UnsupportedShape("Pbar must be monic (up to unit) in T or S")
     scale = pow(lead[0], -1, p)
-    w = _fp2_t_poly({k: v * scale % p for k, v in pbar.items()}, p, s_trunc)
-    hpoly = _fp2_t_poly(hbar, p, s_trunc)
-    return _t_multiplicity(hpoly, w, p, s_trunc, cap)
+    w = _fp2_t_poly({k: v * scale % p for k, v in pbar.items()}, p)
+    hpoly = _fp2_t_poly(hbar, p)
+    return _t_multiplicity(hpoly, w, p, cap)
 
 
 # ---------------------------------------------------------------------------
 # resultant pushforward
 
 
-def pushforward_c2(f, g, s_trunc=DEFAULT_S_TRUNC):
+def pushforward_c2(f, g):
     """One-variable pushforward of the intersection (f, g) along S.
 
     The divisor of Res_T(f, g) carries the total intersection multiplicity;
@@ -371,22 +355,12 @@ def _fiber_gcd_at_origin(f, g, p):
     Runs on primitive integer polynomials: pseudo-remainders with the
     content divided out, then one normalization to a monic rational list.
     """
-    fa, ga = (_primitive(_t_spec_at_zero(x)) for x in (f, g))
+    fa, ga = (_primitive([row[0] for row in x.t_polynomial()]) for x in (f, g))
     while any(ga):
         fa, ga = ga, _primitive(polys.prem(fa, ga))
     if not any(fa):
         return None
     return [Fraction(x, fa[-1]) for x in fa]
-
-
-def _t_spec_at_zero(f):
-    """Numerators of the T-polynomial f(0, T) (a positive multiple of it)."""
-    dt = max((j for (_, j) in f.coeffs), default=0)
-    out = [0] * (dt + 1)
-    for (i, j), v in f.coeffs.items():
-        if i == 0:
-            out[j] = v
-    return out
 
 
 def _primitive(co):
@@ -551,7 +525,7 @@ def frobenius_character_mod_p(a, b, p, trunc):
     return {k: v for k, v in out.items() if v}
 
 
-def vertical_divisor_mod_p(hbar, p, s_trunc=DEFAULT_S_TRUNC):
+def vertical_divisor_mod_p(hbar, p):
     """Divisor of a nonzero series mod p as (descriptor, multiplicity) terms.
 
     The S-content splits off as (p, S); the remaining Weierstrass factor in
@@ -566,20 +540,19 @@ def vertical_divisor_mod_p(hbar, p, s_trunc=DEFAULT_S_TRUNC):
         terms.append((PrimeDescriptor("vertical", ("p", "S")), e0))
     h0 = [0]
     if any(i == 0 for (i, _) in h1):
-        tpoly = _fp2_t_poly(h1, p, s_trunc)
+        tpoly = _fp2_t_poly(h1, p)
         d = next((j for j, c in enumerate(tpoly) if c[0] % p != 0), None)
         if d is None:
             raise UnsupportedShape("no pure T-order after removing S-content")
         if d > 0:
-            W = _hensel_weierstrass_t(tpoly, p, s_trunc)
+            W = _hensel_weierstrass_t(tpoly, p)
             label = _fps_poly_str(W, p)
             terms.append((PrimeDescriptor("vertical", ("p", label),
                                           resolved=(d == 1)), 1 if d == 1 else d))
     return terms
 
 
-def fudge_c2(curve, field_discriminant, p, sigma, frobenius=None,
-             s_trunc=DEFAULT_S_TRUNC):
+def fudge_c2(curve, field_discriminant, p, sigma, frobenius=None):
     """Fudge divisor and per-place ledger at the primes of sigma away from p.
 
     Good, additive and nonsplit-multiplicative places contribute nothing;
@@ -600,7 +573,7 @@ def fudge_c2(curve, field_discriminant, p, sigma, frobenius=None,
             ledger.append({"ell": ell, "skipped": "equal to p"})
             continue
         for place in classify_reduction(curve, ell, field_discriminant, p=p):
-            terms, entry = place_contribution(place, p, frobenius, s_trunc)
+            terms, entry = place_contribution(place, p, frobenius)
             for desc, mult in terms:
                 divisor.add(desc, mult)
                 if not desc.resolved:
@@ -611,7 +584,7 @@ def fudge_c2(curve, field_discriminant, p, sigma, frobenius=None,
                      "field_discriminant": field_discriminant}
 
 
-def place_contribution(place, p, frobenius=None, s_trunc=DEFAULT_S_TRUNC):
+def place_contribution(place, p, frobenius=None):
     """Fudge contribution of a single place: (divisor terms, ledger entry).
 
     Zero unless the place is split multiplicative with p | ord(q); the
@@ -642,8 +615,8 @@ def place_contribution(place, p, frobenius=None, s_trunc=DEFAULT_S_TRUNC):
                                  "note": "frobenius exponents missing; "
                                          "generators unresolved"}
         return [(desc, v)], entry
-    hbar = frobenius_character_mod_p(ab[0], ab[1], p, s_trunc)
-    parts = vertical_divisor_mod_p(hbar, p, s_trunc)
+    hbar = frobenius_character_mod_p(ab[0], ab[1], p, S_TRUNC)
+    parts = vertical_divisor_mod_p(hbar, p)
     terms = []
     contrib = []
     for desc, mult in parts:

@@ -12,13 +12,14 @@ import json
 import sys
 from fractions import Fraction
 
-from .chern import (FrobeniusData, IwasawaElement2, fudge_c2,
-                    local_length_vertical, theorem_ledger)
+from .chern import (FrobeniusData, fudge_c2, local_length_vertical,
+                    theorem_ledger)
 from .config import RunConfig
 from .coprimality import coprime_certificate
 from .curves import CurveData, check_conductor
 from .exceptions import InvalidArgument, ResourceLimit, WorkbenchError
-from .iwasawa import IwasawaElement1, newton_invariants, pi_cyc
+from .iwasawa import (IwasawaElement1, IwasawaElement2, newton_invariants,
+                      pi_cyc)
 from .reports import render_report
 from .table import BUNDLED_ROWS, Workbench, bundled_curve
 

@@ -3,12 +3,12 @@
 Two signed series with stabilized profiles are certified coprime either by
 slope disjointness (no common root valuation, no shared p-factor, no shared
 roots at the origin) or by a nonvanishing resultant of their distinguished
-parts.  That resultant is the integer Sylvester determinant of the
-coefficients lifted mod p^floor, floor being the least absolute precision
-among them; it is exact mod p^floor, and a resultant divisible by p^floor
-decides nothing.  Failure modes are kept apart: ``not-certified`` means a
-structural obstruction was found, ``inconclusive`` means the data could not
-decide.
+parts.  That resultant is ``iwasawa.sylvester_resultant``, the integer
+determinant that also gives the T-resultant, of the coefficients lifted
+mod p^floor, floor being the least absolute precision among them; it is
+exact mod p^floor, and a resultant divisible by p^floor decides nothing.
+Failure modes are kept apart: ``not-certified`` means a structural
+obstruction was found, ``inconclusive`` means the data could not decide.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exceptions import InvalidArgument, PrecisionError
-from .iwasawa import (InvariantProfile, IwasawaElement1, _bareiss_det,
-                      newton_invariants, sylvester_matrix, weierstrass_prepare)
+from .iwasawa import (InvariantProfile, IwasawaElement1, newton_invariants,
+                      sylvester_resultant, weierstrass_prepare)
 from .mazurtate import SignedLSeries
 from .padics import vp
 
@@ -143,9 +143,9 @@ def _resultant_mod(f, g, floor):
     result is correct mod p^floor when every coefficient is known to
     absolute precision p^floor.
     """
-    f, g = ([[c.lift(floor)] for c in el.coeffs] for el in (f, g))
-    (res,) = _bareiss_det(sylvester_matrix(f, g))
-    return int(res)
+    (res,) = sylvester_resultant(*([[c.lift(floor)] for c in el.coeffs]
+                                   for el in (f, g)))
+    return res
 
 
 def shadow_products(theta_E_pair, theta_EK_pair):

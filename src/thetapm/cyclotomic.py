@@ -233,30 +233,14 @@ class CyclotomicInt:
         return "Cyc(%d: %s)" % (self.m, " + ".join(terms) or "0")
 
 
-def root_of_unity_minus_one_inverse(m, t):
-    """Exact 1/(zeta_m^t - 1) for zeta_m^t != 1.
-
-    Uses 1/(w - 1) = (1/q) * sum_{i=1}^{q-1} i w^i for w of exact order q,
-    obtained by differentiating (x^q - 1)/(x - 1) at x = w.
-    """
-    _level(m)
-    t %= m
-    if t == 0:
-        raise InvalidArgument("zeta^t = 1 is not invertible after subtracting 1")
-    q = m // gcd(t, m)
-    v = [0] * m
-    for i in range(1, q):
-        v[t * i % m] += i
-    return CyclotomicInt.from_exponents(m, v, q)
-
-
 def phi_value_at_root_inverse(p, j, k):
     """Exact 1/Phi_{p^j}(zeta_{p^k}) for j < k.
 
     Phi_p(w) = (w^p - 1)/(w - 1) with w = zeta^(p^(j-1)), so the inverse is
     (w - 1)/(u - 1) with u = w^p of order q = p^(k-j), and
-    1/(u - 1) = (1/q) * sum_{i<q} i u^i as in root_of_unity_minus_one_inverse:
-    the exponents e*p*i + e and e*p*i, e = p^(j-1), stay below p^k.
+    1/(u - 1) = (1/q) * sum_{i<q} i u^i, the derivative of
+    (x^q - 1)/(x - 1) at x = u: the exponents e*p*i + e and e*p*i,
+    e = p^(j-1), stay below p^k.
     """
     if j >= k:
         raise InvalidArgument("inverse formula needs j < k")

@@ -5,8 +5,13 @@ coefficients are PadicScalar values, so exact polynomials (tail known to
 vanish) and precision-truncated series (input files, Weierstrass output,
 the signed logarithms) coexist; the Newton polygon never claims digits
 beyond what they carry.  Two-variable elements model Z_p[[S, T]] and are
-exact polynomials: integer numerators over one denominator.  Products and
-resultants run on integer polynomials in ``thetapm.polys``.
+exact polynomials: integer numerators over one denominator.  This module is
+the only one that knows that storage; others read an element through
+``t_polynomial`` (integer S-coefficient rows over ``den``) and ``p_split``
+(its least p-adic valuation and the residues of f / p^v mod p).  The
+T-resultant and the certificate resultant are both ``sylvester_resultant``,
+one Bareiss determinant over Z[S] on integer polynomials of
+``thetapm.polys``.
 """
 
 from __future__ import annotations
@@ -320,27 +325,40 @@ class IwasawaElement2:
                                min(self.trunc_degree, other.trunc_degree))
 
     def t_polynomial(self):
-        """Present as a T-polynomial: list of S-coefficient lists, exact."""
+        """Integer T-polynomial: rows of S-coefficient numerators over ``den``.
+
+        Row j holds the numerators of the coefficient of T^j, lowest S-degree
+        first; every row has the same length and the top row is nonzero
+        unless the element is zero.
+        """
         dt = max((j for (_, j) in self.coeffs), default=0)
         ds = max((i for (i, _) in self.coeffs), default=0)
-        out = [[Fraction(0)] * (ds + 1) for _ in range(dt + 1)]
+        out = [[0] * (ds + 1) for _ in range(dt + 1)]
         for (i, j), v in self.coeffs.items():
-            out[j][i] = Fraction(v, self.den)
+            out[j][i] = v
         return out
 
-    def mod_p(self):
-        """Coefficient dict over F_p; raises if a coefficient is not p-integral."""
+    def p_split(self):
+        """(v, residues): v the least valuation of a coefficient, residues
+        the nonzero coefficients of f / p^v mod p as a dict (i, j) -> r.
+
+        v is negative exactly when p divides ``den``; the zero element gives
+        (None, {}).  Dividing by p^v leaves some coefficient a p-unit, so the
+        residues of a nonzero element are never empty.
+        """
+        if not self.coeffs:
+            return None, {}
         p = self.p
-        q = p ** vp(self.den, p)
-        inv = pow(self.den // q, -1, p)
+        w = min(vp(c, p) for c in self.coeffs.values())
+        e = vp(self.den, p)
+        inv = pow(self.den // p ** e, -1, p)
+        q = p ** w
         out = {}
-        for k, v in self.coeffs.items():
-            if v % q:
-                raise InvalidArgument("negative valuation has no integral lift")
-            r = v // q * inv % p
+        for k, c in self.coeffs.items():
+            r = c // q * inv % p
             if r:
                 out[k] = r
-        return out
+        return w - e, out
 
     def __repr__(self):
         return "IwasawaElement2(p=%d, %d terms)" % (self.p, len(self.coeffs))
@@ -367,65 +385,56 @@ def resultant_in_T(f, g):
 
     The inputs are read as T-polynomials over Q[S] (monic in T after
     preparation); the output is the one-variable resultant in S as an exact
-    IwasawaElement1.
+    IwasawaElement1.  The determinant runs on the integer rows and is
+    divided once by f.den^(deg g) * g.den^(deg f).
     """
-    p = f.p
     fp_, gp_ = f.t_polynomial(), g.t_polynomial()
     m, n = len(fp_) - 1, len(gp_) - 1
     for lead in (fp_[-1], gp_[-1]):
         if not any(lead):
             raise PrecisionError("leading T-coefficient vanishes; prepare first")
-    if m == 0 or n == 0:
-        # a constant c in T: the resultant is c to the other degree
-        ints, den = polys.clear_denominators(fp_[0] if m == 0 else gp_[0])
-        e = n if m == 0 else m
-        out = [1]
-        for _ in range(e):
-            out = polys.mul(out, ints)
-        return IwasawaElement1.from_rationals(
-            p, [Fraction(c, den ** e) for c in polys.trim(out)])
-    det = _bareiss_det(sylvester_matrix(fp_, gp_))
+    det = sylvester_resultant(fp_, gp_)
     # normalized so that a monic g gives the product of f over its roots
     sign = (-1) ** (m * n)
-    return IwasawaElement1.from_rationals(p, [sign * c for c in det])
+    scale = f.den ** n * g.den ** m
+    return IwasawaElement1.from_rationals(f.p, [Fraction(sign * c, scale) for c in det])
 
 
-def sylvester_matrix(f, g):
-    """Sylvester matrix of f and g, lists of coefficients lowest degree
-    first, each coefficient a polynomial in S as ``_bareiss_det`` takes
-    it: deg g shifted rows of f, then deg f shifted rows of g, leading
-    coefficients on the left."""
+def sylvester_resultant(f, g):
+    """Res(f, g) over Z[S], the determinant of the Sylvester matrix.
+
+    f and g are T-polynomials with nonzero leading rows: lists of integer
+    S-coefficient lists, lowest T-degree first.  The matrix holds deg g
+    shifted rows of f, then deg f shifted rows of g, leading coefficients
+    on the left; a constant in T gives a diagonal matrix, and two
+    constants the empty one, whose determinant is [1].
+    """
     m, n = len(f) - 1, len(g) - 1
-    M = [[[0]] * (m + n) for _ in range(m + n)]
+    rows = [[[0]] * (m + n) for _ in range(m + n)]
+    f, g = ([polys.trim(list(c)) for c in reversed(x)] for x in (f, g))
     for r in range(n):
-        M[r][r:r + m + 1] = f[::-1]
+        rows[r][r:r + m + 1] = f
     for r in range(m):
-        M[n + r][r:r + n + 1] = g[::-1]
-    return M
+        rows[n + r][r:r + n + 1] = g
+    return _bareiss_det(rows)
 
 
 def _bareiss_det(M):
-    """Determinant over Q[S] (entries as coefficient lists), fraction-free.
-
-    Each row is scaled to entries in Z[S] by the lcm of its denominators;
-    Bareiss elimination runs over Z[S] with exact divisions, and the
-    determinant is divided by the product of the row scales at the end.
+    """Determinant over Z[S] of a square matrix whose entries are trimmed
+    integer coefficient lists; fraction-free Bareiss elimination with exact
+    divisions.
     """
     n = len(M)
-    rows = []
-    scale = 1
-    for row in M:
-        den = lcm(*(c.denominator for e in row for c in e))
-        scale *= den
-        rows.append([polys.trim([c.numerator * (den // c.denominator) for c in e])
-                     for e in row])
+    if not n:
+        return [1]
+    rows = [list(row) for row in M]
     sign = 1
     prev = [1]
     for k in range(n - 1):
         if rows[k][k] == [0]:
             piv = next((r for r in range(k + 1, n) if rows[r][k] != [0]), None)
             if piv is None:
-                return [Fraction(0)]
+                return [0]
             rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
         pivot = rows[k][k]
@@ -436,4 +445,4 @@ def _bareiss_det(M):
                 rows[i][j] = polys.exact_div(num, prev)     # raises if inexact
             rows[i][k] = [0]
         prev = pivot
-    return [Fraction(sign * c, scale) for c in rows[n - 1][n - 1]]
+    return [sign * c for c in rows[n - 1][n - 1]]

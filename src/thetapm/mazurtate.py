@@ -20,7 +20,7 @@ representative is exported exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -94,7 +94,6 @@ class MazurTateElement:
     p: int
     level: int
     coeffs: list
-    provenance: dict = field(default_factory=dict)
     raw_content: int = 0
 
     @classmethod
@@ -115,36 +114,18 @@ class MazurTateElement:
             v = fv(a, q)
             co[j] += v
             content = gcd(content, v)
-        return cls(p, n, co, raw_content=content,
-                   provenance={"target": target.label,
-                               "discriminant": target.discriminant})
+        return cls(p, n, co, raw_content=content)
 
-    def evaluate(self, t=1, level=None):
+    def evaluate(self, t=1):
         """Character sum sum_j (c_j / (p-1)) zeta^(t*j), zeta of order p^level.
 
-        t prime to p selects the Galois-orbit representative; level defaults
-        to the element's own level (primitive characters), lower levels give
-        the imprimitive sums used by the norm-compatibility checks.
+        t prime to p selects the Galois-orbit representative.
         """
-        k = self.level if level is None else level
-        if k > self.level:
-            raise InvalidArgument("character level exceeds element level")
-        m = self.p ** k
+        m = self.p ** self.level
         v = [0] * m
         for j, c in enumerate(self.coeffs):
             v[t * j % m] += c
         return CyclotomicInt.from_exponents(m, v, self.p - 1)
-
-    def project(self):
-        """Image at level n-1 under the natural group projection."""
-        if self.level <= 1:
-            raise InvalidArgument("cannot project below level 1")
-        size = self.p ** (self.level - 1)
-        co = [0] * size
-        for j, c in enumerate(self.coeffs):
-            co[j % size] += c
-        return MazurTateElement(self.p, self.level - 1, co, dict(self.provenance),
-                                self.raw_content)
 
 
 # ---------------------------------------------------------------------------

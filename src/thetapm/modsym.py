@@ -290,7 +290,6 @@ class EigenSymbol:
     label: str = ""
     ap_certificate: list = field(default_factory=list)
     _space: ManinSymbolSpace = None
-    _basis_values: list = None
 
     def evaluator(self):
         """Fast integer path evaluator (x, m) -> value on {oo, x/m}.
@@ -423,13 +422,6 @@ def _next_prime(n):
     while not is_prime(n):
         n += 1
     return n
-
-
-def eval_path(symbol, a, m):
-    """Exact value of the symbol on the path {oo, a/m} (m >= 1)."""
-    if m < 1:
-        raise InvalidArgument("denominator must be positive")
-    return symbol.evaluator()(a, m)
 
 
 def twist_symbol_value(symbol_pair, D, a, m):

@@ -121,14 +121,8 @@ class PadicScalar:
 
     # -- predicates ---------------------------------------------------
 
-    def is_exact_zero(self):
-        return self._zero and self.precision is None
-
     def is_zero_within_precision(self):
         return self._zero
-
-    def is_exact(self):
-        return self.precision is None
 
     # -- views --------------------------------------------------------
 
@@ -189,7 +183,7 @@ class PadicScalar:
             return True
         if self._zero != other._zero:
             return False
-        if self.is_exact() and other.is_exact():
+        if self.precision is None and other.precision is None:
             return self.as_fraction() == other.as_fraction()
         if self.val != other.val:
             return False

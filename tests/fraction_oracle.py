@@ -7,7 +7,9 @@ prime powers), together with the original bodies of the inverses, the
 change to the X = zeta - 1 basis, its evaluation at zeta - 1 and the
 Mazur-Tate character sum.  Slow, but written term by term, so the integer
 kernels of ``thetapm.cyclotomic`` are checked against it; the composite
-levels of the tame Gauss sums in ``characters`` live here only.
+levels of the tame Gauss sums in ``characters`` live here only.  The
+group projection of Mazur-Tate elements, which only the norm-compatibility
+checks use, lives here too.
 """
 
 from fractions import Fraction
@@ -15,6 +17,7 @@ from math import gcd
 
 from thetapm.cyclotomic import fraction_poly_mul
 from thetapm.exceptions import InvalidArgument
+from thetapm.mazurtate import MazurTateElement
 from thetapm.polys import mul as poly_mul
 
 
@@ -316,6 +319,18 @@ def mazur_tate_evaluate(el, t=1, level=None):
         if c:
             z._add_monomial((t * j) % m, Fraction(c, el.p - 1))
     return z
+
+
+def mazur_tate_project(el, level):
+    """Image of a Mazur-Tate element at a lower level under the natural
+    group projection: coefficients folded mod p^level."""
+    if not 1 <= level <= el.level:
+        raise InvalidArgument("cannot project to level %s" % level)
+    size = el.p ** level
+    co = [0] * size
+    for j, c in enumerate(el.coeffs):
+        co[j % size] += c
+    return MazurTateElement(el.p, level, co, el.raw_content)
 
 
 def from_int(z):

@@ -321,7 +321,7 @@ def _resultant_1var(f, g):
         inv_row = rows[k]
         for i in range(k + 1, size):
             c = rows[i][k]
-            if c.is_exact_zero():
+            if c.is_zero_within_precision() and c.precision is None:
                 continue
             factor = padic_truediv(c, inv_row[k])
             rows[i] = [padic_add(x, padic_neg(padic_mul(factor, y)))

@@ -11,12 +11,20 @@ from thetapm.reports import comparable, parse_report, render_report
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+PINNED = os.path.join(os.path.dirname(__file__), "pinned_reports")
 
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def assert_pinned(out, name):
+    """The whole report, timestamp aside, is the one recorded in
+    ``pinned_reports/<name>.jsonl``."""
+    with open(os.path.join(PINNED, name + ".jsonl")) as fh:
+        assert comparable(out) == fh.read().rstrip("\n")
 
 
 # -- report format ------------------------------------------------------------
@@ -197,6 +205,7 @@ def test_cmd_invariants_fixture(capsys):
     assert recs[0]["mu"] == 0
     assert recs[0]["lambda"] == 2
     assert recs[0]["slopes"] == [[2, "1/2"]]
+    assert_pinned(out, "invariants")
 
 
 def test_cmd_specialize_fixture(capsys):
@@ -205,6 +214,7 @@ def test_cmd_specialize_fixture(capsys):
     assert code == 0
     _, recs = parse_report(out)
     assert recs[0]["coefficients"] == ["1", "2", "1"]
+    assert_pinned(out, "specialize")
 
 
 def test_cmd_c2_fixture(capsys):
@@ -213,6 +223,7 @@ def test_cmd_c2_fixture(capsys):
     assert code == 0
     _, recs = parse_report(out)
     assert recs[0]["length"] == 2
+    assert_pinned(out, "c2")
 
 
 def test_cmd_fudge(tmp_path, capsys):
@@ -224,6 +235,7 @@ def test_cmd_fudge(tmp_path, capsys):
     _, recs = parse_report(out)
     assert recs[0]["divisor"]["terms"] == []
     assert recs[2]["theorem_ledger"]["rhs"]["c2_Z"]["status"] == "out-of-scope"
+    assert_pinned(out, "fudge_p5")
 
 
 def test_cmd_fudge_p3_flagged(tmp_path, capsys):
@@ -234,21 +246,37 @@ def test_cmd_fudge_p3_flagged(tmp_path, capsys):
     assert code == 0
     _, recs = parse_report(out)
     assert any("p >= 5" in f for f in recs[1]["ledger"]["flags"])
+    assert_pinned(out, "fudge_p3")
+
+
+def run_coprime_files(tmp_path, capsys, f_coeffs, g_coeffs):
+    paths = []
+    for name, co in (("f", f_coeffs), ("g", g_coeffs)):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps({"p": 3, "precision": 25, "coefficients": co}))
+        paths.append(str(path))
+    return run_cli(["coprime", "--f-file", paths[0], "--g-file", paths[1]], capsys)
 
 
 def test_cmd_coprime_series_files(tmp_path, capsys):
-    f = tmp_path / "f.json"
-    g = tmp_path / "g.json"
-    f.write_text(json.dumps({"p": 3, "precision": 25,
-                             "coefficients": ["-3", "0", "1"]}))
-    g.write_text(json.dumps({"p": 3, "precision": 25,
-                             "coefficients": ["-3", "0", "0", "1"]}))
-    code, out = run_cli(["coprime", "--f-file", str(f), "--g-file", str(g)],
-                        capsys)
+    code, out = run_coprime_files(tmp_path, capsys, ["-3", "0", "1"],
+                                  ["-3", "0", "0", "1"])
     assert code == 0
     _, recs = parse_report(out)
     assert recs[0]["verdict"] == "coprime"
     assert recs[0]["method"] == "slope-disjoint"
+    assert_pinned(out, "coprime_slope_disjoint")
+
+
+def test_cmd_coprime_series_files_sharing_a_slope(tmp_path, capsys):
+    # X^2 - 3 and X^2 + 3 both have slope 1/2: the resultant, 36, decides
+    code, out = run_coprime_files(tmp_path, capsys, ["-3", "0", "1"],
+                                  ["3", "0", "1"])
+    assert code == 0
+    _, recs = parse_report(out)
+    assert recs[0]["method"] == "resultant"
+    assert recs[0]["resultant_valuation"] == "2"
+    assert_pinned(out, "coprime_resultant")
 
 
 def test_cmd_theta_base_curve(capsys):

@@ -79,7 +79,7 @@ def test_prepare_constructed_factorization():
     f = poly(3, [3 * c for c in polys.mul([1, 1], [3, 0, 1])], precision=25)
     unit, dist, mu = weierstrass_prepare(f)
     assert mu == 1
-    assert [c.as_fraction() if c.is_exact() else c.lift(25) for c in dist.coeffs] \
+    assert [c.as_fraction() if c.precision is None else c.lift(25) for c in dist.coeffs] \
         == [3, 0, 1]
     assert unit.coeffs[0].valuation() == 0
     assert unit.coeffs[1].lift(20) == 1      # unit congruent to 1 + X

@@ -1,12 +1,15 @@
 """Integer ledger kernels against the replaced Fraction and per-term code.
 
-``thetapm.polys``, the fraction-free ``_bareiss_det`` and the integer
-certificate resultant must give what the code in ``ledger_oracle`` gave,
-including zero polynomials, trailing zeros, row swaps, singular matrices
+``thetapm.polys``, the integer Bareiss determinant behind
+``sylvester_resultant``, the T-resultant, ``IwasawaElement2.p_split`` and
+the integer certificate resultant must give what the code in
+``ledger_oracle`` and plain ``Fraction`` arithmetic give, including zero
+polynomials, trailing zeros, row swaps, singular matrices, constants in T
 and resultants that vanish within precision.
 """
 
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +19,8 @@ import ledger_oracle as oracle
 
 from thetapm import (IwasawaElement1, IwasawaElement2, PadicScalar, polys,
                      resultant_in_T, vp)
-from thetapm.chern import _fiber_gcd_at_origin, _hensel_weierstrass_t, _t_divmod
+from thetapm.chern import (S_TRUNC, _fiber_gcd_at_origin, _hensel_weierstrass_t,
+                           _t_divmod)
 from thetapm.exceptions import InvalidArgument
 from thetapm.coprimality import _abs_floor_bound, _resultant_mod
 from thetapm.iwasawa import _bareiss_det, weierstrass_prepare
@@ -99,19 +103,20 @@ def test_f_p_kernels_on_zero_polynomials():
 
 
 @ORACLE_SETTINGS
-@given(st.sampled_from(PRIMES), st.integers(1, 3), st.integers(2, 9), st.data())
-def test_hensel_factor_is_distinguished_and_divides(p, d, s_trunc, data):
-    # h in F_p[[S]][T] with h(0, T) = T^d * unit: the lifted W is monic of
-    # degree d, equals T^d mod S and divides h modulo S^s_trunc
+@given(st.sampled_from(PRIMES), st.integers(1, 3), st.integers(1, S_TRUNC), st.data())
+def test_hensel_factor_is_distinguished_and_divides(p, d, width, data):
+    # h in F_p[[S]][T] with h(0, T) = T^d * unit, known to S^width (the rest
+    # zero): the lifted W is monic of degree d, equals T^d mod S and
+    # divides h modulo S^S_TRUNC
     dt = data.draw(st.integers(d, d + 3))
-    h = [data.draw(residues(p, s_trunc, s_trunc)) for _ in range(dt + 1)]
+    h = [data.draw(residues(p, width, width)) for _ in range(dt + 1)]
     for j in range(d):
         h[j][0] = 0
     h[d][0] = data.draw(st.integers(1, p - 1))
-    W = _hensel_weierstrass_t(h, p, s_trunc)
-    assert len(W) == d + 1 and W[d] == [1] + [0] * (s_trunc - 1)
+    W = _hensel_weierstrass_t(h, p)
+    assert len(W) == d + 1 and W[d] == [1] + [0] * (S_TRUNC - 1)
     assert all(W[j][0] == 0 for j in range(d))
-    _, rem = _t_divmod(h, W, p, s_trunc)
+    _, rem = _t_divmod(h, W, p)
     assert not any(map(any, rem))
 
 
@@ -167,7 +172,7 @@ def test_fiber_gcd_by_pseudo_remainders_matches_rational_euclid(c, a, b):
     assert _fiber_gcd_at_origin(_t_element(fa), _t_element(ga), 3) == want
 
 
-# -- the Bareiss determinant over Q[S] --------------------------------------------
+# -- the Bareiss determinant over Z[S] and the T-resultant -------------------------
 
 def sylvester(f, g):
     """Sylvester matrix of T-polynomials given as S-coefficient lists."""
@@ -182,8 +187,19 @@ def sylvester(f, g):
     return M
 
 
-def s_polys(max_size=3):
-    frac = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 9]))
+def cleared_rows(M):
+    """(integer matrix, product of the row scales): each row of a rational
+    matrix times the lcm of its denominators, entries trimmed."""
+    rows, scales = [], []
+    for row in M:
+        den = lcm(*(Fraction(c).denominator for e in row for c in e))
+        scales.append(den)
+        rows.append([polys.trim([int(c * den) for c in e]) for e in row])
+    return rows, prod(scales)
+
+
+def s_polys(max_size=3, dens=(1, 2, 3, 4, 9)):
+    frac = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(dens))
     return st.lists(frac, min_size=1, max_size=max_size)
 
 
@@ -192,7 +208,8 @@ def s_polys(max_size=3):
        st.lists(s_polys(), min_size=2, max_size=4))
 def test_bareiss_det_matches_oracle_on_rational_sylvester(f, g):
     M = sylvester(f, g)
-    assert _bareiss_det(M) == oracle._bareiss_det(M)
+    rows, scale = cleared_rows(M)
+    assert _bareiss_det(rows) == [c * scale for c in oracle._bareiss_det(M)]
 
 
 def test_bareiss_det_zero_pivot_forces_row_swap():
@@ -202,14 +219,16 @@ def test_bareiss_det_zero_pivot_forces_row_swap():
          [[F(1)], [F(5)], [F(0), F(0), F(7, 4)]]]
     want = oracle._bareiss_det(M)
     assert want != [F(0)]
-    assert _bareiss_det(M) == want
+    rows, scale = cleared_rows(M)
+    assert rows[0][0] == [0]
+    assert _bareiss_det(rows) == [c * scale for c in want]
 
 
 def test_bareiss_det_singular_matrix_is_zero():
-    F = Fraction
-    row = [[F(1), F(2)], [F(1, 2)], [F(0), F(3)]]
-    M = [row, [[F(4)], [F(0), F(1)], [F(5)]], list(row)]
-    assert _bareiss_det(M) == oracle._bareiss_det(M) == [F(0)]
+    row = [[1, 2], [1], [0, 3]]
+    M = [row, [[4], [0, 1], [5]], list(row)]
+    assert oracle._bareiss_det(M) == [0]
+    assert _bareiss_det(M) == [0]
 
 
 @ORACLE_SETTINGS
@@ -225,6 +244,65 @@ def test_resultant_against_a_constant_in_t_is_a_power(f, g):
         resultant_in_T(IwasawaElement2.from_dict(3, {(i, 0): c for i, c in enumerate(f[0])}),
                        IwasawaElement2.from_dict(3, {(i, j): c for j, co in enumerate(g)
                                                      for i, c in enumerate(co)})).rationals()
+
+
+@st.composite
+def t_polys(draw, p):
+    """Rational T-polynomials of T-degree 0 to 3 with a nonzero leading
+    row; denominators prime to p and divisible by p."""
+    rows = draw(st.lists(s_polys(dens=(1, 2, p, 4 * p, p * p)), min_size=1, max_size=4))
+    lead = draw(st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                          st.sampled_from((1, p, 2))))
+    return rows[:-1] + [rows[-1] + [lead]]
+
+
+def element(p, rows):
+    return IwasawaElement2.from_dict(p, {(i, j): c for j, co in enumerate(rows)
+                                         for i, c in enumerate(co)})
+
+
+@ORACLE_SETTINGS
+@given(st.sampled_from(PRIMES), st.data())
+def test_resultant_in_t_matches_fraction_oracle(p, data):
+    f = data.draw(t_polys(p))
+    g = data.draw(t_polys(p))
+    if data.draw(st.booleans()):
+        f = f[:1]                                  # T-degree 0 on one side
+        if data.draw(st.booleans()):
+            g = g[:1]                              # ... or on both
+    f[-1], g[-1] = list(f[-1]), list(g[-1])
+    for co in (f[-1], g[-1]):
+        if not any(co):
+            co[-1] = Fraction(1, p)
+    m, n = len(f) - 1, len(g) - 1
+    M = sylvester(f, g)
+    want = oracle._bareiss_det(M) if M else [Fraction(1)]
+    got = resultant_in_T(element(p, f), element(p, g)).rationals()
+    assert got == [(-1) ** (m * n) * c for c in want]
+
+
+@ORACLE_SETTINGS
+@given(st.sampled_from(PRIMES), st.data())
+def test_p_split_matches_fraction_valuation_and_residues(p, data):
+    rows = data.draw(st.lists(s_polys(dens=(1, 2, p, p * p, 5 * p ** 3)),
+                              min_size=1, max_size=3))
+    scale = Fraction(p) ** data.draw(st.integers(-3, 3))
+    terms = {(i, j): c * scale for j, co in enumerate(rows) for i, c in enumerate(co) if c}
+    v, residues = element(p, [[c * scale for c in co] for co in rows]).p_split()
+    if not terms:
+        assert (v, residues) == (None, {})
+        return
+
+    def val(c):
+        return vp(c.numerator, p) - vp(c.denominator, p)
+    want_v = min(map(val, terms.values()))
+    want = {}
+    for k, c in terms.items():
+        c /= Fraction(p) ** want_v
+        r = c.numerator * pow(c.denominator, -1, p) % p
+        if r:
+            want[k] = r
+    assert v == want_v and residues == want and residues
 
 
 # -- PadicScalar views ----------------------------------------------------------------
@@ -244,7 +322,7 @@ def test_zero_products_keep_todays_floors():
     assert repr(oracle.padic_mul(o5, o7)) == "O(3^12)"
     assert repr(oracle.padic_mul(o5, 3)) == "O(3^6)"
     assert repr(oracle.padic_mul(PadicScalar.from_unit(3, 1, 2, precision=5), o7)) == "O(3^8)"
-    assert oracle.padic_mul(o5, PadicScalar.zero(3)).is_exact_zero()
+    assert repr(oracle.padic_mul(o5, PadicScalar.zero(3))) == "0 (exact)"
 
 
 @st.composite
@@ -294,7 +372,7 @@ def test_certificate_resultant_matches_padic_elimination_oracle(pair):
     _, dg, _ = weierstrass_prepare(g)
     floor = _abs_floor_bound(df, dg)
     res = _resultant_mod(df, dg, floor)
-    if f.coeffs[0].is_exact():
+    if f.coeffs[0].precision is None:
         F, G = (IwasawaElement2.from_dict(p, {(0, j): c for j, c in enumerate(x.rationals())})
                 for x in (f, g))
         (det,) = resultant_in_T(F, G).rationals()        # (-1)^(mn) times the determinant

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from thetapm import (CurveData, InvalidArgument, IsolationFailure,
-                     ResourceLimit, build_space, bundled_curve, eval_path,
+                     ResourceLimit, build_space, bundled_curve,
                      extract_eigensymbol, make_twisted_evaluator,
                      twist_symbol_value)
 from thetapm.modsym import P1Table
@@ -267,12 +267,6 @@ def test_relations_vanish_detects_altered_values(sym32):
         assert sp.relations_vanish(vals)
         doubled = [2 * v if i % 3 == 0 else v for i, v in enumerate(vals)]
         assert not sp.relations_vanish(doubled)
-
-
-def test_eval_path_requires_positive_denominator(sym32):
-    plus, _, _, _ = sym32
-    with pytest.raises(InvalidArgument):
-        eval_path(plus, 1, 0)
 
 
 def test_birch_coherence_between_normalizations(sym32):

@@ -31,9 +31,9 @@ def test_exact_construction_and_views():
 
 def test_zero_semantics():
     z = PadicScalar.zero(3)
-    assert z.is_exact_zero()
+    assert z.is_zero_within_precision() and z.precision is None   # exact zero
     zb = PadicScalar.zero(3, known_to=7)
-    assert zb.is_zero_within_precision() and not zb.is_exact_zero()
+    assert zb.is_zero_within_precision() and zb.precision == 7
     with pytest.raises(PrecisionError):
         zb.valuation()
     assert zb._abs_floor() == 7
