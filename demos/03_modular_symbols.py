@@ -36,3 +36,15 @@ for (a, m) in [(1, 9), (2, 9), (4, 9)]:
     print("  twisted [%d/%d]+ = %d" % (a, m, tev(a, m)))
 print("identity twist returns the base values:",
       twist_symbol_value((plus, minus), 1, 1, 5) == (evp(1, 5), evm(1, 5)))
+
+twist = curve.quadratic_twist(-3)
+direct = extract_eigensymbol(build_space(twist.conductor), twist, +1)
+dev = direct.evaluator()
+tev3 = make_twisted_evaluator(minus, -3)    # plus family of the twist
+ratios = {Fraction(tev3(a, m), dev(a, m))
+          for m in (5, 7, 11) for a in range(1, m) if dev(a, m)}
+print("\ndirect plus symbol of the twist by -3 at level %d: certificate %s,"
+      " content %s" % (twist.conductor, direct.ap_certificate,
+                       direct.normalization_content))
+print("Birch sums / direct values, one global scalar:",
+      ", ".join(map(str, sorted(ratios))))

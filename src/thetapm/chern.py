@@ -21,7 +21,7 @@ from math import gcd
 from . import polys
 from .curves import kronecker_symbol, local_reduction_type, unit_square_class
 from .exceptions import (CommonFactorWithinPrecision, InvalidArgument,
-                         NotPseudoNull, UnsupportedShape)
+                         NotPseudoNull, TruncationError, UnsupportedShape)
 from .iwasawa import newton_invariants, resultant_in_T
 from .padics import vp
 
@@ -104,12 +104,15 @@ def _fp2_shift_s(h, e):
 
 
 def _fp2_t_poly(h, p):
-    """As a T-polynomial: list over T-degree of F_p[S] coefficient lists."""
+    """As a T-polynomial: list over T-degree of F_p[S] coefficient lists;
+    a term beyond the S-adic precision raises rather than being dropped."""
     dt = max((j for (_, j) in h), default=0)
     out = [[0] * S_TRUNC for _ in range(dt + 1)]
     for (i, j), c in h.items():
-        if i < S_TRUNC:
-            out[j][i] = c % p
+        if i >= S_TRUNC:
+            raise TruncationError("term S^%d T^%d is beyond the S-adic precision %d"
+                                  % (i, j, S_TRUNC))
+        out[j][i] = c % p
     while len(out) > 1 and all(x == 0 for x in out[-1]):
         out.pop()
     return out
@@ -134,11 +137,12 @@ def _t_divmod(f, w, p):
     return q, f
 
 
-def _t_multiplicity(g, w, p, cap=64):
-    """Multiplicity of monic w in the T-polynomial g over F_p[[S]]."""
+def _t_multiplicity(g, w, p, cap=None):
+    """Multiplicity of monic w in the T-polynomial g over F_p[[S]], stopped
+    at ``cap``; each exact division lowers the T-degree, so none is needed."""
     mult = 0
     cur = g
-    while mult < cap:
+    while mult != cap:
         if len(cur) - 1 < len(w) - 1:
             break
         q, r = _t_divmod(cur, w, p)
@@ -273,7 +277,7 @@ def _divisible_by_pbar(hbar, pbar, p):
     return _pbar_multiplicity(hbar, pbar, p, cap=1) >= 1
 
 
-def _pbar_multiplicity(hbar, pbar, p, cap=64):
+def _pbar_multiplicity(hbar, pbar, p, cap=None):
     """Pbar-adic valuation of hbar in F_p[[S,T]] localized at (Pbar)."""
     dt = max((j for (_, j) in pbar), default=0)
     ds = max((i for (i, _) in pbar), default=0)

@@ -2,18 +2,22 @@
 
 Generators are the points of P^1(Z/N), one per orbit of the units of Z/N,
 found by enumerating the orbits; the quotient by the two- and three-term
-relations is computed once by exact Gaussian elimination.  An
-eigensymbol is a Hecke/involution eigenfunctional on the quotient, scaled
-to integer generator values of content one, and path values {oo, a/m} are
-produced by the continued-fraction (Manin) trick.
+relations is computed once by fraction-free elimination, each generator's
+class an integer row over one denominator per space.  The star involution
+and the Hecke operators are integer matrices scaled by that denominator,
+built once per space and operator and kept on the space.  An eigensymbol
+is a Hecke/involution eigenfunctional on the quotient, cut out on integers
+by fraction-free elimination and scaled to integer generator values of
+content one; path values {oo, a/m} are produced by the continued-fraction
+(Manin) trick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .curves import is_fundamental_discriminant, kronecker_symbol
 from .exceptions import (InvalidArgument, IsolationFailure, ResourceLimit)
@@ -68,17 +72,22 @@ class P1Table:
 
 
 class ManinSymbolSpace:
-    """Quotient of Q[P^1(Z/N)] by the Manin relations, with Hecke action."""
+    """Quotient of Q[P^1(Z/N)] by the Manin relations, with Hecke action.
+
+    Generator i has class ``reduction[i]`` / ``den``, with ``reduction[i]`` a
+    list of integer (basis position, coefficient) pairs.  The star and Hecke
+    matrices are integer, scaled by ``den``, built once and shared.
+    """
 
     def __init__(self, N):
         self.level = N
         self.p1 = P1Table(N)
         self.generators = self.p1.reps
         self.relation_rows = self._relations()
-        self.reduction = self._eliminate(self.relation_rows)
-        self.basis = sorted(i for i, e in enumerate(self.reduction) if e is None)
-        self.bindex = {g: i for i, g in enumerate(self.basis)}
+        self.basis, self.den, self.reduction = self._quotient(self.relation_rows)
         self.dim = len(self.basis)
+        self._star = None
+        self._hecke = {}
 
     # -- relations ------------------------------------------------------
 
@@ -111,54 +120,44 @@ class ManinSymbolSpace:
     def hecke_holds(self, values, ell, a):
         """True when values, read on the basis, satisfy T_ell w = a w."""
         w = [values[g] for g in self.basis]
-        return all(sum(t * x for t, x in zip(row, w)) == a * wi
+        return all(sum(map(mul, row, w)) == a * self.den * wi
                    for row, wi in zip(self.hecke_matrix(ell), w))
 
-    def _eliminate(self, rows):
-        n = len(self.generators)
+    def _quotient(self, rows):
+        """(basis, den, reduction): fraction-free sparse elimination, the
+        largest generator of each relation its pivot.  The pivot rows end as
+        the reduced echelon form with columns in decreasing order, so the
+        basis and every class depend on the relations alone."""
         pivots = {}
-
-        def substitute(r):
-            r = dict(r)
-            again = True
-            while again:
-                again = False
-                for k in list(r):
-                    if k in pivots:
-                        c = r.pop(k)
-                        for k2, v2 in pivots[k].items():
-                            r[k2] = r.get(k2, Fraction(0)) + c * v2
-                        again = True
-                for k in [k for k, v in r.items() if v == 0]:
-                    del r[k]
-            return r
-
-        for row in rows:
-            r = substitute({k: Fraction(v) for k, v in row.items()})
+        for r in rows:
+            for k in [k for k in r if k in pivots]:
+                r = _clear(r, pivots[k], k)
             if not r:
                 continue
             k = max(r)
-            c = r.pop(k)
-            expr = {k2: -v / c for k2, v in r.items()}
-            pivots[k] = expr
-            for kk, e in list(pivots.items()):
-                if k in e:
-                    c2 = e.pop(k)
-                    for k3, v3 in expr.items():
-                        e[k3] = e.get(k3, Fraction(0)) + c2 * v3
-                    pivots[kk] = {a: b for a, b in e.items() if b != 0}
-        return [pivots.get(i) for i in range(n)]
+            g = gcd(*r.values()) if r[k] > 0 else -gcd(*r.values())
+            r = {j: v // g for j, v in r.items()}
+            for kk, row in pivots.items():
+                if k in row:
+                    pivots[kk] = _clear(row, r, k)
+            pivots[k] = r
+        basis = [i for i in range(len(self.generators)) if i not in pivots]
+        bindex = {g: i for i, g in enumerate(basis)}
+        den = lcm(*(row[k] for k, row in pivots.items()))
+        # pivot row r: r[k] x_k + sum of r[j] x_j over basis generators j = 0
+        reduction = [[(bindex[i], den)] if i in bindex else
+                     sorted((bindex[j], -v * (den // pivots[i][i]))
+                            for j, v in pivots[i].items() if j != i)
+                     for i in range(len(self.generators))]
+        return basis, den, reduction
 
     # -- vectors over the basis ------------------------------------------
 
     def gen_vector(self, i):
-        v = [Fraction(0)] * self.dim
-        e = self.reduction[i]
-        if e is None:
-            v[self.bindex[i]] = Fraction(1)
-        else:
-            for k, c in e.items():
-                v[self.bindex[k]] += c
+        """Class of generator i on the basis, scaled by ``den``."""
+        v = [0] * self.dim
+        for k, c in self.reduction[i]:
+            v[k] += c
         return v
 
     def path_gen_indices(self, a, b):
@@ -175,38 +174,15 @@ class ManinSymbolSpace:
             a, b = -a, -b
         look = self.p1.table
         xx, yy = a, b
-        pm1, qm1 = 1, 0
-        pj = qj = 0
+        qj, qm1 = 0, 1           # convergent denominators q_(j), q_(j-1)
         sign = -1
-        first = True
         while yy:
             q0, r = divmod(xx, yy)
             xx, yy = yy, r
-            if first:
-                pj, qj = q0, 1
-                first = False
-            else:
-                pj, qj, pm1, qm1 = q0 * pj + pm1, q0 * qj + qm1, pj, qj
+            qj, qm1 = q0 * qj + qm1, qj
             out.append(look[((sign * qj) % N) * N + qm1 % N])
             sign = -sign
         return out
-
-    def path_vector(self, a, b):
-        v = [Fraction(0)] * self.dim
-        for idx in self.path_gen_indices(a, b):
-            e = self.reduction[idx]
-            if e is None:
-                v[self.bindex[idx]] += 1
-            else:
-                for k, c in e.items():
-                    v[self.bindex[k]] += c
-        return v
-
-    def segment_vector(self, n1, d1, n2, d2):
-        """{n1/d1, n2/d2} = {oo, n2/d2} - {oo, n1/d1}."""
-        v2 = self.path_vector(n2, d2)
-        v1 = self.path_vector(n1, d1)
-        return [a - b for a, b in zip(v2, v1)]
 
     # -- operators --------------------------------------------------------
 
@@ -224,59 +200,92 @@ class ManinSymbolSpace:
         return (x, -y, c0, d0)   # a*d - b*c = 1
 
     def star_matrix(self):
-        """Involution induced by (c:d) -> (-c:d); rows are images of basis."""
-        look = self.p1.lookup
-        return [self.gen_vector(look(-self.generators[g][0], self.generators[g][1]))
-                for g in self.basis]
+        """Involution induced by (c:d) -> (-c:d), scaled by ``den``; rows
+        are images of basis elements."""
+        if self._star is None:
+            look = self.p1.lookup
+            self._star = [self.gen_vector(look(-self.generators[g][0],
+                                               self.generators[g][1]))
+                          for g in self.basis]
+        return self._star
 
     def hecke_matrix(self, ell):
-        """T_ell for a good prime ell, via the degree-ell path correspondence."""
+        """T_ell for a good prime ell, scaled by ``den``; rows are images of
+        basis elements."""
+        if ell not in self._hecke:
+            self._hecke[ell] = self._build_hecke(ell)
+        return self._hecke[ell]
+
+    def _build_hecke(self, ell):
+        """T_ell via the degree-ell path correspondence."""
         if self.level % ell == 0:
             raise InvalidArgument("T_%d at a bad prime is not supported" % ell)
         mats = [(1, b, 0, ell) for b in range(ell)] + [(ell, 0, 0, 1)]
+        red = self.reduction
         rows = []
         for g in self.basis:
             c, d = self.generators[g]
             a0, b0, c0, d0 = self._lift_to_sl2(c, d)
-            vec = [Fraction(0)] * self.dim
+            vec = [0] * self.dim
             for (A, B, C, Dd) in mats:
-                n1, e1 = A * b0 + B * d0, C * b0 + Dd * d0
-                n2, e2 = A * a0 + B * c0, C * a0 + Dd * c0
-                seg = self.segment_vector(n1, e1, n2, e2)
-                for i in range(self.dim):
-                    vec[i] += seg[i]
+                # the segment {n1/e1, n2/e2} is {oo, n2/e2} - {oo, n1/e1}
+                for s, x, y in ((1, a0, c0), (-1, b0, d0)):
+                    for idx in self.path_gen_indices(A * x + B * y, C * x + Dd * y):
+                        for k, v in red[idx]:
+                            vec[k] += s * v
             rows.append(vec)
         return rows
 
 
+def _clear(r, pivot_row, k):
+    """Sparse row r with column k cleared against pivot_row, divided by its
+    content; the multiplier of r is pivot_row[k], so its sign is kept."""
+    out = {j: pivot_row[k] * v for j, v in r.items()}
+    for j, v in pivot_row.items():
+        out[j] = out.get(j, 0) - r[k] * v
+    out = {j: v for j, v in out.items() if v}
+    g = gcd(*out.values())
+    return {j: v // g for j, v in out.items()} if g > 1 else out
+
+
+def _primitive(v):
+    """An integer vector divided by its content (the zero vector as is)."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
 def _nullspace(rows, dim):
-    rows = [list(r) for r in rows if any(x != 0 for x in r)]
+    """(free, vectors): the free columns of the integer matrix ``rows``
+    and for each a primitive kernel vector, nonzero there and zero at the
+    other free columns.  Fraction-free, rows divided by their content."""
+    rows = [_primitive(list(r)) for r in rows if any(r)]
     pivots = []
     r = 0
     for c in range(dim):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
+        pv = prow[c]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = _primitive([pv * x - f * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     free = [c for c in range(dim) if c not in pivots]
+    scale = lcm(*(rows[i][pc] for i, pc in enumerate(pivots)))
     out = []
     for fc in free:
-        v = [Fraction(0)] * dim
-        v[fc] = Fraction(1)
+        v = [0] * dim
+        v[fc] = scale
         for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        out.append(v)
-    return out
+            v[pc] = -rows[i][fc] * (scale // rows[i][pc])
+        out.append(_primitive(v))
+    return free, out
 
 
 @dataclass
@@ -357,20 +366,18 @@ def extract_eigensymbol(space, curve, sign, ell_bound=60):
     """Isolate the one-dimensional (T_ell, star)-eigenfunctional for the curve.
 
     Good primes are used in increasing order until the space is a line; if
-    it never becomes one, the failure is loud rather than arbitrary.
+    it never becomes one, the failure is loud rather than arbitrary.  The
+    content is read off the line's vector that is one at the free column
+    the cuts leave, the vector exact rational elimination ends with.
     """
     if curve.conductor != space.level:
         raise InvalidArgument("level %d != conductor %d" % (space.level, curve.conductor))
     if sign not in (1, -1):
         raise InvalidArgument("sign must be +1 or -1")
-    dim = space.dim
-    J = space.star_matrix()
-    rows = []
-    for i in range(dim):
-        r = list(J[i])
-        r[i] -= sign
-        rows.append(r)
-    V = _nullspace(rows, dim)
+    den = space.den
+    rows = [[x - sign * den if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(space.star_matrix())]
+    free, V = _nullspace(rows, space.dim)
     certificate = []
     ell = 2
     while len(V) > 1:
@@ -382,37 +389,25 @@ def extract_eigensymbol(space, curve, sign, ell_bound=60):
             continue
         a = curve.ap(ell)
         T = space.hecke_matrix(ell)
-        rows2 = []
-        for i in range(dim):
-            rows2.append([sum(T[i][j] * vb[j] for j in range(dim)) - a * vb[i]
-                          for vb in V])
-        C = _nullspace(rows2, len(V))
-        V = [[sum(c[k] * V[k][i] for k in range(len(V))) for i in range(dim)]
-             for c in C]
+        # column k is (T - a) applied to V[k]
+        cols = [[sum(map(mul, row, vb)) - a * den * x for row, x in zip(T, vb)]
+                for vb in V]
+        cut, C = _nullspace(list(zip(*cols)), len(V))
+        V = [_primitive([sum(map(mul, c, col)) for col in zip(*V)]) for c in C]
+        free = [free[k] for k in cut]
         certificate.append((ell, a))
         ell = _next_prime(ell)
     if not V:
         raise IsolationFailure("eigenspace is empty; wrong sign or curve data")
     w = V[0]
-    genvals = []
-    for i in range(len(space.generators)):
-        e = space.reduction[i]
-        if e is None:
-            genvals.append(w[space.bindex[i]])
-        else:
-            genvals.append(sum(c * w[space.bindex[k]] for k, c in e.items()))
-    den = reduce(lambda x, y: x * y // gcd(x, y),
-                 [f.denominator for f in genvals], 1)
-    ints = [int(f * den) for f in genvals]
-    content = reduce(gcd, ints, 0)
+    values = [sum(c * w[k] for k, c in row) for row in space.reduction]
+    content = gcd(*values)
     if content == 0:
         raise IsolationFailure("eigenfunctional vanishes on all generators")
-    ints = [x // content for x in ints]
-    leading = next(x for x in ints if x)
-    if leading < 0:
-        ints = [-x for x in ints]
-    scale = Fraction(den, content) * (1 if leading > 0 else -1)
-    return EigenSymbol(space.level, sign, ints, Fraction(1) / scale,
+    lead = 1 if next(x for x in values if x) > 0 else -1
+    ints = [lead * (x // content) for x in values]
+    return EigenSymbol(space.level, sign, ints,
+                       Fraction(lead * content, den * w[free[0]]),
                        label=curve.label, ap_certificate=certificate,
                        _space=space)
 

@@ -7,9 +7,10 @@ import pytest
 from thetapm import (C2Divisor, CommonFactorWithinPrecision, CurveData,
                      FrobeniusData, InvalidArgument, IwasawaElement2,
                      NotPseudoNull, PrimeDescriptor, ReductionData,
-                     UnsupportedShape, bundled_curve, classify_reduction,
-                     fudge_c2, local_length_vertical, place_contribution,
-                     pushforward_c2, theorem_ledger, vertical_divisor_mod_p)
+                     TruncationError, UnsupportedShape, bundled_curve,
+                     classify_reduction, fudge_c2, local_length_vertical,
+                     place_contribution, pushforward_c2, theorem_ledger,
+                     vertical_divisor_mod_p)
 from thetapm.chern import binomial_series_mod_p, frobenius_character_mod_p
 
 from twovar import mul2
@@ -128,6 +129,21 @@ def test_length_brute_force_dimension_oracle():
             f = el2({(0, 0): p})
             g = el2({(0, a): 1})
             assert local_length_vertical((f, g), {(0, 1): 1}) == a == dim // d
+
+
+def test_length_s_term_beyond_precision_raises():
+    # T + S^23 is a unit at (3, T); an S^24 term is beyond S_TRUNC and would
+    # be dropped, reading T + S^24 as T
+    f = el2({(0, 0): 3})
+    assert local_length_vertical((f, el2({(0, 1): 1, (23, 0): 1})), {(0, 1): 1}) == 0
+    with pytest.raises(TruncationError):
+        local_length_vertical((f, el2({(0, 1): 1, (24, 0): 1})), {(0, 1): 1})
+
+
+@pytest.mark.parametrize("a", [63, 64, 70])
+def test_length_high_t_multiplicity_is_exact(a):
+    f = el2({(0, 0): 3})
+    assert local_length_vertical((f, el2({(0, a): 1})), {(0, 1): 1}) == a
 
 
 # -- pushforward -------------------------------------------------------------------

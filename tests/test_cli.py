@@ -1,6 +1,6 @@
 import json
 import os
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
@@ -103,14 +103,10 @@ def _other_star_vector(values, opposite):
     from thetapm.modsym import _nullspace
     space = build_space(32)
     sign = 1 if space.star_holds(values, 1) else -1
-    rows = [[x - (sign if i == j else 0) for j, x in enumerate(row)]
+    rows = [[x - (sign * space.den if i == j else 0) for j, x in enumerate(row)]
             for i, row in enumerate(space.star_matrix())]
-    for w in _nullspace(rows, space.dim):
-        gens = [w[space.bindex[i]] if e is None
-                else sum(c * w[space.bindex[k]] for k, c in e.items())
-                for i, e in enumerate(space.reduction)]
-        den = lcm(*(x.denominator for x in gens))
-        ints = [int(x * den) for x in gens]
+    for w in _nullspace(rows, space.dim)[1]:
+        ints = [sum(c * w[k] for k, c in row) for row in space.reduction]
         g = gcd(*ints)
         ints = [x // g for x in ints]
         if next(x for x in ints if x) < 0:

@@ -5,11 +5,13 @@ from math import gcd
 import pytest
 
 from thetapm import (CurveData, InvalidArgument, IsolationFailure,
-                     ResourceLimit, build_space, bundled_curve,
-                     extract_eigensymbol, make_twisted_evaluator,
-                     twist_symbol_value)
-from thetapm.modsym import P1Table
+                     ResourceLimit, RunConfig, Workbench, build_space,
+                     bundled_curve, extract_eigensymbol,
+                     make_twisted_evaluator, twist_symbol_value)
+from thetapm.cache import store_symbol
+from thetapm.modsym import ManinSymbolSpace, P1Table
 
+import modsym_oracle
 from p1_oracle import normalize
 
 
@@ -58,6 +60,19 @@ def test_space_dimensions():
     assert build_space(11).dim == 3
 
 
+def test_quotient_denominator_from_pivot_coefficients():
+    """A relation whose pivot coefficient is not one gives the space a
+    denominator: 2 x_2 + x_0 = 0 and 3 x_3 = x_1 make x_2 = -x_0 / 2 and
+    x_3 = x_1 / 3, so den = 6.  The Manin relations of the bundled levels
+    leave den = 1, so the relations here are built by hand."""
+    class Relations:
+        generators = [None] * 4
+    basis, den, reduction = ManinSymbolSpace._quotient(
+        Relations(), [{0: 1, 2: 2}, {3: 3, 1: -1}, {2: 4, 0: 2}])
+    assert (basis, den) == ([0, 1], 6)
+    assert reduction == [[(0, 6)], [(1, 6)], [(0, -3)], [(1, 2)]]
+
+
 def test_manin_relations_hold_in_quotient():
     sp = build_space(32)
     N = sp.level
@@ -97,13 +112,14 @@ def test_extract_eigensymbol_hecke_residuals_exact():
         assert all(isinstance(v, int) for v in sym.values_on_generators)
         from functools import reduce
         assert reduce(gcd, sym.values_on_generators) == 1
-        w = [Fraction(sym.values_on_generators[g]) for g in sp.basis]
-        # residuals (T_ell - a_ell) w = 0 exactly for all good ell <= 50
+        w = [sym.values_on_generators[g] for g in sp.basis]
+        # residuals (T_ell - a_ell) w = 0 exactly for all good ell <= 50;
+        # the integer T_ell is scaled by the space's denominator
         for ell in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
             a = c.ap(ell)
             T = sp.hecke_matrix(ell)
             for i in range(sp.dim):
-                assert sum(T[i][j] * w[j] for j in range(sp.dim)) == a * w[i]
+                assert sum(T[i][j] * w[j] for j in range(sp.dim)) == sp.den * a * w[i]
 
 
 def test_eigensymbol_star_action():
@@ -111,9 +127,9 @@ def test_eigensymbol_star_action():
     c = bundled_curve("32a")
     sym = extract_eigensymbol(sp, c, -1)
     J = sp.star_matrix()
-    w = [Fraction(sym.values_on_generators[g]) for g in sp.basis]
+    w = [sym.values_on_generators[g] for g in sp.basis]
     for i in range(sp.dim):
-        assert sum(J[i][j] * w[j] for j in range(sp.dim)) == -w[i]
+        assert sum(J[i][j] * w[j] for j in range(sp.dim)) == -sp.den * w[i]
 
 
 def test_eigensymbol_level_11():
@@ -130,6 +146,70 @@ def test_isolation_failure_is_loud():
     fake.ap_cache = {ell: 99 for ell in range(2, 100)}
     with pytest.raises((IsolationFailure, InvalidArgument)):
         extract_eigensymbol(sp, fake, +1, ell_bound=20)
+
+
+# -- the integer path against the Fraction oracle ------------------------------------
+
+ORACLE_CURVES = [bundled_curve(label) for label in ("32a", "40a", "56a")] + [
+    CurveData("11a1", (0, -1, 1, -10, -20), 11),
+    CurveData("37a1", (0, 0, 1, -1, 0), 37),
+    CurveData("131a1", (0, -1, 1, 1, 0), 131)]
+
+
+@pytest.mark.parametrize("curve", ORACLE_CURVES, ids=lambda c: c.label)
+def test_integer_extraction_matches_fraction_oracle(curve):
+    """Same basis, the same classes and matrices up to the denominator, and
+    the same symbols of both signs, normalization content included."""
+    sp = build_space(curve.conductor)
+    osp = modsym_oracle.ManinSymbolSpace(curve.conductor)
+    assert sp.basis == osp.basis
+
+    def scaled(rows):
+        return [[Fraction(x, sp.den) for x in row] for row in rows]
+    assert scaled(sp.gen_vector(i) for i in range(len(sp.generators))) == [
+        osp.gen_vector(i) for i in range(len(osp.generators))]
+    assert scaled(sp.star_matrix()) == osp.star_matrix()
+    for sign in (1, -1):
+        sym = extract_eigensymbol(sp, curve, sign)
+        assert sym.to_dict() == modsym_oracle.extract_eigensymbol(
+            osp, curve, sign).to_dict()
+        for ell, _ in sym.ap_certificate:
+            assert scaled(sp.hecke_matrix(ell)) == osp.hecke_matrix(ell)
+
+
+def test_oracle_cache_entry_loads_from_disk(tmp_path):
+    c = bundled_curve("56a")
+    osp = modsym_oracle.ManinSymbolSpace(c.conductor)
+    want = {}
+    for sign in (1, -1):
+        sym = modsym_oracle.extract_eigensymbol(osp, c, sign)
+        store_symbol(str(tmp_path), sym)
+        want[sign] = sym.to_dict()
+    wb = Workbench(RunConfig(cache_dir=str(tmp_path)))
+    for sign in (1, -1):
+        sym, source = wb.symbol(c, sign)
+        assert source == "disk"
+        assert sym.to_dict() == want[sign]
+
+
+def test_hecke_matrix_built_once_per_space(tmp_path, monkeypatch):
+    """Both signs and the check of a cached symbol share each T_ell."""
+    built = []
+    original = ManinSymbolSpace._build_hecke
+
+    def spy(space, ell):
+        built.append((id(space), ell))
+        return original(space, ell)
+    monkeypatch.setattr(ManinSymbolSpace, "_build_hecke", spy)
+    c = bundled_curve("40a")
+    wb = Workbench(RunConfig(cache_dir=str(tmp_path)))
+    sp = wb.space(c.conductor)
+    plus = extract_eigensymbol(sp, c, +1)
+    minus = extract_eigensymbol(sp, c, -1)
+    store_symbol(str(tmp_path), plus)
+    assert wb.symbol(c, +1)[1] == "disk"
+    ells = {ell for ell, _ in plus.ap_certificate + minus.ap_certificate}
+    assert sorted(built) == sorted((id(sp), ell) for ell in ells | {wb.config.p})
 
 
 # -- path evaluation ---------------------------------------------------------------
