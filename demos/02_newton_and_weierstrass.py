@@ -27,8 +27,8 @@ f = IwasawaElement1.from_rationals(
     p, [3 * c for c in polys.mul([1, 1], [3, 0, 1])], precision=25)
 unit, dist, mu = weierstrass_prepare(f)
 print("  mu =", mu)
-print("  distinguished part:", [c.lift(6) for c in dist.coeffs])
-print("  unit starts with:", [unit.coeffs[i].lift(4) for i in range(2)])
+print("  distinguished part:", dist.lifts(6))
+print("  unit starts with:", unit.lifts(4)[:2])
 
 print("\nhalf-log products (moduli of the signed reconstruction):")
 for parity, n in (("odd", 3), ("even", 4)):
@@ -40,8 +40,7 @@ for parity, n in (("odd", 3), ("even", 4)):
 print("\ntruncated signed logarithms vanish at matching-parity roots:")
 for sign, parity in (("+", "even"), ("-", "odd")):
     log = pollack_log_truncated(p, sign, 4)
-    co = [c.as_fraction() for c in log.coeffs]
-    lifted = IwasawaElement1.from_rationals(p, co)
+    lifted = IwasawaElement1.from_rationals(p, log.rationals())
     pattern = []
     for k in range(1, 5):
         val = lifted.evaluate_at_unity_root(k)

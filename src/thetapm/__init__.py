@@ -30,7 +30,7 @@ from .mazurtate import (MazurTateElement, SignedLSeries, ThetaTarget,
 from .modsym import (EigenSymbol, ManinSymbolSpace, build_space,
                      extract_eigensymbol, make_twisted_evaluator,
                      twist_symbol_value)
-from .padics import PadicScalar, vp
+from .padics import vp
 from .table import (BUNDLED_CURVES, BUNDLED_ROWS, FieldSpec,
                     REFERENCE_INVARIANTS, Workbench, bundled_curve)
 

@@ -246,6 +246,10 @@ def local_length_vertical(ideal, pbar_terms):
     pbar = {k: v % p for k, v in pbar_terms.items() if v % p}
     if not pbar:
         raise InvalidArgument("Pbar vanishes mod p")
+    if (0, 0) in pbar:
+        # a unit spans no prime; swapping the variables of a constant Pbar
+        # would give it back unchanged
+        raise InvalidArgument("Pbar is a unit mod p")
     sf, sg = f.p_split(), g.p_split()
     if any(v is not None and v < 0 for v, _ in (sf, sg)):
         raise InvalidArgument("a generator has a coefficient outside Z_p")

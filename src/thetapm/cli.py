@@ -94,10 +94,14 @@ def _resolve_curve(args):
 
 
 def _series_from_file(path):
+    """A file with ``precision`` is a series with an unknown tail; one
+    without it is an exact polynomial."""
     data = _load_json(path)
     co = [Fraction(c) for c in data["coefficients"]]
-    return IwasawaElement1.from_rationals(int(data["p"]), co,
-                                          precision=data.get("precision"))
+    prec = data.get("precision")
+    f = IwasawaElement1.from_rationals(int(data["p"]), co, precision=prec)
+    f.exact_tail = prec is None
+    return f
 
 
 def _twovar_from_file(path):
@@ -210,7 +214,7 @@ def cmd_specialize(args):
     f = _twovar_from_file(args.twovar_file)
     out = pi_cyc(f)
     rec = {"p": f.p,
-           "coefficients": [str(c.as_fraction()) for c in out.coeffs]}
+           "coefficients": [str(c) for c in out.rationals()]}
     _emit(args, "specialize", [rec])
     return EXIT_OK
 

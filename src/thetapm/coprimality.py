@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exceptions import InvalidArgument, PrecisionError
+from .exceptions import InvalidArgument, PrecisionError, TruncationError
 from .iwasawa import (InvariantProfile, IwasawaElement1, newton_invariants,
                       sylvester_resultant, weierstrass_prepare)
 from .mazurtate import SignedLSeries
@@ -108,7 +108,7 @@ def coprime_certificate(f, g):
     try:
         _, df, _ = weierstrass_prepare(ef)
         _, dg, _ = weierstrass_prepare(eg)
-    except PrecisionError as exc:
+    except (PrecisionError, TruncationError) as exc:
         return CoprimalityCertificate("inconclusive", pf, pg, "inconclusive",
                                       detail="resultant: %s" % exc)
     floor = _abs_floor_bound(df, dg)
@@ -124,15 +124,25 @@ def coprime_certificate(f, g):
 
 
 def _obviously_equal(f, g):
-    if len(f.coeffs) != len(g.coeffs):
+    """Coefficientwise equality to the precision the two sides share: zeros
+    (exact or within precision) match only zeros, and two nonzero values
+    match when they agree modulo the least absolute precision at hand."""
+    if f.trunc_degree != g.trunc_degree:
         return False
-    return all(a == b for a, b in zip(f.coeffs, g.coeffs))
+    for a, b, pa, pb in zip(f.rationals(), g.rationals(),
+                            f.precisions(), g.precisions()):
+        if (a == 0) != (b == 0):
+            return False
+        known = [x for x in (pa, pb) if x is not None]
+        if a != b and (not known or vp(a - b, f.p) < min(known)):
+            return False
+    return True
 
 
 def _abs_floor_bound(df, dg):
     """Least absolute precision of the non-leading coefficients of two
     distinguished parts (each carries one; the leading 1 is exact)."""
-    return min(c._abs_floor() for el in (df, dg) for c in el.coeffs[:-1])
+    return min(a for el in (df, dg) for a in el.precisions()[:-1])
 
 
 def _resultant_mod(f, g, floor):
@@ -143,8 +153,7 @@ def _resultant_mod(f, g, floor):
     result is correct mod p^floor when every coefficient is known to
     absolute precision p^floor.
     """
-    (res,) = sylvester_resultant(*([[c.lift(floor)] for c in el.coeffs]
-                                   for el in (f, g)))
+    (res,) = sylvester_resultant(*([[c] for c in el.lifts(floor)] for el in (f, g)))
     return res
 
 

@@ -1,12 +1,15 @@
 """Truncated Iwasawa-algebra elements, Newton polygons, Weierstrass theory.
 
-One-variable elements model Z_p[[X]] under gamma -> 1 + X.  Their
-coefficients are PadicScalar values, so exact polynomials (tail known to
-vanish) and precision-truncated series (input files, Weierstrass output,
-the signed logarithms) coexist; the Newton polygon never claims digits
-beyond what they carry.  Two-variable elements model Z_p[[S, T]] and are
-exact polynomials: integer numerators over one denominator.  This module is
-the only one that knows that storage; others read an element through
+One-variable elements model Z_p[[X]] under gamma -> 1 + X: integer
+numerators over one positive denominator, with one absolute precision per
+coefficient as data (None when exact) and a flag for an exact tail, so
+exact polynomials and precision-truncated series (input files, Weierstrass
+output, the signed logarithms) coexist; the Newton polygon never claims
+digits beyond what they carry.  Two-variable elements model Z_p[[S, T]]
+and are exact polynomials: integer numerators over one denominator.  This
+module is the only one that knows either storage.  Others read a
+one-variable element through ``rationals``, ``valuations``,
+``precisions`` and ``lifts``, and a two-variable one through
 ``t_polynomial`` (integer S-coefficient rows over ``den``) and ``p_split``
 (its least p-adic valuation and the residues of f / p^v mod p).  The
 T-resultant and the certificate resultant are both ``sylvester_resultant``,
@@ -22,7 +25,7 @@ from math import gcd, lcm
 
 from . import polys
 from .exceptions import (InvalidArgument, PrecisionError, TruncationError)
-from .padics import PadicScalar, vp
+from .padics import is_prime, vp
 from .cyclotomic import cyclotomic_poly_shifted, x_poly_at_zeta_minus_one
 
 DEFAULT_TRUNC = 200
@@ -61,31 +64,70 @@ class InvariantProfile:
 
 
 class IwasawaElement1:
-    """Element of Z_p[[X]] truncated at degree D.
+    """Element of Z_p[[X]] truncated at degree D: integer numerators ``nums``
+    over one positive denominator ``den``, in lowest terms.
 
+    ``prec`` holds one absolute precision per coefficient: the coefficient
+    is known modulo p^prec, or exactly when the entry is None.  A zero
+    numerator with a finite entry is a "zero to O(p^prec)" marker.
     ``exact_tail`` marks honest polynomials: coefficients beyond the stored
     degree are exactly zero rather than unknown.
     """
 
-    __slots__ = ("p", "coeffs", "trunc_degree", "exact_tail")
+    __slots__ = ("p", "nums", "den", "prec", "exact_tail")
 
-    def __init__(self, p, coeffs, exact_tail=False):
+    def __init__(self, p, nums, den=1, prec=None, exact_tail=False):
+        if not is_prime(p) or p == 2:
+            raise InvalidArgument("p must be an odd prime, got %r" % (p,))
+        g = gcd(den, *nums)
         self.p = p
-        self.coeffs = list(coeffs)
-        self.trunc_degree = len(self.coeffs) - 1
+        self.nums = [c // g for c in nums]
+        self.den = den // g
+        self.prec = (None,) * len(self.nums) if prec is None else tuple(prec)
         self.exact_tail = exact_tail
 
     @classmethod
     def from_rationals(cls, p, values, precision=None):
-        return cls(p, [PadicScalar(p, v, precision=precision) for v in values],
-                   exact_tail=True)
+        """Exact polynomial; with ``precision`` every coefficient is known
+        to that many digits beyond its valuation (a zero to O(p^precision))."""
+        values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+        den = lcm(*(v.denominator for v in values))
+        out = cls(p, [v.numerator * (den // v.denominator) for v in values], den,
+                  exact_tail=True)
+        if precision is not None:
+            if precision < 1:
+                raise InvalidArgument("precision must be >= 1")
+            out.prec = tuple(precision + (v or 0) for v in out.valuations())
+        return out
 
     @classmethod
     def zero(cls, p, D=0):
         return cls.from_rationals(p, [0] * (D + 1))
 
+    @property
+    def trunc_degree(self):
+        return len(self.nums) - 1
+
     def rationals(self):
-        return [c.as_fraction() for c in self.coeffs]
+        return [Fraction(c, self.den) for c in self.nums]
+
+    def valuations(self):
+        """p-adic valuation of each coefficient; None for a zero numerator."""
+        e = vp(self.den, self.p)
+        return [None if c == 0 else vp(c, self.p) - e for c in self.nums]
+
+    def precisions(self):
+        """Absolute precision of each coefficient, None where exact."""
+        return self.prec
+
+    def lifts(self, digits):
+        """The coefficients as integers mod p^digits (all must be p-integral)."""
+        p, m = self.p, self.p ** digits
+        q = p ** vp(self.den, p)
+        if any(c % q for c in self.nums):
+            raise InvalidArgument("negative valuation has no integral lift")
+        inv = pow(self.den // q, -1, m)
+        return [c // q * inv % m for c in self.nums]
 
     def evaluate_at_unity_root(self, k):
         """Exact value at X = zeta_{p^k} - 1 (requires exact coefficients)."""
@@ -137,12 +179,11 @@ def newton_invariants(f):
     """
     known = []
     unknown = []
-    for i, c in enumerate(f.coeffs):
-        if c.is_zero_within_precision():
-            if c.precision is not None:
-                unknown.append((i, c.precision))
-            continue
-        known.append((i, c.valuation()))
+    for i, (v, a) in enumerate(zip(f.valuations(), f.prec)):
+        if v is not None:
+            known.append((i, v))
+        elif a is not None:
+            unknown.append((i, a))
     if not known:
         raise PrecisionError("all coefficients are zero within precision")
     mu = min(v for _, v in known)
@@ -193,23 +234,22 @@ def weierstrass_prepare(f):
     D = f.trunc_degree
     if lam >= D and not f.exact_tail:
         raise TruncationError("lambda = %d exceeds truncation %d" % (lam, D))
-    precs = [c.precision for c in f.coeffs]
-    finite = [x for x in precs if x is not None]
-    base = min(finite) if finite else DEFAULT_PRECISION
-    if finite and mu >= base:
+    # relative precisions: digits known beyond each valuation
+    rel = [a if v is None else a - v for v, a in zip(f.valuations(), f.prec)
+           if a is not None]
+    base = min(rel) if rel else DEFAULT_PRECISION
+    if rel and mu >= base:
         raise TruncationError("mu = %d exhausts coefficient precision %d" % (mu, base))
     digits = max(base - mu, 1)
     mod = p ** digits
-    fb = []
-    for c in f.coeffs:
-        if c.is_zero_within_precision():
-            fb.append(0)
-        else:
-            if c.val < mu:
-                raise InvalidArgument("inconsistent mu")
-            shifted = PadicScalar.from_unit(p, c.val - mu, c.num, c.den,
-                                            precision=c.precision)
-            fb.append(shifted.lift(digits))
+    # f / p^mu as integers over dd; each coefficient reduced mod its own
+    # absolute precision, which stays below digits only when mu < 0
+    sh = p ** abs(mu)
+    nums, dd = ([c * sh for c in f.nums], f.den) if mu < 0 else (f.nums, f.den * sh)
+    q = p ** vp(dd, p)
+    inv = pow(dd // q, -1, mod)
+    fb = [c // q * inv % (mod if a is None or a - mu >= digits else p ** (a - mu))
+          for c, a in zip(nums, f.prec)]
     A = [0] * lam + [1]                      # X^lambda
     B = polys.trim([x % p for x in fb[lam:]]) or [0]
     if B == [0] or B[0] % p == 0:
@@ -232,17 +272,9 @@ def weierstrass_prepare(f):
         U = [x % (mod * p) for x in U][:D + 1 - lam] or [1]
     P = [x % mod for x in P[:lam]] + [1]
     U = [x % mod for x in U]
-
-    def wrap(x):
-        # x is determined modulo p^digits absolutely; relative precision is
-        # what remains beyond its valuation
-        if x % mod == 0:
-            return PadicScalar.zero(p, known_to=digits)
-        v = vp(x, p)
-        return PadicScalar.from_unit(p, v, x // p ** v, precision=digits - v)
-    unit = IwasawaElement1(p, [wrap(x) for x in U], exact_tail=False)
-    dist = IwasawaElement1(p, [wrap(x) for x in P], exact_tail=True)
-    dist.coeffs[-1] = PadicScalar(p, 1)      # monic exactly
+    # every coefficient is known modulo p^digits; the leading 1 exactly
+    unit = IwasawaElement1(p, U, prec=[digits] * len(U))
+    dist = IwasawaElement1(p, P, prec=[digits] * lam + [None], exact_tail=True)
     return unit, dist, mu
 
 
@@ -283,9 +315,9 @@ def pollack_log_truncated(p, sign, n_max, D=DEFAULT_TRUNC, N=DEFAULT_PRECISION):
     if prod.trunc_degree > D:
         raise TruncationError("degree %d exceeds truncation %d"
                               % (prod.trunc_degree, D))
-    scale = Fraction(1, p ** (nfac + 1))
-    co = [c.as_fraction() * scale for c in prod.coeffs]
-    return IwasawaElement1.from_rationals(p, co, precision=N)
+    scale = p ** (nfac + 1)
+    return IwasawaElement1.from_rationals(p, [Fraction(c, scale) for c in prod.nums],
+                                          precision=N)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +403,7 @@ def pi_cyc(f):
     for (i, j), v in f.coeffs.items():
         if i + j <= n:
             out[i + j] += v
-    if f.den != 1:
-        out = [Fraction(c, f.den) for c in out]
-    return IwasawaElement1.from_rationals(f.p, out)
+    return IwasawaElement1(f.p, out, f.den, exact_tail=True)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +427,7 @@ def resultant_in_T(f, g):
     # normalized so that a monic g gives the product of f over its roots
     sign = (-1) ** (m * n)
     scale = f.den ** n * g.den ** m
-    return IwasawaElement1.from_rationals(f.p, [Fraction(sign * c, scale) for c in det])
+    return IwasawaElement1(f.p, [sign * c for c in det], scale, exact_tail=True)
 
 
 def sylvester_resultant(f, g):

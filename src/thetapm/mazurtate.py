@@ -132,18 +132,15 @@ class MazurTateElement:
 # signed reconstruction
 
 
-def interpolation_value(target, sign, k, orbit_rep=1):
-    """Exact signed interpolation value at the character with psi(gamma) = zeta^t.
+def interpolation_value(target, sign, k):
+    """Exact signed interpolation value at the character with psi(gamma) = zeta.
 
-    The returned cyclotomic number is the series value at zeta^t - 1; the
-    Galois action permutes these values over the orbit, so any t prime to p
-    determines the same residue modulo the level-k Eisenstein factor.
+    The returned cyclotomic number is the series value at zeta - 1; the
+    Galois action permutes the values over the character orbit, so this one
+    determines the residue modulo the level-k Eisenstein factor.
     """
     p = target.p
-    if orbit_rep % p == 0:
-        raise InvalidArgument("orbit representative must be prime to p")
-    el = target.mazur_tate(k)
-    S = el.evaluate(t=orbit_rep)
+    S = target.mazur_tate(k).evaluate()
     if sign == "+":
         if k % 2 != 1:
             raise InvalidArgument("plus data lives at odd k")
@@ -156,10 +153,7 @@ def interpolation_value(target, sign, k, orbit_rep=1):
         js = range(1, k, 2)
     v = S * sf
     for j in js:
-        inv = phi_value_at_root_inverse(p, j, k)
-        if orbit_rep != 1:
-            inv = inv.galois(orbit_rep % p ** k)
-        v = v * inv
+        v = v * phi_value_at_root_inverse(p, j, k)
     return v
 
 
@@ -262,8 +256,7 @@ def _dominance_certified(profile, rep_coeffs, p, ks):
     return True
 
 
-def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX, auto_extend=True,
-                       orbit_rep=1):
+def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX, auto_extend=True):
     """Reconstruct the signed series of the target modulo a half-log product.
 
     Runs over increasing level sets of matching parity, recording the
@@ -293,11 +286,7 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX, auto_extend=True,
 
     def push_level(k):
         nonlocal theta, mod_coeffs
-        v_k = interpolation_value(target, sign, k, orbit_rep=orbit_rep)
-        if orbit_rep != 1:
-            # normalize to the fixed primitive root: the residue mod the
-            # level-k factor is the value at zeta - 1 itself
-            v_k = v_k.galois(pow(orbit_rep, -1, p ** k))
+        v_k = interpolation_value(target, sign, k)
         values[k] = v_k
         if theta is None:
             theta = zeta_to_x_basis(v_k, p, k)

@@ -5,17 +5,258 @@ replaced: the ``Fraction`` polynomial helpers and the Bareiss determinant
 of ``thetapm.iwasawa``, the ``PadicScalar`` Gaussian elimination that took
 the certificate resultant of ``thetapm.coprimality``, the F_p helpers that
 reduce mod p after every term, the truncated series product and the
-rational remainder of ``thetapm.chern``.  The elimination runs on the
-precision-propagating sum, product and quotient of scalars below, which
-the library no longer has (its scalars carry precision as data and do no
-arithmetic): ``Fraction``-based, as functions of two scalars.  Slow, but
-written term by term, so the integer kernels are checked against them.
+rational remainder of ``thetapm.chern``.  ``PadicScalar``, the one-variable
+coefficient type before series became integers over one denominator, lives
+here too, with the scalar ``newton_invariants`` and ``weierstrass_prepare``
+that read it.  The elimination runs on the precision-propagating sum,
+product and quotient of scalars below, which the scalar class itself never
+had (it carries precision as data and does no arithmetic):
+``Fraction``-based, as functions of two scalars.  Slow, but written term by
+term, so the integer kernels are checked against them.
 """
 
 from fractions import Fraction
 
-from thetapm.exceptions import InvalidArgument
-from thetapm.padics import PadicScalar
+from thetapm import polys
+from thetapm.exceptions import InvalidArgument, PrecisionError, TruncationError
+from thetapm.iwasawa import (DEFAULT_PRECISION, InvariantProfile, hull_value,
+                             lower_hull)
+from thetapm.padics import is_prime, vp
+
+
+class PadicScalar:
+    """Immutable p-adic scalar with its precision; it does no arithmetic.
+
+    The value is p^val * num/den with num and den integers prime to p: an
+    exact scalar keeps num/den in lowest terms with den > 0.
+    ``unit_part(digits)`` gives the canonical integer residue.
+    """
+
+    __slots__ = ("p", "val", "num", "den", "precision", "_zero")
+
+    def __init__(self, p, value, precision=None):
+        if not is_prime(p) or p == 2:
+            raise InvalidArgument("p must be an odd prime, got %r" % (p,))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        num, den = value.numerator, value.denominator
+        self.p, self.precision = p, precision
+        if num == 0:
+            self.val, self.num, self.den, self._zero = 0, 0, 1, True
+            return
+        v = 0
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        self.val, self.num, self.den, self._zero = v, num, den, False
+        if precision is not None and precision < 1:
+            raise InvalidArgument("precision must be >= 1 for a nonzero scalar")
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def zero(cls, p, known_to=None):
+        """Exact zero (known_to=None) or zero-within-precision marker."""
+        return cls(p, 0, precision=known_to)
+
+    @classmethod
+    def from_unit(cls, p, val, num, den=1, precision=None):
+        if not is_prime(p) or p == 2:
+            raise InvalidArgument("p must be an odd prime, got %r" % (p,))
+        if num % p == 0 or den % p == 0:
+            raise InvalidArgument("unit part must be prime to p")
+        out = object.__new__(cls)
+        out.p, out.val, out.num, out.den = p, val, num, den
+        out.precision, out._zero = precision, False
+        return out
+
+    # -- predicates ---------------------------------------------------
+
+    def is_zero_within_precision(self):
+        return self._zero
+
+    # -- views --------------------------------------------------------
+
+    def valuation(self):
+        """Valuation, or None for an exact zero.
+
+        For a zero-within-precision marker this is only a lower bound and
+        PrecisionError is raised instead of guessing.
+        """
+        if self._zero:
+            if self.precision is None:
+                return None
+            raise PrecisionError("valuation unknown: zero to precision %s" % self.precision)
+        return self.val
+
+    def unit_part(self, digits=DEFAULT_PRECISION):
+        if self._zero:
+            raise PrecisionError("zero scalar has no unit part")
+        if self.precision is not None:
+            digits = min(digits, self.precision)
+        m = self.p ** digits
+        return self.num * pow(self.den, -1, m) % m
+
+    def as_fraction(self):
+        if self._zero:
+            return Fraction(0)
+        if self.val < 0:
+            return Fraction(self.num, self.den * self.p ** -self.val)
+        return Fraction(self.num * self.p ** self.val, self.den)
+
+    def lift(self, digits=None):
+        """Integer lift modulo p^digits (nonnegative valuation required)."""
+        if self._zero:
+            return 0
+        if self.val < 0:
+            raise InvalidArgument("negative valuation has no integral lift")
+        digits = digits or (self.precision if self.precision is not None else DEFAULT_PRECISION)
+        m = self.p ** digits
+        return self.p ** self.val * self.unit_part(digits) % m
+
+    def _abs_floor(self):
+        """Absolute precision: the value is known modulo p^floor (None if exact)."""
+        if self.precision is None:
+            return None
+        if self._zero:
+            return self.precision
+        return self.val + self.precision
+
+    # -- misc ---------------------------------------------------------
+
+    def __eq__(self, other):
+        """Equality of exact scalars; finite-precision comparison is by digits."""
+        if isinstance(other, (int, Fraction)):
+            other = PadicScalar(self.p, other)
+        if not isinstance(other, PadicScalar) or other.p != self.p:
+            return NotImplemented
+        if self._zero and other._zero:
+            return True
+        if self._zero != other._zero:
+            return False
+        if self.precision is None and other.precision is None:
+            return self.as_fraction() == other.as_fraction()
+        if self.val != other.val:
+            return False
+        d = min(x for x in (self.precision, other.precision) if x is not None)
+        return self.unit_part(d) == other.unit_part(d)
+
+    def __hash__(self):
+        return hash((self.p, self._zero, self.val if not self._zero else 0))
+
+    def __repr__(self):
+        if self._zero:
+            if self.precision is None:
+                return "0 (exact)"
+            return "O(%d^%s)" % (self.p, self.precision)
+        prec = "exact" if self.precision is None else "prec %d" % self.precision
+        return "%d^%s * (%d/%d) [%s]" % (self.p, self.val, self.num, self.den, prec)
+
+
+def scalars(el):
+    """The coefficients of an ``IwasawaElement1`` as scalars, with the same
+    absolute precisions."""
+    out = []
+    for x, a in zip(el.rationals(), el.precisions()):
+        if a is None or x == 0:
+            out.append(PadicScalar(el.p, x, precision=a))
+        else:
+            out.append(PadicScalar(el.p, x, precision=a - vp(x, el.p)))
+    return out
+
+
+# -- Newton polygon and Weierstrass preparation on scalars --------------------
+
+
+def newton_invariants(coeffs):
+    """The scalar profile of a coefficient list (the replaced reader)."""
+    known = []
+    unknown = []
+    for i, c in enumerate(coeffs):
+        if c.is_zero_within_precision():
+            if c.precision is not None:
+                unknown.append((i, c.precision))
+            continue
+        known.append((i, c.valuation()))
+    if not known:
+        raise PrecisionError("all coefficients are zero within precision")
+    mu = min(v for _, v in known)
+    for i, bound in unknown:
+        if bound <= mu:
+            raise PrecisionError(
+                "coefficient %d known only to O(p^%s); mu = %s not certified"
+                % (i, bound, mu))
+    lam = min(i for i, v in known if v == mu)
+    pts = [(i, v) for i, v in known if i <= lam]
+    hull = lower_hull(pts)
+    slopes = []
+    if hull[0][0] > 0:
+        slopes.append((hull[0][0], None))     # exact zeros: roots at X = 0
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        slopes.append((x2 - x1, Fraction(y1 - y2, x2 - x1)))
+    stabilized = True
+    for i, bound in unknown:
+        if i <= lam and (i < hull[0][0] or bound < hull_value(hull, i)):
+            stabilized = False
+    return InvariantProfile(mu, lam, tuple(slopes), stabilized)
+
+
+def weierstrass_prepare(p, coeffs, exact_tail):
+    """(unit, distinguished, mu) as scalar lists (the replaced preparation)."""
+    prof = newton_invariants(coeffs)
+    lam, mu = prof.lam, prof.mu
+    D = len(coeffs) - 1
+    if lam >= D and not exact_tail:
+        raise TruncationError("lambda = %d exceeds truncation %d" % (lam, D))
+    precs = [c.precision for c in coeffs]
+    finite = [x for x in precs if x is not None]
+    base = min(finite) if finite else DEFAULT_PRECISION
+    if finite and mu >= base:
+        raise TruncationError("mu = %d exhausts coefficient precision %d" % (mu, base))
+    digits = max(base - mu, 1)
+    mod = p ** digits
+    fb = []
+    for c in coeffs:
+        if c.is_zero_within_precision():
+            fb.append(0)
+        else:
+            if c.val < mu:
+                raise InvalidArgument("inconsistent mu")
+            shifted = PadicScalar.from_unit(p, c.val - mu, c.num, c.den,
+                                            precision=c.precision)
+            fb.append(shifted.lift(digits))
+    A = [0] * lam + [1]                      # X^lambda
+    B = polys.trim([x % p for x in fb[lam:]]) or [0]
+    if B == [0] or B[0] % p == 0:
+        raise InvalidArgument("leading unit coefficient missing")
+    _, t = polys.bezout_mod(A, B, p)
+    P = list(A)                              # lifted monic factor
+    U = list(B)                              # lifted unit cofactor, a series mod X^(D+1)
+    for m in range(1, digits):
+        pm = p ** m
+        E = polys.mod([x // pm for x in polys.sub(fb, polys.mul(P, U))[:len(fb)]], p)
+        if E == [0]:
+            continue
+        dP = polys.mod(polys.mul(t[:lam], E[:lam])[:lam], p)
+        dU = polys.mod(polys.sub(E, polys.mul(B, dP))[lam:], p) or [0]
+        P = polys.add(P, [x * pm for x in dP])
+        U = polys.add(U, [x * pm for x in dU])
+        P = [x % (mod * p) for x in P][:lam + 1]
+        U = [x % (mod * p) for x in U][:D + 1 - lam] or [1]
+    P = [x % mod for x in P[:lam]] + [1]
+    U = [x % mod for x in U]
+
+    def wrap(x):
+        if x % mod == 0:
+            return PadicScalar.zero(p, known_to=digits)
+        v = vp(x, p)
+        return PadicScalar.from_unit(p, v, x // p ** v, precision=digits - v)
+    dist = [wrap(x) for x in P]
+    dist[-1] = PadicScalar(p, 1)             # monic exactly
+    return [wrap(x) for x in U], dist, mu
 
 
 def _floor_int(fr):
@@ -289,11 +530,10 @@ def _q_mod(a, b):
 # -- the certificate resultant (coprimality) ----------------------------------
 
 
-def _resultant_1var(f, g):
-    """Resultant of two monic one-variable polynomials over Z_p (scalars)."""
-    p = f.p
-    a = list(f.coeffs)
-    b = list(g.coeffs)
+def _resultant_1var(a, b):
+    """Resultant of two monic one-variable polynomials over Z_p, given as
+    scalar coefficient lists."""
+    p = a[0].p
     m, n = len(a) - 1, len(b) - 1
     size = m + n
     rows = []

@@ -146,6 +146,15 @@ def test_length_high_t_multiplicity_is_exact(a):
     assert local_length_vertical((f, el2({(0, a): 1})), {(0, 1): 1}) == a
 
 
+@pytest.mark.parametrize("pbar", [{(0, 0): 1}, {(0, 0): 2, (0, 1): 1},
+                                  {(0, 0): 1, (1, 0): 1}])
+def test_length_rejects_unit_pbar(pbar):
+    # a constant Pbar once sent the variable swap into endless recursion
+    f = el2({(0, 0): 3})
+    with pytest.raises(InvalidArgument, match="unit"):
+        local_length_vertical((f, el2({(0, 1): 1})), pbar)
+
+
 # -- pushforward -------------------------------------------------------------------
 
 def test_pushforward_p_divisor():
@@ -173,7 +182,7 @@ def test_pushforward_split_divisor_with_unit_part():
     f = el2({(0, 2): 1, (1, 0): -1})     # T^2 - S
     g = el2(T_MINUS_S)                   # T - S
     res, div = pushforward_c2(f, g)
-    assert [c.as_fraction() for c in res.coeffs] == [0, -1, 1]
+    assert res.rationals() == [0, -1, 1]
     assert div.pushforward["resultant_lambda"] == 1
     assert any("unit part" in n for n in div.notes)
 

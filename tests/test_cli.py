@@ -245,11 +245,16 @@ def test_cmd_fudge_p3_flagged(tmp_path, capsys):
     assert_pinned(out, "fudge_p3")
 
 
-def run_coprime_files(tmp_path, capsys, f_coeffs, g_coeffs):
+def run_coprime_files(tmp_path, capsys, f_coeffs, g_coeffs, precision=None):
+    """``coprime`` on two series files: exact polynomials, or series with
+    an unknown tail when ``precision`` is given."""
     paths = []
     for name, co in (("f", f_coeffs), ("g", g_coeffs)):
         path = tmp_path / ("%s.json" % name)
-        path.write_text(json.dumps({"p": 3, "precision": 25, "coefficients": co}))
+        data = {"p": 3, "coefficients": co}
+        if precision is not None:
+            data["precision"] = precision
+        path.write_text(json.dumps(data))
         paths.append(str(path))
     return run_cli(["coprime", "--f-file", paths[0], "--g-file", paths[1]], capsys)
 
@@ -273,6 +278,17 @@ def test_cmd_coprime_series_files_sharing_a_slope(tmp_path, capsys):
     assert recs[0]["method"] == "resultant"
     assert recs[0]["resultant_valuation"] == "2"
     assert_pinned(out, "coprime_resultant")
+
+
+def test_cmd_coprime_series_files_honour_precision(tmp_path, capsys):
+    # at precision 20 the tails are unknown: X^2 + 3X + 3 + O(X^3) has
+    # lambda = 2 at its last known degree, so it cannot be prepared
+    code, out = run_coprime_files(tmp_path, capsys, ["3", "3", "1"],
+                                  ["-3", "0", "1"], precision=20)
+    assert code == 0
+    _, recs = parse_report(out)
+    assert recs[0]["verdict"] == "inconclusive"
+    assert "lambda = 2 exceeds truncation 2" in recs[0]["detail"]
 
 
 def test_cmd_theta_base_curve(capsys):

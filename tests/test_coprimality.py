@@ -9,7 +9,7 @@ from thetapm import (CoprimalityCertificate, InvariantProfile, IwasawaElement1,
                      weierstrass_prepare)
 from thetapm.coprimality import _abs_floor_bound, _resultant_mod
 
-from ledger_oracle import _resultant_1var
+from ledger_oracle import _resultant_1var, scalars
 
 
 def poly(co, p=3, precision=25):
@@ -122,7 +122,7 @@ def test_slope_disjoint_implies_resultant_nonzero():
         _, dg, _ = weierstrass_prepare(g)
         floor = _abs_floor_bound(df, dg)
         assert _resultant_mod(df, dg, floor) % 3 ** floor != 0
-        assert not _resultant_1var(df, dg).is_zero_within_precision()
+        assert not _resultant_1var(scalars(df), scalars(dg)).is_zero_within_precision()
         checked += 1
     assert checked == 60
 

@@ -8,7 +8,6 @@ from thetapm import (InvalidArgument, IwasawaElement1, IwasawaElement2,
                      newton_invariants, pi_cyc, pollack_log_truncated, polys,
                      resultant_in_T, weierstrass_prepare)
 from thetapm.cyclotomic import cyclotomic_poly_shifted
-from thetapm.padics import PadicScalar
 
 from twovar import mul2
 
@@ -51,16 +50,14 @@ def test_all_zero_raises():
 
 
 def test_unknown_digits_block_mu():
-    coeffs = [PadicScalar.zero(3, known_to=1), PadicScalar(3, 9)]
+    # O(3^1) + 9X: the zero marker could undercut mu = 2
     with pytest.raises(PrecisionError):
-        newton_invariants(IwasawaElement1(3, coeffs))
+        newton_invariants(IwasawaElement1(3, [0, 9], prec=[1, None]))
 
 
 def test_unstabilized_flag_from_unknown_interior():
     # interior coefficient known only to O(3^1) below the hull
-    coeffs = [PadicScalar(3, 27), PadicScalar.zero(3, known_to=1),
-              PadicScalar(3, 1)]
-    prof = newton_invariants(IwasawaElement1(3, coeffs))
+    prof = newton_invariants(IwasawaElement1(3, [27, 0, 1], prec=[None, 1, None]))
     assert (prof.mu, prof.lam) == (0, 2)
     assert not prof.stabilized
 
@@ -79,17 +76,17 @@ def test_prepare_constructed_factorization():
     f = poly(3, [3 * c for c in polys.mul([1, 1], [3, 0, 1])], precision=25)
     unit, dist, mu = weierstrass_prepare(f)
     assert mu == 1
-    assert [c.as_fraction() if c.precision is None else c.lift(25) for c in dist.coeffs] \
-        == [3, 0, 1]
-    assert unit.coeffs[0].valuation() == 0
-    assert unit.coeffs[1].lift(20) == 1      # unit congruent to 1 + X
+    assert dist.lifts(25) == [3, 0, 1]
+    assert dist.precisions()[-1] is None     # monic exactly
+    assert unit.valuations()[0] == 0
+    assert unit.lifts(20)[1] == 1            # unit congruent to 1 + X
 
 
 def test_prepare_unit_case():
     u = poly(3, [2, 5, 7], precision=20)
     unit, dist, mu = weierstrass_prepare(u)
     assert mu == 0
-    assert len(dist.coeffs) == 1 and dist.coeffs[0].as_fraction() == 1
+    assert dist.rationals() == [1]
 
 
 def test_prepare_shifted_cyclotomic_factor():
@@ -97,7 +94,7 @@ def test_prepare_shifted_cyclotomic_factor():
     f = poly(3, polys.mul(cyclotomic_poly_shifted(3, 2), [1, 3]), precision=22)
     unit, dist, mu = weierstrass_prepare(f)
     assert mu == 0
-    got = [c.lift(20) % 3 ** 18 for c in dist.coeffs]
+    got = [c % 3 ** 18 for c in dist.lifts(20)]
     assert got == [c % 3 ** 18 for c in cyclotomic_poly_shifted(3, 2)]
 
 
@@ -115,16 +112,14 @@ def test_prepare_roundtrip_randomized():
         assert m == mu
         # p^m * unit * dist from lifts mod p^digits agrees with f mod p^digits
         digits = 14
-        recomposed = [3 ** m * c for c in polys.mul([c.lift(digits) for c in u.coeffs],
-                                                   [c.lift(digits) for c in d.coeffs])]
+        recomposed = [3 ** m * c for c in polys.mul(u.lifts(digits), d.lifts(digits))]
         for a, b in zip(recomposed, fco):
             assert (a - b) % 3 ** digits == 0
 
 
 def test_prepare_truncation_guard():
-    f = IwasawaElement1(3, [PadicScalar(3, 3, precision=20),
-                            PadicScalar(3, 3, precision=20),
-                            PadicScalar(3, 1, precision=20)], exact_tail=False)
+    # 3 + 3X + X^2 + O(X^3), each coefficient to 20 digits beyond its valuation
+    f = IwasawaElement1(3, [3, 3, 1], prec=[21, 21, 20], exact_tail=False)
     # lambda = 2 equals the truncation degree of a non-polynomial input
     with pytest.raises(TruncationError):
         weierstrass_prepare(f)
@@ -134,14 +129,14 @@ def test_prepare_truncation_guard():
 
 def test_minus_log_single_factor():
     f = pollack_log_truncated(3, "-", 1)
-    assert [c.as_fraction() for c in f.coeffs] == \
+    assert f.rationals() == \
         [Fraction(3, 9), Fraction(3, 9), Fraction(1, 9)]
 
 
 def test_plus_log_single_even_factor():
     f = pollack_log_truncated(3, "+", 2)
     phi9 = cyclotomic_poly_shifted(3, 2)
-    assert [c.as_fraction() for c in f.coeffs] == \
+    assert f.rationals() == \
         [Fraction(c, 9) for c in phi9]
 
 
@@ -150,7 +145,7 @@ def test_log_vanishing_pattern():
     n_max = 4
     for sign, parity in (("+", 0), ("-", 1)):
         f = pollack_log_truncated(3, sign, n_max)
-        co = [c.as_fraction() for c in f.coeffs]
+        co = f.rationals()
         for k in range(1, n_max + 1):
             val = IwasawaElement1.from_rationals(3, co).evaluate_at_unity_root(k)
             if k % 2 == parity:
@@ -161,7 +156,7 @@ def test_log_vanishing_pattern():
 
 def test_half_log_products():
     f = half_log_product(3, "even", 2)
-    assert [c.as_fraction() for c in f.coeffs] == \
+    assert f.rationals() == \
         [Fraction(c) for c in cyclotomic_poly_shifted(3, 2)]
     g = half_log_product(3, "odd", 3)
     assert g.trunc_degree == 2 + 18
@@ -185,11 +180,11 @@ def two_var(p, terms, D=50):
 def test_pi_cyc_examples():
     f = two_var(3, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})   # (1+S)(1+T)
     out = pi_cyc(f)
-    assert [c.as_fraction() for c in out.coeffs] == [1, 2, 1]
+    assert out.rationals() == [1, 2, 1]
     g = two_var(3, {(1, 0): 1, (0, 1): -1})                        # S - T
-    assert all(c.as_fraction() == 0 for c in pi_cyc(g).coeffs)
+    assert all(c == 0 for c in pi_cyc(g).rationals())
     h = two_var(3, {(1, 1): 1})                                    # S T
-    assert [c.as_fraction() for c in pi_cyc(h).coeffs] == [0, 0, 1]
+    assert pi_cyc(h).rationals() == [0, 0, 1]
 
 
 def test_pi_cyc_ring_homomorphism_randomized():
@@ -213,20 +208,20 @@ def test_resultant_linear_difference():
     f = two_var(3, {(0, 1): 1, (1, 0): -1})          # T - S
     g = two_var(3, {(0, 1): 1, (1, 0): -1, (0, 0): -3})
     res = resultant_in_T(f, g)
-    assert [c.as_fraction() for c in res.coeffs] == [3]
+    assert res.rationals() == [3]
 
 
 def test_resultant_equal_inputs_zero():
     f = two_var(3, {(0, 1): 1, (1, 0): -1})
     res = resultant_in_T(f, f)
-    assert all(c.as_fraction() == 0 for c in res.coeffs)
+    assert all(c == 0 for c in res.rationals())
 
 
 def test_resultant_quadratic_example():
     f = two_var(3, {(0, 2): 1, (1, 0): -1})          # T^2 - S
     g = two_var(3, {(0, 1): 1, (1, 0): -1})          # T - S
     res = resultant_in_T(f, g)
-    assert [c.as_fraction() for c in res.coeffs] == [0, -1, 1]   # S^2 - S
+    assert res.rationals() == [0, -1, 1]   # S^2 - S
 
 
 def test_resultant_after_cancelled_top_row():
@@ -236,7 +231,7 @@ def test_resultant_after_cancelled_top_row():
     d = f - g                                        # S: the T-row cancels
     assert list(d.coeffs) == [(1, 0)]
     res = resultant_in_T(d, h)
-    assert [c.as_fraction() for c in res.coeffs] == [0, 1]          # S
+    assert res.rationals() == [0, 1]          # S
 
 
 def test_resultant_antisymmetry_sign():
@@ -252,8 +247,8 @@ def test_resultant_antisymmetry_sign():
         g_terms[(0, n)] = 1
         f = two_var(3, f_terms)
         g = two_var(3, g_terms)
-        rfg = [c.as_fraction() for c in resultant_in_T(f, g).coeffs]
-        rgf = [c.as_fraction() for c in resultant_in_T(g, f).coeffs]
+        rfg = resultant_in_T(f, g).rationals()
+        rgf = resultant_in_T(g, f).rationals()
         sign = (-1) ** (m * n)
         nn = max(len(rfg), len(rgf))
         rfg += [Fraction(0)] * (nn - len(rfg))

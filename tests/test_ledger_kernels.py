@@ -1,11 +1,12 @@
 """Integer ledger kernels against the replaced Fraction and per-term code.
 
 ``thetapm.polys``, the integer Bareiss determinant behind
-``sylvester_resultant``, the T-resultant, ``IwasawaElement2.p_split`` and
-the integer certificate resultant must give what the code in
-``ledger_oracle`` and plain ``Fraction`` arithmetic give, including zero
-polynomials, trailing zeros, row swaps, singular matrices, constants in T
-and resultants that vanish within precision.
+``sylvester_resultant``, the T-resultant, ``IwasawaElement2.p_split``, the
+integer certificate resultant and the Newton and Weierstrass readers of
+integer one-variable series must give what the code in ``ledger_oracle``
+and plain ``Fraction`` arithmetic give, including zero polynomials,
+trailing zeros, row swaps, singular matrices, constants in T, resultants
+that vanish within precision and coefficients known only to a precision.
 """
 
 from fractions import Fraction
@@ -17,11 +18,12 @@ from hypothesis import strategies as st
 
 import ledger_oracle as oracle
 
-from thetapm import (IwasawaElement1, IwasawaElement2, PadicScalar, polys,
+from ledger_oracle import PadicScalar
+from thetapm import (IwasawaElement1, IwasawaElement2, newton_invariants, polys,
                      resultant_in_T, vp)
 from thetapm.chern import (S_TRUNC, _fiber_gcd_at_origin, _hensel_weierstrass_t,
                            _t_divmod)
-from thetapm.exceptions import InvalidArgument
+from thetapm.exceptions import InvalidArgument, PrecisionError, TruncationError
 from thetapm.coprimality import _abs_floor_bound, _resultant_mod
 from thetapm.iwasawa import _bareiss_det, weierstrass_prepare
 
@@ -372,15 +374,86 @@ def test_certificate_resultant_matches_padic_elimination_oracle(pair):
     _, dg, _ = weierstrass_prepare(g)
     floor = _abs_floor_bound(df, dg)
     res = _resultant_mod(df, dg, floor)
-    if f.coeffs[0].precision is None:
+    if f.precisions()[0] is None:
         F, G = (IwasawaElement2.from_dict(p, {(0, j): c for j, c in enumerate(x.rationals())})
                 for x in (f, g))
         (det,) = resultant_in_T(F, G).rationals()        # (-1)^(mn) times the determinant
-        mn = (len(f.coeffs) - 1) * (len(g.coeffs) - 1)
+        mn = f.trunc_degree * g.trunc_degree
         assert (res - (-1) ** mn * det) % p ** floor == 0
-    old = oracle._resultant_1var(df, dg)
+    old = oracle._resultant_1var(oracle.scalars(df), oracle.scalars(dg))
     old_val = None if old.is_zero_within_precision() else old.valuation()
     if old_val is not None and old_val < floor:
         assert vp(res, p) == old_val
     if res % p ** floor == 0:
         assert old_val is None or old_val >= floor
+
+
+# -- one-variable series against the scalar readers ---------------------------------
+
+@st.composite
+def series_with_scalars(draw):
+    """A one-variable element and the same coefficients as oracle scalars.
+
+    Coefficients are p^v * u / d with v in -1..4, or zero.  The precision is
+    either none (exact), one relative precision for every coefficient
+    through ``from_rationals`` (a zero then being a zero to O(p^N)), or an
+    absolute precision per coefficient, mixing exact values, known digits
+    and zero markers; the tail is exact or unknown."""
+    p = draw(st.sampled_from([3, 5]))
+    unit = st.integers(-3 * p, 3 * p).filter(lambda x: x % p)
+    values = []
+    for _ in range(draw(st.integers(1, 7))):
+        if draw(st.integers(0, 3)) == 0:
+            values.append(Fraction(0))
+        else:
+            values.append(Fraction(draw(unit) * p ** (draw(st.integers(-1, 4)) + 1),
+                                   p * draw(st.sampled_from([1, 2, 7]))))
+    mode = draw(st.sampled_from(["exact", "relative", "mixed"]))
+    if mode == "relative":
+        n = draw(st.integers(1, 12))
+        el = IwasawaElement1.from_rationals(p, values, precision=n)
+        absolute = [n + (vp(x, p) or 0) for x in values]
+    else:
+        el = IwasawaElement1.from_rationals(p, values)
+        absolute = [None] * len(values)
+        if mode == "mixed":
+            absolute = [draw(st.one_of(st.none(), st.integers(1, 10).map(
+                lambda r, x=x: r + (vp(x, p) or 0)))) for x in values]
+            el = IwasawaElement1(p, el.nums, el.den, prec=absolute)
+    el.exact_tail = draw(st.booleans())
+    old = [PadicScalar(p, x, precision=a if a is None or x == 0 else a - vp(x, p))
+           for x, a in zip(values, absolute)]
+    return el, old
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PrecisionError, TruncationError, InvalidArgument) as exc:
+        return type(exc), str(exc)
+
+
+@ORACLE_SETTINGS
+@given(series_with_scalars())
+def test_integer_series_readers_match_scalar_oracle(case):
+    """``newton_invariants`` and ``weierstrass_prepare`` on integer series
+    against the scalar readers they replaced: the same profile (mu, lambda,
+    slopes, stabilized) or the same error, and the same mu, coefficient
+    lifts mod p^digits, absolute precisions and zero markers of both
+    Weierstrass factors."""
+    el, old = case
+    assert outcome(newton_invariants, el) == outcome(oracle.newton_invariants, old)
+    new = outcome(weierstrass_prepare, el)
+    want = outcome(oracle.weierstrass_prepare, el.p, old, el.exact_tail)
+    if isinstance(want[0], type):
+        assert new == want
+        return
+    (unit, dist, mu), (old_unit, old_dist, old_mu) = new, want
+    assert mu == old_mu
+    digits = unit.precisions()[0]
+    for got, ref in ((unit, old_unit), (dist, old_dist)):
+        assert got.lifts(digits) == [c.lift(digits) for c in ref]
+        assert got.precisions() == tuple(c._abs_floor() for c in ref)
+        assert [x == 0 for x in got.rationals()] == \
+            [c.is_zero_within_precision() for c in ref]
+    assert (unit.exact_tail, dist.exact_tail) == (False, True)

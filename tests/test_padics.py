@@ -1,17 +1,18 @@
-"""p-adic scalars and the precision rules of their arithmetic.
+"""Valuations, and the p-adic scalars of the oracle with the precision
+rules of their arithmetic.
 
-The library's scalars keep a value and its precision and do no arithmetic;
-the precision-propagating sum, product and quotient live in
-``ledger_oracle``, where the Gaussian-elimination resultant oracle uses
-them, and are checked here.
+``PadicScalar`` keeps a value and its precision and does no arithmetic; it
+and the precision-propagating sum, product and quotient live in
+``ledger_oracle``, where the Gaussian-elimination resultant oracle and the
+scalar Newton and Weierstrass readers use them, and are checked here.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from ledger_oracle import padic_add, padic_mul, padic_truediv
-from thetapm import InvalidArgument, PadicScalar, PrecisionError, vp
+from ledger_oracle import PadicScalar, padic_add, padic_mul, padic_truediv
+from thetapm import InvalidArgument, PrecisionError, vp
 
 
 def test_vp_basics():
