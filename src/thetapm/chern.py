@@ -5,11 +5,13 @@ the p-power filtration, from the p-splits ``IwasawaElement2.p_split`` gives;
 the horizontal part of an intersection is pushed forward through the
 T-resultant rather than resolved prime by prime.  Two-variable elements are
 read only through ``p_split`` and ``t_polynomial``; everything mod p runs on
-term dicts over F_p at the S-adic precision ``S_TRUNC``.  The
-fudge factors at primes away from p depend only on the reduction type of
-the curve at the places of the quadratic field, with a contribution exactly
-when the reduction is split multiplicative and p divides the Tate-parameter
-valuation.
+term dicts over F_p.  The generators are exact polynomials, so a local
+length divides exactly in F_p[S][T]; only the Frobenius character, a power
+series, is cut at the S-adic precision ``S_TRUNC``, and with it its
+Weierstrass factor.  The fudge factors at primes away from p depend only
+on the reduction type of the curve at the places of the quadratic field,
+with a contribution exactly when the reduction is split multiplicative and
+p divides the Tate-parameter valuation.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from math import gcd
 from . import polys
 from .curves import kronecker_symbol, local_reduction_type, unit_square_class
 from .exceptions import (CommonFactorWithinPrecision, InvalidArgument,
-                         NotPseudoNull, TruncationError, UnsupportedShape)
+                         NotPseudoNull, UnsupportedShape)
 from .iwasawa import newton_invariants, resultant_in_T
 from .padics import vp
 
-S_TRUNC = 24               # S-adic precision of the F_p[[S]] computations
+S_TRUNC = 24               # S-adic precision of the Frobenius character
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +93,8 @@ class C2Divisor:
 
 
 # ---------------------------------------------------------------------------
-# F_p[[S]][T] helpers: terms as dict (i, j) -> residue, as
-# ``IwasawaElement2.p_split`` returns them; S-adic precision S_TRUNC
+# F_p[S][T] helpers: terms as dict (i, j) -> residue, as
+# ``IwasawaElement2.p_split`` returns them
 
 
 def _fp2_s_content(h):
@@ -104,41 +106,40 @@ def _fp2_shift_s(h, e):
 
 
 def _fp2_t_poly(h, p):
-    """As a T-polynomial: list over T-degree of F_p[S] coefficient lists;
-    a term beyond the S-adic precision raises rather than being dropped."""
+    """As a T-polynomial: list over T-degree of trimmed F_p[S] rows."""
     dt = max((j for (_, j) in h), default=0)
-    out = [[0] * S_TRUNC for _ in range(dt + 1)]
+    ds = max((i for (i, _) in h), default=0)
+    out = [[0] * (ds + 1) for _ in range(dt + 1)]
     for (i, j), c in h.items():
-        if i >= S_TRUNC:
-            raise TruncationError("term S^%d T^%d is beyond the S-adic precision %d"
-                                  % (i, j, S_TRUNC))
         out[j][i] = c % p
-    while len(out) > 1 and all(x == 0 for x in out[-1]):
+    out = [polys.trim(row) for row in out]
+    while len(out) > 1 and out[-1] == [0]:
         out.pop()
     return out
 
 
 def _t_divmod(f, w, p):
-    """Divide T-polynomials over F_p[[S]] by monic w; (quotient, remainder)."""
-    f = [list(c) + [0] * (S_TRUNC - len(c)) for c in f]
+    """Divide a T-polynomial over F_p[S] by monic w: (quotient, remainder),
+    exact, the remainder of T-degree below that of w."""
+    f = list(f)
     dw = len(w) - 1
-    q = [[0] * S_TRUNC for _ in range(max(len(f) - dw, 1))]
+    q = [[0]] * max(len(f) - dw, 1)
     for i in range(len(f) - 1, dw - 1, -1):
         c = f[i]
         if not any(c):
             continue
-        q[i - dw] = list(c)
-        for j, wj in enumerate(w):
+        q[i - dw] = c
+        f[i] = [0]
+        for j, wj in enumerate(w[:dw], i - dw):
             if any(wj):
-                prod = polys.series_mul_mod(c, wj, p, S_TRUNC)
-                f[i - dw + j] = [(x - y) % p for x, y in zip(f[i - dw + j], prod)]
+                f[j] = polys.mod(polys.sub(f[j], polys.mul(c, wj)), p)
     while len(f) > 1 and not any(f[-1]):
         f.pop()
     return q, f
 
 
 def _t_multiplicity(g, w, p, cap=None):
-    """Multiplicity of monic w in the T-polynomial g over F_p[[S]], stopped
+    """Multiplicity of monic w in the T-polynomial g over F_p[S], stopped
     at ``cap``; each exact division lowers the T-degree, so none is needed."""
     mult = 0
     cur = g
@@ -284,10 +285,6 @@ def _divisible_by_pbar(hbar, pbar, p):
 def _pbar_multiplicity(hbar, pbar, p, cap=None):
     """Pbar-adic valuation of hbar in F_p[[S,T]] localized at (Pbar)."""
     dt = max((j for (_, j) in pbar), default=0)
-    ds = max((i for (i, _) in pbar), default=0)
-    if dt == 0 and ds == 1 and pbar == {(1, 0): pbar.get((1, 0), 0)}:
-        # Pbar = c*S: multiplicity is the S-content
-        return _fp2_s_content(hbar)
     if dt == 0:
         # monic in S after swapping variables
         hsw = {(j, i): c for (i, j), c in hbar.items()}

@@ -110,8 +110,7 @@ def _twovar_from_file(path):
     for key, val in data["terms"].items():
         i, j = (int(x) for x in key.split(","))
         terms[(i, j)] = Fraction(val)
-    return IwasawaElement2.from_dict(int(data["p"]), terms,
-                                     trunc_degree=int(data.get("trunc_degree", 200)))
+    return IwasawaElement2.from_dict(int(data["p"]), terms)
 
 
 # -- subcommands -------------------------------------------------------------

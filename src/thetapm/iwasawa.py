@@ -6,7 +6,8 @@ coefficient as data (None when exact) and a flag for an exact tail, so
 exact polynomials and precision-truncated series (input files, Weierstrass
 output, the signed logarithms) coexist; the Newton polygon never claims
 digits beyond what they carry.  Two-variable elements model Z_p[[S, T]]
-and are exact polynomials: integer numerators over one denominator.  This
+and are exact polynomials: integer numerators over one denominator, with
+no truncation degree, so every reader sees every term.  This
 module is the only one that knows either storage.  Others read a
 one-variable element through ``rationals``, ``valuations``,
 ``precisions`` and ``lifts``, and a two-variable one through
@@ -240,16 +241,15 @@ def weierstrass_prepare(f):
     base = min(rel) if rel else DEFAULT_PRECISION
     if rel and mu >= base:
         raise TruncationError("mu = %d exhausts coefficient precision %d" % (mu, base))
-    digits = max(base - mu, 1)
+    # f / p^mu is known to the least a - mu, which binds only when mu < 0
+    digits = min([max(base - mu, 1)] + [a - mu for a in f.prec if a is not None])
     mod = p ** digits
-    # f / p^mu as integers over dd; each coefficient reduced mod its own
-    # absolute precision, which stays below digits only when mu < 0
+    # f / p^mu as integers over dd, each known modulo p^digits
     sh = p ** abs(mu)
     nums, dd = ([c * sh for c in f.nums], f.den) if mu < 0 else (f.nums, f.den * sh)
     q = p ** vp(dd, p)
     inv = pow(dd // q, -1, mod)
-    fb = [c // q * inv % (mod if a is None or a - mu >= digits else p ** (a - mu))
-          for c, a in zip(nums, f.prec)]
+    fb = [c // q * inv % mod for c in nums]
     A = [0] * lam + [1]                      # X^lambda
     B = polys.trim([x % p for x in fb[lam:]]) or [0]
     if B == [0] or B[0] % p == 0:
@@ -325,36 +325,34 @@ def pollack_log_truncated(p, sign, n_max, D=DEFAULT_TRUNC, N=DEFAULT_PRECISION):
 
 
 class IwasawaElement2:
-    """Exact polynomial of Z_p[[S, T]], read up to total bidegree (D, D).
+    """Exact polynomial of Z_p[[S, T]].
 
     ``coeffs`` maps (i, j), the exponents of S and T, to integer numerators
     over the positive denominator ``den``; zero terms are omitted and the
     fraction is in lowest terms.
     """
 
-    __slots__ = ("p", "coeffs", "den", "trunc_degree")
+    __slots__ = ("p", "coeffs", "den")
 
-    def __init__(self, p, coeffs, den=1, trunc_degree=DEFAULT_TRUNC):
+    def __init__(self, p, coeffs, den=1):
         g = gcd(den, *coeffs.values())
         self.p = p
         self.coeffs = {k: v // g for k, v in coeffs.items() if v}
         self.den = den // g
-        self.trunc_degree = trunc_degree
 
     @classmethod
-    def from_dict(cls, p, d, trunc_degree=DEFAULT_TRUNC):
+    def from_dict(cls, p, d):
         """From a dict (i, j) -> rational coefficient."""
         d = {k: Fraction(v) for k, v in d.items()}
         den = lcm(*(v.denominator for v in d.values()))
         return cls(p, {k: v.numerator * (den // v.denominator) for k, v in d.items()},
-                   den, trunc_degree)
+                   den)
 
     def __sub__(self, other):
         out = {k: v * other.den for k, v in self.coeffs.items()}
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) - v * self.den
-        return IwasawaElement2(self.p, out, self.den * other.den,
-                               min(self.trunc_degree, other.trunc_degree))
+        return IwasawaElement2(self.p, out, self.den * other.den)
 
     def t_polynomial(self):
         """Integer T-polynomial: rows of S-coefficient numerators over ``den``.
@@ -398,11 +396,9 @@ class IwasawaElement2:
 
 def pi_cyc(f):
     """Cyclotomic specialization S -> X, T -> X of a two-variable element."""
-    n = min(max((i + j for (i, j) in f.coeffs), default=0), f.trunc_degree)
-    out = [0] * (n + 1)
+    out = [0] * (max((i + j for (i, j) in f.coeffs), default=0) + 1)
     for (i, j), v in f.coeffs.items():
-        if i + j <= n:
-            out[i + j] += v
+        out[i + j] += v
     return IwasawaElement1(f.p, out, f.den, exact_tail=True)
 
 

@@ -2,7 +2,9 @@
 
 A polynomial is a list of integer coefficients, lowest degree first.  The
 kernels over F_p take residues in [0, p) and reduce once per output
-coefficient, not once per term: a product over F_p is ``mod(mul(a, b), p)``.  ``trim`` drops trailing zeros but keeps
+coefficient, not once per term: a product over F_p is
+``mod(mul(a, b), p)``, never truncated, so the F_p[S] rows of the local
+lengths stay exact polynomials.  ``trim`` drops trailing zeros but keeps
 one coefficient, so the zero polynomial is [0].
 """
 
@@ -88,16 +90,6 @@ def clear_denominators(co):
     """(integer numerators, common denominator) of a rational vector."""
     den = lcm(*(c.denominator for c in co))
     return [c.numerator * (den // c.denominator) for c in co], den
-
-
-def series_mul_mod(a, b, p, n):
-    """Product over F_p truncated to exactly n coefficients; b may be sparse."""
-    out = [0] * n
-    for j, y in enumerate(b[:n]):
-        if y:
-            k = min(len(a), n - j)
-            out[j:j + k] = map(_add, out[j:j + k], [x * y for x in a[:k]])
-    return [x % p for x in out]
 
 
 def divmod_mod(a, b, p):

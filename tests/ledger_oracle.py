@@ -4,15 +4,15 @@ These are the original bodies of the helpers that ``thetapm.polys``
 replaced: the ``Fraction`` polynomial helpers and the Bareiss determinant
 of ``thetapm.iwasawa``, the ``PadicScalar`` Gaussian elimination that took
 the certificate resultant of ``thetapm.coprimality``, the F_p helpers that
-reduce mod p after every term, the truncated series product and the
-rational remainder of ``thetapm.chern``.  ``PadicScalar``, the one-variable
-coefficient type before series became integers over one denominator, lives
-here too, with the scalar ``newton_invariants`` and ``weierstrass_prepare``
-that read it.  The elimination runs on the precision-propagating sum,
-product and quotient of scalars below, which the scalar class itself never
-had (it carries precision as data and does no arithmetic):
-``Fraction``-based, as functions of two scalars.  Slow, but written term by
-term, so the integer kernels are checked against them.
+reduce mod p after every term and the rational remainder of
+``thetapm.chern``.  ``PadicScalar``, the one-variable coefficient type
+before series became integers over one denominator, lives here too, with
+the scalar ``newton_invariants`` and ``weierstrass_prepare`` that read it.
+The elimination runs on the precision-propagating sum, product and
+quotient of scalars below, which the scalar class itself never had (it
+carries precision as data and does no arithmetic): ``Fraction``-based, as
+functions of two scalars.  Slow, but written term by term, so the integer
+kernels are checked against them.
 """
 
 from fractions import Fraction
@@ -216,7 +216,8 @@ def weierstrass_prepare(p, coeffs, exact_tail):
     base = min(finite) if finite else DEFAULT_PRECISION
     if finite and mu >= base:
         raise TruncationError("mu = %d exhausts coefficient precision %d" % (mu, base))
-    digits = max(base - mu, 1)
+    floors = [c._abs_floor() for c in coeffs if c._abs_floor() is not None]
+    digits = min([max(base - mu, 1)] + [a - mu for a in floors])
     mod = p ** digits
     fb = []
     for c in coeffs:
@@ -420,17 +421,6 @@ def _fp_poly_sub(a, b, p):
     a = a + [0] * (n - len(a))
     b = b + [0] * (n - len(b))
     return _fp_poly_trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _fps_mul(a, b, p, s_trunc):
-    out = [0] * s_trunc
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if i + j >= s_trunc:
-                    break
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
 
 
 # -- Z and Q polynomials, the Bareiss determinant -----------------------------

@@ -7,7 +7,7 @@ import pytest
 from thetapm import (C2Divisor, CommonFactorWithinPrecision, CurveData,
                      FrobeniusData, InvalidArgument, IwasawaElement2,
                      NotPseudoNull, PrimeDescriptor, ReductionData,
-                     TruncationError, UnsupportedShape, bundled_curve,
+                     UnsupportedShape, bundled_curve,
                      classify_reduction, fudge_c2, local_length_vertical,
                      place_contribution, pushforward_c2, theorem_ledger,
                      vertical_divisor_mod_p)
@@ -131,13 +131,18 @@ def test_length_brute_force_dimension_oracle():
             assert local_length_vertical((f, g), {(0, 1): 1}) == a == dim // d
 
 
-def test_length_s_term_beyond_precision_raises():
-    # T + S^23 is a unit at (3, T); an S^24 term is beyond S_TRUNC and would
-    # be dropped, reading T + S^24 as T
+def test_length_s_term_of_high_degree_is_exact():
+    # T + S^n is a unit at (3, T) for every n, however high its S-degree
     f = el2({(0, 0): 3})
-    assert local_length_vertical((f, el2({(0, 1): 1, (23, 0): 1})), {(0, 1): 1}) == 0
-    with pytest.raises(TruncationError):
-        local_length_vertical((f, el2({(0, 1): 1, (24, 0): 1})), {(0, 1): 1})
+    for n in (23, 24, 40):
+        assert local_length_vertical((f, el2({(0, 1): 1, (n, 0): 1})), {(0, 1): 1}) == 0
+
+
+@pytest.mark.parametrize("n", [24, 30])
+def test_length_remainder_of_high_s_degree_is_kept(n):
+    # T^n = S^n mod (T - S) and T is not in (3, T - S), so the length is 0
+    f = el2({(0, 0): 3})
+    assert local_length_vertical((f, el2({(0, n): 1})), T_MINUS_S) == 0
 
 
 @pytest.mark.parametrize("a", [63, 64, 70])

@@ -213,6 +213,17 @@ def test_cmd_specialize_fixture(capsys):
     assert_pinned(out, "specialize")
 
 
+def test_cmd_specialize_ignores_leftover_trunc_degree(tmp_path, capsys):
+    # the field is ignored: a cut at degree 1 would drop S*T
+    with open(os.path.join(DATA, "twovar_example.json")) as fh:
+        data = json.load(fh)
+    path = tmp_path / "twovar.json"
+    path.write_text(json.dumps(data | {"trunc_degree": 1}))
+    code, out = run_cli(["specialize", "--twovar-file", str(path)], capsys)
+    assert code == 0
+    assert_pinned(out, "specialize")
+
+
 def test_cmd_c2_fixture(capsys):
     code, out = run_cli(["c2", "--ideal-file",
                          os.path.join(DATA, "ideal_example.json")], capsys)

@@ -89,6 +89,15 @@ def test_prepare_unit_case():
     assert dist.rationals() == [1]
 
 
+def test_prepare_negative_mu_claims_only_known_digits():
+    # 3 * (1/3 + O(3)) is known only mod 3^2, so the unit carries two digits
+    f = IwasawaElement1.from_rationals(3, [Fraction(1, 3), 1], precision=2)
+    unit, dist, mu = weierstrass_prepare(f)
+    assert mu == -1
+    assert unit.precisions() == (2, 2)
+    assert unit.lifts(2) == [1, 3] and dist.rationals() == [1]
+
+
 def test_prepare_shifted_cyclotomic_factor():
     # f = Phi_9(1+X) * (1 + 3X): distinguished part recovers Phi_9(1+X)
     f = poly(3, polys.mul(cyclotomic_poly_shifted(3, 2), [1, 3]), precision=22)
@@ -172,9 +181,8 @@ def test_log_truncation_guard():
 
 # -- two-variable elements -------------------------------------------------------
 
-def two_var(p, terms, D=50):
-    return IwasawaElement2.from_dict(p, {k: Fraction(v) for k, v in terms.items()},
-                                     trunc_degree=D)
+def two_var(p, terms):
+    return IwasawaElement2.from_dict(p, {k: Fraction(v) for k, v in terms.items()})
 
 
 def test_pi_cyc_examples():
@@ -185,6 +193,13 @@ def test_pi_cyc_examples():
     assert all(c == 0 for c in pi_cyc(g).rationals())
     h = two_var(3, {(1, 1): 1})                                    # S T
     assert pi_cyc(h).rationals() == [0, 0, 1]
+
+
+def test_pi_cyc_keeps_every_term():
+    f = pi_cyc(two_var(3, {(0, 0): 1, (3, 0): 1}))                  # 1 + S^3
+    assert f.rationals() == [1, 0, 0, 1] and f.exact_tail
+    g = pi_cyc(two_var(3, {(150, 100): 1}))                        # S^150 T^100
+    assert g.rationals() == [0] * 250 + [1] and g.exact_tail
 
 
 def test_pi_cyc_ring_homomorphism_randomized():

@@ -87,19 +87,33 @@ def test_bezout_mod_matches_oracle(p, data):
     assert polys.bezout_mod(a, b, p) == want
 
 
+def fp2_terms(rows, p):
+    """Term dict (i, j) -> nonzero residue of a T-polynomial over F_p[S]."""
+    return {(i, j): c % p for j, row in enumerate(rows) for i, c in enumerate(row)
+            if c % p}
+
+
 @ORACLE_SETTINGS
-@given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
-def test_series_mul_mod_matches_oracle(p, n, data):
-    a = data.draw(int_polys(0, n + 3, 3 * p))
-    b = data.draw(int_polys(0, n + 3, 3 * p))
-    assert polys.series_mul_mod(a, b, p, n) == oracle._fps_mul(a, b, p, n)
+@given(st.sampled_from(PRIMES), st.integers(1, 4), st.data())
+def test_t_divmod_is_exact_division_by_monic(p, dw, data):
+    # q*w + r == f over F_p[S][T] and deg_T r < deg_T w, with S-degrees up to
+    # 39, beyond any S-adic precision
+    f = [data.draw(residues(p, 1, 40)) for _ in range(data.draw(st.integers(1, 8)))]
+    w = [data.draw(residues(p, 1, 40)) for _ in range(dw)] + [[1]]
+    q, r = _t_divmod(f, w, p)
+    assert len(r) <= dw
+    back = fp2_terms(r, p)
+    for j1, a in enumerate(q):
+        for j2, b in enumerate(w):
+            for i, c in enumerate(oracle._fp_poly_mul(a, b, p)):
+                back[(i, j1 + j2)] = (back.get((i, j1 + j2), 0) + c) % p
+    assert {k: c for k, c in back.items() if c} == fp2_terms(f, p)
 
 
 def test_f_p_kernels_on_zero_polynomials():
     for p in PRIMES:
         assert polys.mod(polys.mul([0], [1, 2]), p) == oracle._fp_poly_mul([0], [1, 2], p) == [0]
         assert polys.divmod_mod([0, 0], [1], p) == oracle._fp_poly_divmod([0, 0], [1], p)
-        assert polys.series_mul_mod([0] * 4, [1], p, 4) == [0] * 4
         with pytest.raises(InvalidArgument):
             polys.bezout_mod([0, 1], [0, 1], p)       # X and X share a factor
 
@@ -109,7 +123,7 @@ def test_f_p_kernels_on_zero_polynomials():
 def test_hensel_factor_is_distinguished_and_divides(p, d, width, data):
     # h in F_p[[S]][T] with h(0, T) = T^d * unit, known to S^width (the rest
     # zero): the lifted W is monic of degree d, equals T^d mod S and
-    # divides h modulo S^S_TRUNC
+    # divides h modulo S^S_TRUNC: the exact remainder starts at S^S_TRUNC
     dt = data.draw(st.integers(d, d + 3))
     h = [data.draw(residues(p, width, width)) for _ in range(dt + 1)]
     for j in range(d):
@@ -119,7 +133,7 @@ def test_hensel_factor_is_distinguished_and_divides(p, d, width, data):
     assert len(W) == d + 1 and W[d] == [1] + [0] * (S_TRUNC - 1)
     assert all(W[j][0] == 0 for j in range(d))
     _, rem = _t_divmod(h, W, p)
-    assert not any(map(any, rem))
+    assert not any(any(row[:S_TRUNC]) for row in rem)
 
 
 # -- polynomials over Z and Q -----------------------------------------------------

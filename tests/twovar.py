@@ -13,5 +13,4 @@ def mul2(f, g):
         for (i2, j2), b in g.coeffs.items():
             k = (i1 + i2, j1 + j2)
             out[k] = out.get(k, 0) + a * b
-    return IwasawaElement2(f.p, out, f.den * g.den,
-                           min(f.trunc_degree, g.trunc_degree))
+    return IwasawaElement2(f.p, out, f.den * g.den)
