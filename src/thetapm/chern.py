@@ -251,6 +251,14 @@ def local_length_vertical(ideal, pbar_terms):
         # a unit spans no prime; swapping the variables of a constant Pbar
         # would give it back unchanged
         raise InvalidArgument("Pbar is a unit mod p")
+    # Pbar must be distinguished in its monic variable (T, or S when T is
+    # absent): a lower term free of the other variable makes Pbar a unit
+    # times a factor of lower degree, T + T^2 = T(1 + T), and dividing by
+    # the whole of it miscounts the multiplicity
+    var = 1 if any(j for _, j in pbar) else 0
+    deg = max(k[var] for k in pbar)
+    if any(k[1 - var] == 0 and k[var] < deg for k in pbar):
+        raise InvalidArgument("Pbar is not distinguished in %s" % "ST"[var])
     sf, sg = f.p_split(), g.p_split()
     if any(v is not None and v < 0 for v, _ in (sf, sg)):
         raise InvalidArgument("a generator has a coefficient outside Z_p")

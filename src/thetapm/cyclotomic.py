@@ -18,13 +18,12 @@ basis is the Taylor shift by +1 of the numerators, by synthetic division.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, isqrt, lcm
 from operator import add, sub
 
 from .exceptions import InvalidArgument
 from .padics import is_prime
-from .polys import clear_denominators, mul as poly_mul
+from .polys import clear_denominators, mul as poly_mul, taylor_shift
 
 
 def fraction_poly_mul(a, b):
@@ -34,27 +33,6 @@ def fraction_poly_mul(a, b):
     A, da = clear_denominators(a)
     B, db = clear_denominators(b)
     return [Fraction(x, da * db) for x in poly_mul(A, B)]
-
-
-def _taylor_shift(a, sign=1):
-    """Integer coefficients of a(X + sign) for sign = +1 or -1.
-
-    Synthetic division by X - sign: n - 1 suffix-sum passes over one
-    working vector, O(n^2) integer additions.  The shift by -1 is the shift
-    by +1 conjugated by X -> -X.
-    """
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    if sign < 0:
-        a[1::2] = [-c for c in a[1::2]]
-    r = a[::-1]
-    for j in range(len(r), 1, -1):
-        r[:j] = accumulate(r[:j])
-    r.reverse()
-    if sign < 0:
-        r[1::2] = [-c for c in r[1::2]]
-    return r
 
 
 def _level(m):
@@ -276,7 +254,7 @@ def zeta_to_x_basis(z, p=None, k=None):
     """
     if None not in (p, k) and p ** k != z.m:
         raise InvalidArgument("element level %d is not %d^%d" % (z.m, p, k))
-    out = _taylor_shift(z.co, 1)
+    out = taylor_shift(z.co, 1)
     out += [0] * (len(z.co) - len(out))
     return [Fraction(x, z.den) for x in out]
 
@@ -289,4 +267,4 @@ def x_poly_at_zeta_minus_one(poly, p, k):
     the polynomial may be longer than phi(p^k).
     """
     ints, den = clear_denominators(poly)
-    return CyclotomicInt.from_exponents(p ** k, _taylor_shift(ints, -1), den)
+    return CyclotomicInt.from_exponents(p ** k, taylor_shift(ints, -1), den)

@@ -10,6 +10,7 @@ one coefficient, so the zero polynomial is [0].
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import lcm
 from operator import add as _add, sub as _sub
 
@@ -72,6 +73,27 @@ def mul(a, b):
     pos = unpack(Ap * Bp + An * Bn, block, count)
     neg = unpack(Ap * Bn + An * Bp, block, count)
     return list(map(_sub, pos, neg))
+
+
+def taylor_shift(a, sign=1):
+    """Integer coefficients of a(X + sign) for sign = +1 or -1.
+
+    Synthetic division by X - sign: n - 1 suffix-sum passes over one
+    working vector, O(n^2) integer additions.  The shift by -1 is the shift
+    by +1 conjugated by X -> -X.
+    """
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    if sign < 0:
+        a[1::2] = [-c for c in a[1::2]]
+    r = a[::-1]
+    for j in range(len(r), 1, -1):
+        r[:j] = accumulate(r[:j])
+    r.reverse()
+    if sign < 0:
+        r[1::2] = [-c for c in r[1::2]]
+    return r
 
 
 def pack(co, block):

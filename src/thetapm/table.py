@@ -5,6 +5,11 @@ imaginary quadratic twists; ``REFERENCE_INVARIANTS`` freezes the expected
 signed invariants for regression (independently recomputed by this code and
 cross-checked against published tables of signed Iwasawa invariants).  Any
 mismatch is reported as a failure, never auto-corrected.
+
+The symbol layer (spaces, eigensymbols, their cache) is imported with this
+module; the series layer (``mazurtate``) and the certificates
+(``coprimality``) are imported by the methods that first need them, so a
+workbench that only extracts symbols never loads them.
 """
 
 from __future__ import annotations
@@ -15,13 +20,9 @@ from math import gcd
 
 from . import cache as cache_mod
 from .config import RunConfig
-from .coprimality import (conjecture_b_report, coprime_certificate,
-                          shadow_products)
 from .curves import (CurveData, check_conductor, is_fundamental_discriminant,
                      kronecker_symbol)
 from .exceptions import InvalidArgument, UnsupportedHypothesis, WorkbenchError
-from .mazurtate import (ThetaTarget, reconstruct_signed, reinterpolation_check,
-                        trivial_character_ratio_check)
 from .modsym import EigenSymbol, build_space, extract_eigensymbol
 
 BUNDLED_CURVES = {
@@ -151,6 +152,7 @@ class Workbench:
     # -- targets and series -----------------------------------------------
 
     def target(self, curve, discriminant=1):
+        from .mazurtate import ThetaTarget
         key = (curve.label, discriminant)
         if key not in self._targets:
             p = self.config.p
@@ -162,6 +164,7 @@ class Workbench:
         return self._targets[key]
 
     def signed_series(self, curve, discriminant, sign):
+        from .mazurtate import reconstruct_signed
         key = (curve.label, discriminant, sign)
         if key not in self._series:
             target = self.target(curve, discriminant)
@@ -174,6 +177,10 @@ class Workbench:
 
     def table_row(self, curve, discriminant):
         """Full invariants-and-verdicts report for one example row."""
+        from .coprimality import (conjecture_b_report, coprime_certificate,
+                                  shadow_products)
+        from .mazurtate import (reinterpolation_check,
+                                trivial_character_ratio_check)
         p = self.config.p
         fs = FieldSpec(discriminant)
         fs.enforce_split(p, self.config.strict_hypotheses)

@@ -160,6 +160,27 @@ def test_length_rejects_unit_pbar(pbar):
         local_length_vertical((f, el2({(0, 1): 1})), pbar)
 
 
+@pytest.mark.parametrize("pbar,var", [({(0, 1): 1, (0, 2): 1}, "T"),
+                                      ({(1, 0): 1, (2, 0): 1}, "S"),
+                                      ({(0, 1): 2, (1, 1): 1, (0, 2): 1}, "T")])
+def test_length_rejects_pbar_not_distinguished(pbar, var):
+    # T + T^2 = T(1 + T) spans the prime (p, T), of length 1 against (3, T),
+    # but dividing by the whole of it once counted 0
+    f = el2({(0, 0): 3})
+    g = el2({(0, 1): 1}) if var == "T" else el2({(1, 0): 1})
+    with pytest.raises(InvalidArgument, match="not distinguished in " + var):
+        local_length_vertical((f, g), pbar)
+
+
+@pytest.mark.parametrize("pbar", [{(0, 1): 1}, {(1, 0): 1}, {(1, 0): 1, (0, 2): 1},
+                                  {(1, 0): 1, (1, 1): 1, (0, 2): 1}])
+def test_length_accepts_distinguished_pbar(pbar):
+    # lower coefficients divisible by S (T^2 + S, T^2 + ST + S) keep Pbar
+    # distinguished in T
+    f = el2({(0, 0): 3})
+    assert local_length_vertical((f, el2(pbar)), pbar) == 1
+
+
 # -- pushforward -------------------------------------------------------------------
 
 def test_pushforward_p_divisor():

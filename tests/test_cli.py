@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from thetapm import RunConfig, Workbench, build_space, bundled_curve, table
+from thetapm import RunConfig, Workbench, build_space, bundled_curve, mazurtate
 from thetapm.cache import load_symbol, store_symbol
 from thetapm.cli import main
 from thetapm.reports import comparable, parse_report, render_report
@@ -347,7 +347,7 @@ def test_curve_file_with_wrong_conductor_is_input_error(tmp_path, capsys):
 def test_reinterpolation_failure_is_row_error(workbench, monkeypatch):
     """A representative that misses its interpolation data yields a row
     error, not a row of invariants."""
-    monkeypatch.setattr(table, "reinterpolation_check", lambda series: [1])
+    monkeypatch.setattr(mazurtate, "reinterpolation_check", lambda series: [1])
     (row,) = workbench.run_table([{"curve": "32a", "discriminant": -107, "p": 3}])
     assert "reinterpolation failed" in row["error"]
     assert "series" not in row

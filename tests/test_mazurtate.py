@@ -6,13 +6,14 @@ import fraction_oracle
 from fraction_oracle import from_int
 from orbits import orbit_value
 
-from thetapm import (BadReduction, CurveData, InvalidArgument,
+from thetapm import (BUNDLED_ROWS, BadReduction, CurveData, InvalidArgument,
                      ThetaTarget, WorkbenchError, bundled_curve,
                      interpolation_value, kronecker_symbol, reconstruct_signed,
-                     reinterpolation_check, trivial_character_ratio_check)
+                     reinterpolation_check, trivial_character_ratio_check, vp)
 from thetapm import mazurtate
 from thetapm.cyclotomic import principal_unit_dlog
 from thetapm.mazurtate import SignedLSeries
+from thetapm.polys import taylor_shift
 
 
 @pytest.fixture(scope="module")
@@ -253,3 +254,40 @@ def test_family_value_even_under_negation(workbench, label, D):
     assert any(values.values())
     for a in units:
         assert values[q - a] == values[a], (label, D, a)
+
+
+# q_k = p^(k-1) - p^(k-2) + ... at p = 3, ending + p - 1 for even k and
+# + p^2 - p for odd k (level k has conductor p^(k+1))
+KP_Q = {2: 2, 3: 6, 4: 20, 5: 60, 6: 182, 7: 546}
+
+
+@pytest.mark.parametrize("label,D", sorted({(r["curve"], d) for r in BUNDLED_ROWS
+                                            for d in (r["discriminant"], 1)}))
+def test_kurihara_pollack_lambda(workbench, table_results, label, D):
+    """lambda(theta_k) = q_k + lambda^sign in the X = gamma - 1 basis.
+
+    A second route to every reported lambda: it shares the symbols and the
+    element build with the table but none of the Garner lift, the content
+    normalization or the Newton layer.  The sign is + at odd k and - at
+    even k.  Level 1 is left out: the formula holds for k large enough,
+    and some twisted targets have mu(theta_1) = 1.
+    """
+    prefix = "base" if D == 1 else "twist"
+    row = next(r for r in table_results if r["curve"] == label
+               and (D == 1 or r["discriminant"] == D))
+    target = workbench.target(bundled_curve(label), D)
+    checked = 0
+    for sign in ("plus", "minus"):
+        series = row["series"]["%s_%s" % (prefix, sign)]
+        for k in series["levels"]:
+            if k < 2:
+                continue
+            assert k % 2 == (sign == "plus"), (sign, k)
+            x = taylor_shift(target.mazur_tate(k).coeffs, 1)
+            vals = [vp(c, 3) for c in x]
+            mu = min(v for v in vals if v is not None)
+            lam = vals.index(mu)
+            assert (mu, lam - KP_Q[k]) == (0, series["profile"]["lambda"]), \
+                (label, D, sign, k)
+            checked += 1
+    assert checked >= 2
