@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "chern": ("C2Divisor", "FrobeniusData", "PrimeDescriptor", "ReductionData",
               "classify_reduction", "fudge_c2", "local_length_vertical",
-              "place_contribution", "pushforward_c2", "theorem_ledger",
-              "vertical_divisor_mod_p"),
+              "place_contribution", "pushforward_c2", "theorem_ledger"),
     "config": ("RunConfig",),
     "coprimality": ("CoprimalityCertificate", "conjecture_b_report",
                     "coprime_certificate", "is_unit", "shadow_products"),

@@ -6,9 +6,10 @@ the horizontal part of an intersection is pushed forward through the
 T-resultant rather than resolved prime by prime.  Two-variable elements are
 read only through ``p_split`` and ``t_polynomial``; everything mod p runs on
 term dicts over F_p.  The generators are exact polynomials, so a local
-length divides exactly in F_p[S][T]; only the Frobenius character, a power
-series, is cut at the S-adic precision ``S_TRUNC``, and with it its
-Weierstrass factor.  The fudge factors at primes away from p depend only
+length divides exactly in F_p[S][T].  The divisor of the Frobenius
+character at a fudge place is read off in closed form: its Weierstrass
+factor T^d - beta(S) is exact, and only its printed S-series is cut at
+``S_TRUNC``.  The fudge factors at primes away from p depend only
 on the reduction type of the curve at the places of the quadratic field,
 with a contribution exactly when the reduction is split multiplicative and
 p divides the Tate-parameter valuation.
@@ -25,9 +26,9 @@ from .curves import kronecker_symbol, local_reduction_type, unit_square_class
 from .exceptions import (CommonFactorWithinPrecision, InvalidArgument,
                          NotPseudoNull, UnsupportedShape)
 from .iwasawa import newton_invariants, resultant_in_T
-from .padics import vp
+from .padics import is_prime, vp
 
-S_TRUNC = 24               # S-adic precision of the Frobenius character
+S_TRUNC = 24               # S-terms printed of a Weierstrass factor
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +98,6 @@ class C2Divisor:
 # ``IwasawaElement2.p_split`` returns them
 
 
-def _fp2_s_content(h):
-    return min((i for (i, _) in h), default=0)
-
-
-def _fp2_shift_s(h, e):
-    return {(i - e, j): c for (i, j), c in h.items()}
-
-
 def _fp2_t_poly(h, p):
     """As a T-polynomial: list over T-degree of trimmed F_p[S] rows."""
     dt = max((j for (_, j) in h), default=0)
@@ -156,67 +149,15 @@ def _t_multiplicity(g, w, p, cap=None):
     return mult
 
 
-def _hensel_weierstrass_t(h, p):
-    """Distinguished T-factor of h in F_p[[S]][T] with h(0, T) != 0.
-
-    S-adic Hensel lift of h(0,T) = T^d * (unit): returns the monic degree-d
-    factor W with W = T^d mod S, as a T-polynomial over F_p[S]/(S^S_TRUNC).
-    """
-    h0 = polys.trim([c[0] % p for c in h])
-    d = next((j for j, x in enumerate(h0) if x), None)
-    if d is None:
-        raise InvalidArgument("h(0, T) = 0; extract the S-content first")
-    if d == 0:
-        return [[1] + [0] * (S_TRUNC - 1)]
-    A = [0] * d + [1]
-    B = polys.trim(h0[d:])
-    _, t = polys.bezout_mod(A, B, p)
-    W = [A]                       # S-digit expansions of the factors
-    U = [B]
-    # digits 1.. packed as integers (a Kronecker substitution in T), so an
-    # error term is one sum of integer products over the nonzero W-digits
-    block = (len(h) * S_TRUNC * p * p).bit_length() // 8 + 1
-    Wk, Uk = [0], [0]
-    for m in range(1, S_TRUNC):
-        # E = coefficient of S^m in h - W*U; digits m of W and U are unknown
-        conv = polys.unpack(sum(Wk[i] * Uk[m - i] for i in range(1, m) if Wk[i]),
-                            block, len(h))
-        E = polys.mod(polys.sub([c[m] if m < len(c) else 0 for c in h], conv), p)
-        if E == [0]:
-            dW = dU = [0]
-        else:
-            # E = T^d*dU + B*dW with deg dW < d: dW = t*E mod T^d, then a shift
-            dW = polys.mod(polys.mul(t[:d], E[:d])[:d], p)
-            dU = polys.mod(polys.sub(E, polys.mul(B, dW))[d:], p) or [0]
-        W.append(dW)
-        U.append(dU)
-        Wk.append(polys.pack(dW, block))
-        Uk.append(polys.pack(dU, block))
-    out = []
-    for j in range(d + 1):
-        col = [0] * S_TRUNC
-        for m in range(min(len(W), S_TRUNC)):
-            if j < len(W[m]):
-                col[m] = W[m][j] % p
-        out.append(col)
-    out[d] = [1] + [0] * (S_TRUNC - 1)
-    return out
-
-
-def _fps_poly_str(w, p, var_main="T", var_coef="S"):
+def _fps_poly_str(w, p):
+    """A T-polynomial over F_p[S] as text, from a dict of its S-coefficient
+    lists by T-degree."""
     terms = []
-    for j, c in enumerate(w):
-        if isinstance(c, list):
-            inner = [_mono(x % p, var_coef, i) for i, x in enumerate(c) if x % p]
-            if not inner:
-                continue
-            cs = "+".join(inner)
-            cs = "(%s)" % cs if len(inner) > 1 else cs
-        else:
-            if c % p == 0:
-                continue
-            cs = str(c % p)
-        terms.append("%s*%s^%d" % (cs, var_main, j) if j else cs)
+    for j, c in sorted(w.items()):
+        inner = [_mono(x % p, "S", i) for i, x in enumerate(c) if x % p]
+        if inner:
+            cs = "(%s)" % "+".join(inner) if len(inner) > 1 else inner[0]
+            terms.append("%s*T^%d" % (cs, j) if j else cs)
     return " + ".join(terms) if terms else "0"
 
 
@@ -503,11 +444,22 @@ class FrobeniusData:
 
     @classmethod
     def from_records(cls, records):
+        """From the ``entries`` of a Frobenius file, checked; bools are not
+        integers, and ``place`` defaults to 0."""
         out = {}
-        for rec in records or []:
-            key = (int(rec["ell"]), int(rec.get("place", 0)))
-            ab = rec.get("exponents")
-            out[key] = None if ab is None else (int(ab[0]), int(ab[1]))
+        for entry in records or []:
+            rec = entry if isinstance(entry, dict) else {}
+            ell, place, ab = rec.get("ell"), rec.get("place", 0), rec.get("exponents")
+            if not (type(ell) is int and is_prime(ell) and type(place) is int
+                    and place >= 0 and (ab is None or type(ab) is list and len(ab) == 2
+                                        and all(type(x) is int for x in ab))):
+                raise InvalidArgument("Frobenius entry %r: ell must be a prime, place "
+                                      "an integer >= 0 and exponents null or two "
+                                      "integers" % (entry,))
+            if (ell, place) in out:
+                raise InvalidArgument("Frobenius entry for ell = %d, place %d given "
+                                      "twice" % (ell, place))
+            out[(ell, place)] = None if ab is None else tuple(ab)
         return cls(out)
 
     def lookup(self, ell, place):
@@ -524,45 +476,28 @@ def binomial_series_mod_p(c, p, trunc):
     return out
 
 
-def frobenius_character_mod_p(a, b, p, trunc):
-    """(1+S)^(-a) (1+T)^(-b) - 1 mod p, as a term dict."""
-    A = binomial_series_mod_p(-a, p, trunc)
-    B = binomial_series_mod_p(-b, p, trunc)
-    out = {}
-    for i, x in enumerate(A):
-        if x:
-            for j, y in enumerate(B):
-                if y and i + j <= trunc:
-                    out[(i, j)] = (out.get((i, j), 0) + x * y) % p
-    out[(0, 0)] = (out.get((0, 0), 0) - 1) % p
-    return {k: v for k, v in out.items() if v}
+def _frobenius_divisor(a, b, p):
+    """Divisor mod p of the Frobenius character (1+S)^(-a) (1+T)^(-b) - 1.
 
-
-def vertical_divisor_mod_p(hbar, p):
-    """Divisor of a nonzero series mod p as (descriptor, multiplicity) terms.
-
-    The S-content splits off as (p, S); the remaining Weierstrass factor in
-    T is emitted whole, resolved when its degree is one.
+    For b = 0 it is S^(p^v_p(a)) times a unit.  Otherwise write b = u*d with
+    d = p^v_p(b): mod p, (1+T)^(-b) = (1+T^d)^(-u), so the character vanishes
+    exactly on T^d = beta(S) with beta = (1+S)^(-a/u) - 1, and the
+    distinguished W = T^d - beta dividing it is, by the uniqueness of
+    Weierstrass preparation, its Weierstrass factor.
     """
-    if not hbar:
-        raise InvalidArgument("series vanishes mod p")
-    terms = []
-    e0 = _fp2_s_content(hbar)
-    h1 = _fp2_shift_s(hbar, e0) if e0 else dict(hbar)
-    if e0:
-        terms.append((PrimeDescriptor("vertical", ("p", "S")), e0))
-    h0 = [0]
-    if any(i == 0 for (i, _) in h1):
-        tpoly = _fp2_t_poly(h1, p)
-        d = next((j for j, c in enumerate(tpoly) if c[0] % p != 0), None)
-        if d is None:
-            raise UnsupportedShape("no pure T-order after removing S-content")
-        if d > 0:
-            W = _hensel_weierstrass_t(tpoly, p)
-            label = _fps_poly_str(W, p)
-            terms.append((PrimeDescriptor("vertical", ("p", label),
-                                          resolved=(d == 1)), 1 if d == 1 else d))
-    return terms
+    if b == 0:
+        if a == 0:
+            raise InvalidArgument("series vanishes mod p")
+        return [(PrimeDescriptor("vertical", ("p", "S")), p ** vp(a, p))]
+    d = p ** vp(b, p)
+    q = p
+    while q < S_TRUNC:
+        q *= p
+    # binom(c, i) mod p for i < q depends only on c mod q (Lucas)
+    beta = binomial_series_mod_p(-a * pow(b // d, -1, q) % q, p, S_TRUNC)
+    W = {0: [0] + [-x % p for x in beta[1:]], d: [1]}
+    return [(PrimeDescriptor("vertical", ("p", _fps_poly_str(W, p)),
+                             resolved=(d == 1)), 1 if d == 1 else d)]
 
 
 def fudge_c2(curve, field_discriminant, p, sigma, frobenius=None):
@@ -628,8 +563,7 @@ def place_contribution(place, p, frobenius=None):
                                  "note": "frobenius exponents missing; "
                                          "generators unresolved"}
         return [(desc, v)], entry
-    hbar = frobenius_character_mod_p(ab[0], ab[1], p, S_TRUNC)
-    parts = vertical_divisor_mod_p(hbar, p)
+    parts = _frobenius_divisor(ab[0], ab[1], p)
     terms = []
     contrib = []
     for desc, mult in parts:

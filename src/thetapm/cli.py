@@ -182,9 +182,13 @@ def cmd_coprime(args):
 def cmd_fudge(args):
     curve = _resolve_curve(args)
     sigma = _load_json(args.sigma_file)["primes"] if args.sigma_file else []
-    frob = FrobeniusData.from_records(
-        _load_json(args.frobenius_file).get("entries")
-        if args.frobenius_file else None)
+    frob = FrobeniusData()
+    if args.frobenius_file:
+        doc = _load_json(args.frobenius_file)
+        if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+            raise InvalidArgument("%s: a Frobenius file is an object with an "
+                                  "'entries' list" % args.frobenius_file)
+        frob = FrobeniusData.from_records(doc["entries"])
     divisor, ledger = fudge_c2(curve, args.discriminant, args.p, sigma, frob)
     records = [{"divisor": divisor.as_dict()}, {"ledger": ledger},
                {"theorem_ledger": theorem_ledger(fudge_divisor=divisor,

@@ -8,6 +8,9 @@ reduce mod p after every term and the rational remainder of
 ``thetapm.chern``.  ``PadicScalar``, the one-variable coefficient type
 before series became integers over one denominator, lives here too, with
 the scalar ``newton_invariants`` and ``weierstrass_prepare`` that read it.
+So does the divisor of a Frobenius character as ``thetapm.chern`` took it
+before the closed form: the character cut at a total degree, its S-content
+split off and its T-factor Hensel-lifted over the S-adic digits.
 The elimination runs on the precision-propagating sum, product and
 quotient of scalars below, which the scalar class itself never had (it
 carries precision as data and does no arithmetic): ``Fraction``-based, as
@@ -18,7 +21,10 @@ kernels are checked against them.
 from fractions import Fraction
 
 from thetapm import polys
-from thetapm.exceptions import InvalidArgument, PrecisionError, TruncationError
+from thetapm.chern import (S_TRUNC, PrimeDescriptor, _fp2_t_poly, _fps_poly_str,
+                           binomial_series_mod_p)
+from thetapm.exceptions import (InvalidArgument, PrecisionError, TruncationError,
+                                UnsupportedShape)
 from thetapm.iwasawa import (DEFAULT_PRECISION, InvariantProfile, hull_value,
                              lower_hull)
 from thetapm.padics import is_prime, vp
@@ -557,3 +563,101 @@ def _resultant_1var(a, b):
             rows[i] = [padic_add(x, padic_neg(padic_mul(factor, y)))
                        for x, y in zip(rows[i], inv_row)]
     return det
+
+
+# -- the Frobenius character and its divisor (chern) ---------------------------
+
+def _fp2_s_content(h):
+    return min((i for (i, _) in h), default=0)
+
+
+def _fp2_shift_s(h, e):
+    return {(i - e, j): c for (i, j), c in h.items()}
+
+
+def _hensel_weierstrass_t(h, p):
+    """Distinguished T-factor of h in F_p[[S]][T] with h(0, T) != 0.
+
+    S-adic Hensel lift of h(0,T) = T^d * (unit): returns the monic degree-d
+    factor W with W = T^d mod S, as a T-polynomial over F_p[S]/(S^S_TRUNC).
+    """
+    h0 = polys.trim([c[0] % p for c in h])
+    d = next((j for j, x in enumerate(h0) if x), None)
+    if d is None:
+        raise InvalidArgument("h(0, T) = 0; extract the S-content first")
+    if d == 0:
+        return [[1] + [0] * (S_TRUNC - 1)]
+    A = [0] * d + [1]
+    B = polys.trim(h0[d:])
+    _, t = polys.bezout_mod(A, B, p)
+    W = [A]                       # S-digit expansions of the factors
+    U = [B]
+    # digits 1.. packed as integers (a Kronecker substitution in T), so an
+    # error term is one sum of integer products over the nonzero W-digits
+    block = (len(h) * S_TRUNC * p * p).bit_length() // 8 + 1
+    Wk, Uk = [0], [0]
+    for m in range(1, S_TRUNC):
+        # E = coefficient of S^m in h - W*U; digits m of W and U are unknown
+        conv = polys.unpack(sum(Wk[i] * Uk[m - i] for i in range(1, m) if Wk[i]),
+                            block, len(h))
+        E = polys.mod(polys.sub([c[m] if m < len(c) else 0 for c in h], conv), p)
+        if E == [0]:
+            dW = dU = [0]
+        else:
+            # E = T^d*dU + B*dW with deg dW < d: dW = t*E mod T^d, then a shift
+            dW = polys.mod(polys.mul(t[:d], E[:d])[:d], p)
+            dU = polys.mod(polys.sub(E, polys.mul(B, dW))[d:], p) or [0]
+        W.append(dW)
+        U.append(dU)
+        Wk.append(polys.pack(dW, block))
+        Uk.append(polys.pack(dU, block))
+    out = []
+    for j in range(d + 1):
+        col = [0] * S_TRUNC
+        for m in range(min(len(W), S_TRUNC)):
+            if j < len(W[m]):
+                col[m] = W[m][j] % p
+        out.append(col)
+    out[d] = [1] + [0] * (S_TRUNC - 1)
+    return out
+
+
+def frobenius_character_mod_p(a, b, p, trunc):
+    """(1+S)^(-a) (1+T)^(-b) - 1 mod p, cut at total degree ``trunc``, as a
+    term dict."""
+    A = binomial_series_mod_p(-a, p, trunc)
+    B = binomial_series_mod_p(-b, p, trunc)
+    out = {}
+    for i, x in enumerate(A):
+        if x:
+            for j, y in enumerate(B):
+                if y and i + j <= trunc:
+                    out[(i, j)] = (out.get((i, j), 0) + x * y) % p
+    out[(0, 0)] = (out.get((0, 0), 0) - 1) % p
+    return {k: v for k, v in out.items() if v}
+
+
+def vertical_divisor_mod_p(hbar, p):
+    """Divisor of a nonzero series mod p as (descriptor, multiplicity) terms.
+
+    The S-content splits off as (p, S); the remaining Weierstrass factor in
+    T is emitted whole, resolved when its degree is one.
+    """
+    if not hbar:
+        raise InvalidArgument("series vanishes mod p")
+    terms = []
+    e0 = _fp2_s_content(hbar)
+    h1 = _fp2_shift_s(hbar, e0) if e0 else dict(hbar)
+    if e0:
+        terms.append((PrimeDescriptor("vertical", ("p", "S")), e0))
+    if any(i == 0 for (i, _) in h1):
+        tpoly = _fp2_t_poly(h1, p)
+        d = next((j for j, c in enumerate(tpoly) if c[0] % p != 0), None)
+        if d is None:
+            raise UnsupportedShape("no pure T-order after removing S-content")
+        if d > 0:
+            W = _hensel_weierstrass_t(tpoly, p)
+            label = _fps_poly_str(dict(enumerate(W)), p)
+            terms.append((PrimeDescriptor("vertical", ("p", label),
+                                          resolved=(d == 1)), 1 if d == 1 else d))
+    return terms

@@ -3,16 +3,19 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetapm import (C2Divisor, CommonFactorWithinPrecision, CurveData,
                      FrobeniusData, InvalidArgument, IwasawaElement2,
                      NotPseudoNull, PrimeDescriptor, ReductionData,
                      UnsupportedShape, bundled_curve,
                      classify_reduction, fudge_c2, local_length_vertical,
-                     place_contribution, pushforward_c2, theorem_ledger,
-                     vertical_divisor_mod_p)
-from thetapm.chern import binomial_series_mod_p, frobenius_character_mod_p
+                     place_contribution, pushforward_c2, theorem_ledger)
+from thetapm.chern import S_TRUNC, _frobenius_divisor, binomial_series_mod_p
+from thetapm.padics import vp
 
+from ledger_oracle import frobenius_character_mod_p, vertical_divisor_mod_p
 from twovar import mul2
 
 
@@ -352,6 +355,148 @@ def test_frobenius_character_divisor():
     parts2 = vertical_divisor_mod_p(h2, 5)
     assert sum(m for _, m in parts2) == 1
     assert all(d.resolved for d, _ in parts2)
+
+
+# -- the Frobenius divisor in closed form ------------------------------------------
+
+FROB_PRIMES = (3, 5, 7, 11)
+FROB_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+
+
+def series_label(label):
+    """{(i, j): c} of a printed T-polynomial over F_p[S]."""
+    out = {}
+    for term in label.split(" + "):
+        cs, j = term.rsplit("*T^", 1) if "*T^" in term else (term, "0")
+        for mono in cs.strip("()").split("+"):
+            c, has_s, i = mono.partition("S")
+            out[(int(i.lstrip("^") or 1) if has_s else 0, int(j))] = int(c.rstrip("*") or 1)
+    return out
+
+
+def test_frobenius_divisor_matches_hensel_oracle_where_the_cut_is_harmless():
+    # every (a, b) in [-30, 30]^2 with b prime to p, and b = 0 with
+    # p^v_p(a) < S^S_TRUNC: the character cut at total degree S_TRUNC and
+    # lifted S-adic digit by digit gives the same terms
+    grid = range(-30, 31)
+    for p in FROB_PRIMES:
+        for a in grid:
+            for b in grid:
+                if b % p == 0 and (b or not a or p ** vp(a, p) >= S_TRUNC):
+                    continue
+                h = frobenius_character_mod_p(a, b, p, S_TRUNC)
+                assert _frobenius_divisor(a, b, p) == vertical_divisor_mod_p(h, p), \
+                    (p, a, b)
+
+
+@FROB_SETTINGS
+@given(st.sampled_from(FROB_PRIMES), st.integers(-30, 30), st.data())
+def test_frobenius_divisor_matches_hensel_oracle_when_p_divides_b(p, a, data):
+    # with d = p^v_p(b), a term S^i T^j with j > S_TRUNC * d is 0 mod
+    # (W, S^S_TRUNC), so the oracle fed the character cut at total degree
+    # S_TRUNC * (d + 1) and at S-degree S_TRUNC sees every term that counts
+    b = data.draw(st.sampled_from([b for b in range(-30, 31) if b and b % p == 0]))
+    d = p ** vp(b, p)
+    h = frobenius_character_mod_p(a, b, p, S_TRUNC * (d + 1))
+    h = {(i, j): c for (i, j), c in h.items() if i < S_TRUNC}
+    assert _frobenius_divisor(a, b, p) == vertical_divisor_mod_p(h, p)
+
+
+@FROB_SETTINGS
+@given(st.sampled_from(FROB_PRIMES), st.integers(-130, 130),
+       st.integers(-130, 130).filter(bool))
+def test_frobenius_factor_annihilates_the_character(p, a, b):
+    # W = T^d - beta read back from its label; mod p the character has
+    # T-terms only in degrees divisible by d (Lucas), and T^d = beta makes
+    # it vanish mod S^S_TRUNC
+    d = p ** vp(b, p)
+    (desc, mult), = _frobenius_divisor(a, b, p)
+    assert mult == d and desc.resolved == (d == 1)
+    W = series_label(desc.generators[1])
+    assert W.pop((0, d)) == 1 and all(j == 0 and i >= 1 for i, j in W)
+    beta = [-W.get((i, 0), 0) % p for i in range(S_TRUNC)]
+
+    def mul(x, y):
+        return [sum(x[k] * y[i - k] for k in range(i + 1)) % p for i in range(S_TRUNC)]
+
+    B = binomial_series_mod_p(-b, p, S_TRUNC * d)
+    assert not any(B[j] for j in range(len(B)) if j % d)
+    total, power = [0] * S_TRUNC, [1] + [0] * (S_TRUNC - 1)
+    for k in range(S_TRUNC):
+        total = [(x + B[k * d] * y) % p for x, y in zip(total, power)]
+        power = mul(power, beta)
+    char = mul(binomial_series_mod_p(-a, p, S_TRUNC), total)
+    assert char == [1] + [0] * (S_TRUNC - 1)
+
+
+MINUS_BETA_1_5 = "+".join(["S"] + ["%sS^%d" % ("4*" if i % 2 == 0 else "", i)
+                                   for i in range(2, S_TRUNC)])
+
+
+@pytest.mark.parametrize("a,b,label,resolved,mult", [
+    # the total-degree cut lost S^i T^5 with i + 5 > 24, and the lift
+    # carried them into W: the S^5 coefficient read 2
+    (1, 5, "(%s) + 1*T^5" % MINUS_BETA_1_5, False, 5),
+    # T^25 lay past the cut: the T-factor was lost, (p, S) reported once
+    (1, 25, "(%s) + 1*T^25" % MINUS_BETA_1_5, False, 25),
+    # (1+S)^(-25) - 1 = -S^25 + ...: the cut series read as zero
+    (25, 0, "S", True, 25),
+])
+def test_frobenius_divisor_regressions_at_p5(a, b, label, resolved, mult):
+    want = [(PrimeDescriptor("vertical", ("p", label), resolved=resolved), mult)]
+    assert _frobenius_divisor(a, b, 5) == want
+    terms, _ = place_contribution(synthetic_place("split-mult", 25), 5,
+                                  FrobeniusData({(11, 0): (a, b)}))
+    assert terms == [(want[0][0], 2 * mult)]        # v_5(25) = 2
+
+
+def test_frobenius_divisor_of_a_high_p_power_is_built_sparse():
+    # W = T^(5^40) - beta, two nonzero T-columns, not 5^40 + 1 of them; beta
+    # = (1+S)^(-1/3) - 1 depends on the unit part 3 of b alone
+    (desc, mult), = _frobenius_divisor(1, 3 * 5 ** 40, 5)
+    (unit_desc, _), = _frobenius_divisor(1, 3, 5)
+    assert mult == 5 ** 40 and not desc.resolved
+    assert desc.generators[1] == unit_desc.generators[1].replace(
+        "1*T^1", "1*T^%d" % 5 ** 40)
+
+
+def test_frobenius_divisor_of_the_trivial_character_raises():
+    with pytest.raises(InvalidArgument, match="vanishes"):
+        _frobenius_divisor(0, 0, 5)
+
+
+# -- Frobenius files -----------------------------------------------------------------
+
+@pytest.mark.parametrize("records", [
+    [{"ell": 11, "exponents": [1.5, 0]}],
+    [{"ell": 11, "exponents": [1, 0, 7]}],
+    [{"ell": 11, "exponents": [1]}],
+    [{"ell": 11, "exponents": [True, 0]}],
+    [{"ell": 11, "exponents": "10"}],
+    [{"ell": 5.7, "exponents": [1, 0]}],
+    [{"ell": True, "exponents": [1, 0]}],
+    [{"ell": 15, "exponents": [1, 0]}],
+    [{"ell": "11", "exponents": [1, 0]}],
+    [{"exponents": [1, 0]}],
+    [{"ell": 11, "place": -1, "exponents": [1, 0]}],
+    [{"ell": 11, "place": 0.0, "exponents": [1, 0]}],
+    [{"ell": 11, "place": False, "exponents": [1, 0]}],
+    [{"ell": 11, "exponents": [1, 0]}, {"ell": 11, "place": 0, "exponents": None}],
+    [[11, 0, [1, 0]]],
+])
+def test_frobenius_records_rejected(records):
+    with pytest.raises(InvalidArgument):
+        FrobeniusData.from_records(records)
+
+
+def test_frobenius_records_accepted():
+    frob = FrobeniusData.from_records([
+        {"ell": 11, "exponents": [1, -3]}, {"ell": 11, "place": 1, "exponents": None},
+        {"ell": 13, "place": 0, "exponents": [0, 5]}])
+    assert frob.entries == {(11, 0): (1, -3), (11, 1): None, (13, 0): (0, 5)}
+    assert FrobeniusData.from_records(None).entries == {}
+    assert FrobeniusData.from_records([]).entries == {}
 
 
 def test_fudge_full_run_good_places():

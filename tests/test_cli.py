@@ -256,6 +256,30 @@ def test_cmd_fudge_p3_flagged(tmp_path, capsys):
     assert_pinned(out, "fudge_p3")
 
 
+@pytest.mark.parametrize("doc", [
+    # each entry check is in test_chern; these reached the command line as
+    # exit 0 (a truncated float) or a traceback
+    {"entries": [{"ell": 11, "exponents": [1.5, 0, 7]}]},
+    {"entries": [{"exponents": [1, 0]}]},
+    [{"ell": 11, "exponents": [1, 0]}],
+    {"entries": {"ell": 11, "exponents": [1, 0]}},
+    {},
+])
+def test_cmd_fudge_bad_frobenius_file_is_input_error(tmp_path, capsys, doc):
+    frob = tmp_path / "frobenius.json"
+    frob.write_text(json.dumps(doc))
+    code = main(["fudge", "--curve", "32a", "--discriminant", "-43", "--p", "5",
+                 "--frobenius-file", str(frob)])
+    assert code == 2 and "input error" in capsys.readouterr().err
+
+
+def test_cmd_fudge_reads_the_example_frobenius_file(capsys):
+    code, out = run_cli(["fudge", "--curve", "32a", "--discriminant", "-43",
+                         "--p", "5", "--frobenius-file",
+                         os.path.join(DATA, "frobenius_example.json")], capsys)
+    assert code == 0 and parse_report(out)[0]["kind"] == "fudge"
+
+
 def run_coprime_files(tmp_path, capsys, f_coeffs, g_coeffs, precision=None):
     """``coprime`` on two series files: exact polynomials, or series with
     an unknown tail when ``precision`` is given."""

@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 import ledger_oracle as oracle
 
-from ledger_oracle import PadicScalar
+from ledger_oracle import PadicScalar, _hensel_weierstrass_t
 from thetapm import (IwasawaElement1, IwasawaElement2, newton_invariants, polys,
                      resultant_in_T, vp)
-from thetapm.chern import (S_TRUNC, _fiber_gcd_at_origin, _hensel_weierstrass_t,
-                           _t_divmod)
+from thetapm.chern import S_TRUNC, _fiber_gcd_at_origin, _t_divmod
 from thetapm.exceptions import InvalidArgument, PrecisionError, TruncationError
 from thetapm.coprimality import _abs_floor_bound, _resultant_mod
 from thetapm.iwasawa import _bareiss_det, weierstrass_prepare

@@ -22,8 +22,7 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 EXPORTS = {
     "chern": ["C2Divisor", "FrobeniusData", "PrimeDescriptor", "ReductionData",
               "classify_reduction", "fudge_c2", "local_length_vertical",
-              "place_contribution", "pushforward_c2", "theorem_ledger",
-              "vertical_divisor_mod_p"],
+              "place_contribution", "pushforward_c2", "theorem_ledger"],
     "config": ["RunConfig"],
     "coprimality": ["CoprimalityCertificate", "conjecture_b_report",
                     "coprime_certificate", "is_unit", "shadow_products"],
@@ -79,7 +78,7 @@ def test_star_import_gives_every_public_name():
 
 def test_public_names_resolve_to_their_defining_module():
     names = sorted(n for names in EXPORTS.values() for n in names)
-    assert len(names) == 62
+    assert len(names) == 61
     assert thetapm.__all__ == names
     assert set(names) <= set(dir(thetapm))
     for module, members in EXPORTS.items():
