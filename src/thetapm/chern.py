@@ -166,7 +166,7 @@ def _mono(c, var, i):
         return str(c)
     if c == 1:
         return "%s^%d" % (var, i) if i > 1 else var
-    return "%d*%s^%d" % (c, var, i) if i > 1 else "%d*%s" % (c, var)
+    return "%s*%s^%d" % (c, var, i) if i > 1 else "%s*%s" % (c, var)
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +324,7 @@ def _primitive(co):
 
 
 def _poly_str(co, var):
-    parts = []
-    for i, c in enumerate(co):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append("%s^%d" % (var, i) if i > 1 else var)
-        else:
-            parts.append("%s*%s^%d" % (c, var, i) if i > 1 else "%s*%s" % (c, var))
-    return " + ".join(parts) if parts else "0"
+    return " + ".join(_mono(c, var, i) for i, c in enumerate(co) if c) or "0"
 
 
 # ---------------------------------------------------------------------------

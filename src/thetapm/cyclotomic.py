@@ -13,6 +13,9 @@ inverses 1/(zeta^t - 1) and 1/Phi_{p^j}(zeta), Mazur-Tate character sums
 and the evaluation of an X-polynomial at zeta - 1 (an integer Taylor shift
 by -1 before the fold) all go through that one fold.  The change to the X
 basis is the Taylor shift by +1 of the numerators, by synthetic division.
+X-polynomials are stored the same way, integer numerators over one
+denominator, in and out of both basis changes and their products; no
+coefficient becomes a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -23,16 +26,19 @@ from operator import add, sub
 
 from .exceptions import InvalidArgument
 from .padics import is_prime
-from .polys import clear_denominators, mul as poly_mul, taylor_shift
+from .polys import mul as poly_mul, taylor_shift
 
 
 def fraction_poly_mul(a, b):
-    """Exact product of Fraction coefficient lists, fast at scale."""
-    if not a or not b:
-        return []
-    A, da = clear_denominators(a)
-    B, db = clear_denominators(b)
-    return [Fraction(x, da * db) for x in poly_mul(A, B)]
+    """Product of two (integer numerators, denominator) polynomials, as one.
+
+    The name predates the integer representation: the benchmark tracer
+    hooks this function as ``cyclotomic.poly_mul`` and its tests require
+    that hook to be present and called on the ``table`` workload, so the
+    name changes only together with the benchmark.
+    """
+    (A, da), (B, db) = a, b
+    return poly_mul(A, B), da * db
 
 
 def _level(m):
@@ -232,39 +238,26 @@ def phi_value_at_root_inverse(p, j, k):
     return CyclotomicInt.from_exponents(p ** k, v, q)
 
 
-def principal_unit_dlog(p, n):
-    """Discrete logs base (1+p) on the principal units of Z/p^(n+1)."""
-    q = p ** (n + 1)
-    u0 = 1 + p
-    table = {}
-    x = 1
-    for j in range(p ** n):
-        table[x] = j
-        x = x * u0 % q
-    return table
-
-
 def zeta_to_x_basis(z, p=None, k=None):
     """Rewrite an element of Q(zeta_{p^k}) as a polynomial in X = zeta - 1.
 
-    Returns Fraction coefficients of degree < phi(p^k).  This is the
-    binomial transform c'_j = sum_i c_i * C(i, j), i.e. the Taylor shift of
-    the power-basis numerators by +1 over the one denominator.  The level
-    is z.m; p and k, when given, must name it.
+    Returns (numerators, z.den): phi(p^k) integers, lowest degree first,
+    over the element's one denominator.  This is the binomial transform
+    c'_j = sum_i c_i * C(i, j), i.e. the Taylor shift of the power-basis
+    numerators by +1.  The level is z.m; p and k, when given, must name it.
     """
     if None not in (p, k) and p ** k != z.m:
         raise InvalidArgument("element level %d is not %d^%d" % (z.m, p, k))
     out = taylor_shift(z.co, 1)
     out += [0] * (len(z.co) - len(out))
-    return [Fraction(x, z.den) for x in out]
+    return out, z.den
 
 
-def x_poly_at_zeta_minus_one(poly, p, k):
-    """Evaluate a polynomial in X at X = zeta_{p^k} - 1, exactly.
+def x_poly_at_zeta_minus_one(nums, p, k, den=1):
+    """Evaluate the polynomial nums/den in X at X = zeta_{p^k} - 1, exactly.
 
     poly(zeta - 1) is the Taylor shift of poly by -1 read at zeta, so the
     shifted integer numerators fold into the power basis of Q(zeta_{p^k});
     the polynomial may be longer than phi(p^k).
     """
-    ints, den = clear_denominators(poly)
-    return CyclotomicInt.from_exponents(p ** k, taylor_shift(ints, -1), den)
+    return CyclotomicInt.from_exponents(p ** k, taylor_shift(nums, -1), den)

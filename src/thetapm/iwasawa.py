@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import polys
 from .exceptions import (InvalidArgument, PrecisionError, TruncationError)
@@ -92,9 +92,7 @@ class IwasawaElement1:
         """Exact polynomial; with ``precision`` every coefficient is known
         to that many digits beyond its valuation (a zero to O(p^precision))."""
         values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-        den = lcm(*(v.denominator for v in values))
-        out = cls(p, [v.numerator * (den // v.denominator) for v in values], den,
-                  exact_tail=True)
+        out = cls(p, *polys.clear_denominators(values), exact_tail=True)
         if precision is not None:
             if precision < 1:
                 raise InvalidArgument("precision must be >= 1")
@@ -132,7 +130,7 @@ class IwasawaElement1:
 
     def evaluate_at_unity_root(self, k):
         """Exact value at X = zeta_{p^k} - 1 (requires exact coefficients)."""
-        return x_poly_at_zeta_minus_one(self.rationals(), self.p, k)
+        return x_poly_at_zeta_minus_one(self.nums, self.p, k, self.den)
 
     def __repr__(self):
         return "IwasawaElement1(p=%d, deg<=%d, %s)" % (
@@ -206,15 +204,6 @@ def newton_invariants(f):
         if i <= lam and (i < hull[0][0] or bound < hull_value(hull, i)):
             stabilized = False
     return InvariantProfile(mu, lam, tuple(slopes), stabilized)
-
-
-def newton_invariants_exact(coeffs, p):
-    """Profile of an exact rational coefficient list (None when zero)."""
-    f = IwasawaElement1.from_rationals(p, coeffs)
-    try:
-        return newton_invariants(f)
-    except PrecisionError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +332,8 @@ class IwasawaElement2:
     @classmethod
     def from_dict(cls, p, d):
         """From a dict (i, j) -> rational coefficient."""
-        d = {k: Fraction(v) for k, v in d.items()}
-        den = lcm(*(v.denominator for v in d.values()))
-        return cls(p, {k: v.numerator * (den // v.denominator) for k, v in d.items()},
-                   den)
+        nums, den = polys.clear_denominators([Fraction(v) for v in d.values()])
+        return cls(p, dict(zip(d, nums)), den)
 
     def __sub__(self, other):
         out = {k: v * other.den for k, v in self.coeffs.items()}

@@ -14,23 +14,25 @@ their data at odd k, minus-series at even k.  A Chinese-remainder lift over
 the pairwise-coprime Eisenstein moduli Phi_{p^k}(1+X) then produces the
 representative of the signed series modulo the half-log product.
 
-Everything here is exact rational/cyclotomic arithmetic, and the
-representative is exported exact.
+Everything here is exact.  The representative is one ``IwasawaElement1``,
+integer numerators over one denominator, from its first level through every
+Garner step, the content normalization, the Newton layer and the
+reinterpolation check; no coefficient becomes a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
 
 from .cyclotomic import (CyclotomicInt, cyclotomic_poly_shifted,
                          fraction_poly_mul, phi_value_at_root_inverse,
-                         principal_unit_dlog, x_poly_at_zeta_minus_one,
                          zeta_to_x_basis)
-from .exceptions import InvalidArgument, WorkbenchError
+from .exceptions import InvalidArgument, PrecisionError, WorkbenchError
 from .iwasawa import (InvariantProfile, IwasawaElement1, hull_value,
-                      lower_hull, newton_invariants_exact)
+                      lower_hull, newton_invariants)
 from .modsym import make_twisted_evaluator
 from .padics import vp
 from .polys import mul as poly_mul
@@ -84,7 +86,9 @@ class MazurTateElement:
     """Level-n element over Gamma_n = Z/p^n, conductor p^(n+1) data.
 
     ``coeffs[j]`` is p - 1 times the coefficient of gamma^j: the integer
-    sum of path values over residues whose principal-unit logarithm is j.
+    sum of path values over the residues w * (1+p)^j, w running over the
+    p - 1 Teichmueller lifts (the residues whose principal-unit logarithm
+    is j).
     Averaging over the p-1 tame translates divides by p-1, a p-adic unit;
     ``evaluate`` applies it as the one denominator of the character sum.
     ``raw_content`` is the gcd of the integer path values that fed the
@@ -102,18 +106,19 @@ class MazurTateElement:
         if n < 1:
             raise InvalidArgument("level must be >= 1")
         q = p ** (n + 1)
-        dlog = principal_unit_dlog(p, n)
-        co = [0] * (p ** n)
+        teich = [pow(t, p ** n, q) for t in range(1, p)]
+        co = []
         content = 0
         fv = target.family_value
-        for a in range(1, q):
-            if a % p == 0:
-                continue
-            w = pow(a, p ** n, q)             # Teichmueller representative
-            j = dlog[a * pow(w, -1, q) % q]
-            v = fv(a, q)
-            co[j] += v
-            content = gcd(content, v)
+        u = 1                                 # (1+p)^j mod q
+        for _ in range(p ** n):
+            s = 0
+            for w in teich:
+                v = fv(w * u % q, q)
+                s += v
+                content = gcd(content, v)
+            co.append(s)
+            u = u * (1 + p) % q
         return cls(p, n, co, raw_content=content)
 
     def evaluate(self, t=1):
@@ -174,10 +179,16 @@ class SignedLSeries:
     trusted: bool
     notes: list
     levels: tuple
-    rep_exact: list = None            # exact Fractions, content-normalized
+
+    @property
+    def rep_exact(self):
+        """The content-normalized representative as one Fraction per
+        coefficient, built on each read."""
+        return self.representative.rationals()
 
     def constant_term(self):
-        return self.rep_exact[0] if self.rep_exact else None
+        rep = self.representative
+        return Fraction(rep.nums[0], rep.den) if rep.nums else None
 
     def as_dict(self):
         return {
@@ -200,40 +211,45 @@ class SignedLSeries:
 
 
 def _crt_extend(theta, mod_coeffs, prev_ks, v_k, p, k):
-    """One Garner step: extend theta (exact X-poly) by the level-k datum.
+    """One Garner step: extend theta (an exact IwasawaElement1) by the
+    level-k datum.
 
     ``mod_coeffs`` is the integer product of Phi_{p^j}(1+X) over the levels
-    already used.
+    already used; the correction mod_coeffs * dx is added over the lcm of
+    the two denominators.
     """
-    th_at = x_poly_at_zeta_minus_one(theta, p, k)
-    diff = v_k - th_at
+    diff = v_k - theta.evaluate_at_unity_root(k)
     inv = CyclotomicInt.one(p ** k)
     for j in prev_ks:
         inv = inv * phi_value_at_root_inverse(p, j, k)
-    delta = diff * inv
-    dx = zeta_to_x_basis(delta, p, k)
-    prod = fraction_poly_mul(mod_coeffs, dx)
-    out = list(theta) + [Fraction(0)] * (len(prod) - len(theta))
-    for i, c in enumerate(prod):
-        out[i] += c
-    return out
+    prod, dd = fraction_poly_mul((mod_coeffs, 1), zeta_to_x_basis(diff * inv, p, k))
+    den = lcm(theta.den, dd)
+    a, b = den // theta.den, den // dd
+    out = [c * a for c in theta.nums]
+    out += [0] * (len(prod) - len(out))
+    out[:len(prod)] = map(add, out, [c * b for c in prod])
+    return IwasawaElement1(p, out, den, exact_tail=True)
+
+
+def _profile(rep):
+    """Newton profile of an exact representative; None when it vanishes."""
+    try:
+        return newton_invariants(rep)
+    except PrecisionError:
+        return None
 
 
 def _modulus_polygon(p, ks):
-    """Lower hull of the product of Phi_{p^k}(1+X) over k in ks."""
-    pts = []
-    x = 0
-    y = Fraction(len(ks))
-    pts.append((x, y))
-    for k in sorted(ks, key=lambda k: -Fraction(1, (p - 1) * p ** (k - 1))):
-        d = (p - 1) * p ** (k - 1)
-        x += d
-        y -= 1
-        pts.append((x, Fraction(y)))
+    """Lower hull of the product of Phi_{p^k}(1+X) over k in ks: one
+    vertex per factor, in order of increasing degree."""
+    pts = [(0, len(ks))]
+    for k in sorted(ks):
+        x, y = pts[-1]
+        pts.append((x + (p - 1) * p ** (k - 1), y - 1))
     return pts
 
 
-def _dominance_certified(profile, rep_coeffs, p, ks):
+def _dominance_certified(profile, rep, p, ks):
     """True when the modulus polygon strictly dominates the representative's
     polygon through lambda, so the profile provably belongs to the full
     series and not just to this representative.
@@ -244,8 +260,8 @@ def _dominance_certified(profile, rep_coeffs, p, ks):
     """
     if profile is None or profile.mu != 0:
         return False
-    hullpts = [(i, Fraction(vp(c, p))) for i, c in enumerate(rep_coeffs)
-               if c != 0 and i <= profile.lam]
+    hullpts = [(i, v) for i, v in enumerate(rep.valuations()[:profile.lam + 1])
+               if v is not None]
     if not hullpts or hullpts[0][0] != 0:
         return False
     hull = lower_hull(hullpts)
@@ -282,20 +298,19 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX, auto_extend=True):
     mod_coeffs = [1]
     used = []
     values = {}
-    stabilized_pair = False
 
     def push_level(k):
         nonlocal theta, mod_coeffs
         v_k = interpolation_value(target, sign, k)
         values[k] = v_k
         if theta is None:
-            theta = zeta_to_x_basis(v_k, p, k)
+            theta = IwasawaElement1(p, *zeta_to_x_basis(v_k, p, k), exact_tail=True)
         else:
             theta = _crt_extend(theta, mod_coeffs, list(used), v_k, p, k)
         mod_coeffs = poly_mul(mod_coeffs, cyclotomic_poly_shifted(p, k))
         used.append(k)
         deg_mod = len(mod_coeffs) - 1
-        prof = newton_invariants_exact(theta, p)
+        prof = _profile(theta)
         entry = {"levels": list(used), "conductor_exponent": k + 1,
                  "modulus_degree": deg_mod}
         if prof is None:
@@ -314,13 +329,11 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX, auto_extend=True):
             if not trusted:
                 entry["note"] = "needs larger n_max"
         history.append(entry)
-        return prof
 
-    prof = None
     for k in ks_all:
-        prof = push_level(k)
+        push_level(k)
     while auto_extend and not _last_two_agree(history) and used[-1] + 2 <= cap:
-        prof = push_level(used[-1] + 2)
+        push_level(used[-1] + 2)
     stabilized_pair = _last_two_agree(history)
     if not stabilized_pair:
         notes.append("profiles at the last two levels disagree; not stabilized")
@@ -329,8 +342,8 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX, auto_extend=True):
     for k in used:
         content = gcd(content, target.mazur_tate(k).raw_content)
     cg = abs(content) or 1
-    final = [c / cg for c in theta] if theta else []
-    prof_final = newton_invariants_exact(final, p) if final else None
+    rep = IwasawaElement1(p, theta.nums, theta.den * cg, exact_tail=True)
+    prof_final = _profile(rep)
     if prof_final is not None:
         if prof_final.mu < 0:
             # the signed series are integral, so this means wrong input data
@@ -348,7 +361,6 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX, auto_extend=True):
                 entry["profile"]["mu"] -= shift
         notes.append("family content divides out p^%d" % shift)
 
-    rep = IwasawaElement1.from_rationals(p, final) if final else IwasawaElement1.zero(p)
     norm_values = {k: v * Fraction(1, cg) for k, v in values.items()}
     return SignedLSeries(
         p=p, sign=sign, label=target.label, representative=rep,
@@ -356,7 +368,7 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX, auto_extend=True):
         profile=prof_final, stabilization_history=history,
         family_content=cg, interpolation_data=norm_values,
         certified=certified, trusted=trusted, notes=notes,
-        levels=tuple(used), rep_exact=final)
+        levels=tuple(used))
 
 
 def _last_two_agree(history):
@@ -375,7 +387,7 @@ def reinterpolation_check(series):
     """
     failures = []
     for k, v in series.interpolation_data.items():
-        got = x_poly_at_zeta_minus_one(series.rep_exact, series.p, k)
+        got = series.representative.evaluate_at_unity_root(k)
         if not (got - v).is_zero():
             failures.append(k)
     return failures
@@ -390,7 +402,7 @@ def trivial_character_ratio_check(theta_plus, theta_minus):
     'consistent-up-to-unit' at best; the exact ratio is still reported.
     """
     p = theta_plus.p
-    if theta_plus.rep_exact is None or theta_minus.rep_exact is None:
+    if theta_plus.representative is None or theta_minus.representative is None:
         return {"status": "inconclusive", "reason": "missing representative"}
     cp = theta_plus.constant_term()
     cm = theta_minus.constant_term()

@@ -1,8 +1,8 @@
 """Dirichlet characters of prime-power modulus and their Gauss sums.
 
-Only the tests use these: the pipeline reaches its characters through the
-principal-unit logarithm of ``thetapm.cyclotomic`` and never forms a Gauss
-sum, since the Gauss sums cancel against the character sums.  Values are
+Only the tests use these: the pipeline reaches its characters by walking
+the units as Teichmueller lifts times powers of 1 + p and never forms a
+Gauss sum, since the Gauss sums cancel against the character sums.  Values are
 elements of the ``Fraction`` oracle class of ``fraction_oracle``, which
 works at any level: a tame character of modulus p^c takes values in
 Q(zeta_e) with e = phi(p^c), which is not a prime power.  The helpers below
@@ -14,8 +14,19 @@ from fractions import Fraction
 from math import gcd
 
 from fraction_oracle import CyclotomicInt, euler_phi
-from thetapm.cyclotomic import principal_unit_dlog
 from thetapm.exceptions import InvalidArgument
+
+
+def principal_unit_dlog(p, n):
+    """Discrete logs base (1+p) on the principal units of Z/p^(n+1)."""
+    q = p ** (n + 1)
+    u0 = 1 + p
+    table = {}
+    x = 1
+    for j in range(p ** n):
+        table[x] = j
+        x = x * u0 % q
+    return table
 
 
 def conjugate(z):

@@ -10,15 +10,30 @@ kernels of ``thetapm.cyclotomic`` are checked against it; the composite
 levels of the tame Gauss sums in ``characters`` live here only.  The
 group projection of Mazur-Tate elements, which only the norm-compatibility
 checks use, lives here too.
+
+The signed reconstruction has its original form here as well: the Garner
+lift on a list of one ``Fraction`` per X-coefficient, with its product of
+``Fraction`` lists and its Newton profile, so the integer representative of
+``thetapm.mazurtate`` is checked against it.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from thetapm.cyclotomic import fraction_poly_mul
-from thetapm.exceptions import InvalidArgument
-from thetapm.mazurtate import MazurTateElement
-from thetapm.polys import mul as poly_mul
+from thetapm import cyclotomic
+from thetapm.exceptions import InvalidArgument, PrecisionError
+from thetapm.iwasawa import IwasawaElement1, newton_invariants
+from thetapm.mazurtate import MazurTateElement, interpolation_value
+from thetapm.polys import clear_denominators, mul as poly_mul
+
+
+def fraction_poly_mul(a, b):
+    """Exact product of Fraction coefficient lists."""
+    if not a or not b:
+        return []
+    A, da = clear_denominators(a)
+    B, db = clear_denominators(b)
+    return [Fraction(x, da * db) for x in poly_mul(A, B)]
 
 
 def euler_phi(m):
@@ -336,3 +351,57 @@ def mazur_tate_project(el, level):
 def from_int(z):
     """The oracle element equal to an integer-vector ``thetapm`` element."""
     return CyclotomicInt(z.m, [Fraction(c, z.den) for c in z.co])
+
+
+# ---------------------------------------------------------------------------
+# the signed reconstruction on Fraction lists
+
+
+def x_basis_fractions(z, p, k):
+    """The X-basis coefficients of a thetapm element, one Fraction each."""
+    nums, den = cyclotomic.zeta_to_x_basis(z, p, k)
+    return [Fraction(c, den) for c in nums]
+
+
+def crt_extend(theta, mod_coeffs, prev_ks, v_k, p, k):
+    """One Garner step on a Fraction list: theta + mod_coeffs * dx, with dx
+    the X-basis image of (v_k - theta(zeta - 1)) / prod Phi_{p^j}(zeta)."""
+    nums, den = clear_denominators(theta)
+    diff = v_k - cyclotomic.x_poly_at_zeta_minus_one(nums, p, k, den)
+    inv = cyclotomic.CyclotomicInt.one(p ** k)
+    for j in prev_ks:
+        inv = inv * cyclotomic.phi_value_at_root_inverse(p, j, k)
+    prod = fraction_poly_mul(mod_coeffs, x_basis_fractions(diff * inv, p, k))
+    out = list(theta) + [Fraction(0)] * (len(prod) - len(theta))
+    for i, c in enumerate(prod):
+        out[i] += c
+    return out
+
+
+def newton_profile(coeffs, p):
+    """Profile of an exact rational coefficient list (None when zero)."""
+    try:
+        return newton_invariants(IwasawaElement1.from_rationals(p, coeffs))
+    except PrecisionError:
+        return None
+
+
+def reconstruct_fractions(target, sign, levels):
+    """(representative, profiles): the Garner lift of the signed data of
+    ``target`` over ``levels`` as one Fraction per coefficient, before the
+    content normalization, and its Newton profile after each level."""
+    p = target.p
+    theta = None
+    mod_coeffs = [1]
+    used = []
+    profiles = []
+    for k in levels:
+        v_k = interpolation_value(target, sign, k)
+        if theta is None:
+            theta = x_basis_fractions(v_k, p, k)
+        else:
+            theta = crt_extend(theta, mod_coeffs, used, v_k, p, k)
+        mod_coeffs = poly_mul(mod_coeffs, cyclotomic.cyclotomic_poly_shifted(p, k))
+        used.append(k)
+        profiles.append(newton_profile(theta, p))
+    return theta, profiles

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import fraction_oracle
+from characters import principal_unit_dlog
 from fraction_oracle import from_int
 from orbits import orbit_value
 
@@ -10,8 +11,7 @@ from thetapm import (BUNDLED_ROWS, BadReduction, CurveData, InvalidArgument,
                      ThetaTarget, WorkbenchError, bundled_curve,
                      interpolation_value, kronecker_symbol, reconstruct_signed,
                      reinterpolation_check, trivial_character_ratio_check, vp)
-from thetapm import mazurtate
-from thetapm.cyclotomic import principal_unit_dlog
+from thetapm import IwasawaElement1, mazurtate
 from thetapm.mazurtate import SignedLSeries
 from thetapm.polys import taylor_shift
 
@@ -164,10 +164,11 @@ def test_representative_reduces_mod_each_level(series_32a_43):
     (the Chinese-remainder condition, checked at a conjugate too)."""
     Tp, _ = series_32a_43
     from thetapm.cyclotomic import x_poly_at_zeta_minus_one
+    rep = Tp.representative
     for k, v in Tp.interpolation_data.items():
-        got = x_poly_at_zeta_minus_one(Tp.rep_exact, Tp.p, k)
+        got = x_poly_at_zeta_minus_one(rep.nums, Tp.p, k, rep.den)
         assert (got - v).is_zero()
-        got2 = x_poly_at_zeta_minus_one(Tp.rep_exact, Tp.p, k)
+        got2 = x_poly_at_zeta_minus_one(rep.nums, Tp.p, k, rep.den)
         assert (got2.galois(2) - v.galois(2)).is_zero()
 
 
@@ -191,15 +192,17 @@ def test_ratio_check_consistent(base_series):
 
 def test_ratio_check_inconclusive_on_zero():
     zero = SignedLSeries(
-        p=3, sign="+", label="synthetic", representative=None,
+        p=3, sign="+", label="synthetic",
+        representative=IwasawaElement1.from_rationals(3, [Fraction(0), Fraction(1)]),
         n_max=2, profile=None, stabilization_history=[], family_content=1,
         interpolation_data={}, certified=False, trusted=False, notes=[],
-        levels=(1,), rep_exact=[Fraction(0), Fraction(1)])
+        levels=(1,))
     other = SignedLSeries(
-        p=3, sign="-", label="synthetic", representative=None,
+        p=3, sign="-", label="synthetic",
+        representative=IwasawaElement1.from_rationals(3, [Fraction(1)]),
         n_max=2, profile=None, stabilization_history=[], family_content=1,
         interpolation_data={}, certified=False, trusted=False, notes=[],
-        levels=(2,), rep_exact=[Fraction(1)])
+        levels=(2,))
     out = trivial_character_ratio_check(zero, other)
     assert out["status"] == "inconclusive"
 
@@ -207,18 +210,41 @@ def test_ratio_check_inconclusive_on_zero():
 def test_ratio_check_p5_expectation():
     # formula instance: the expected tame ratio at p = 5 is 2
     a = SignedLSeries(
-        p=5, sign="+", label="synthetic", representative=None,
+        p=5, sign="+", label="synthetic",
+        representative=IwasawaElement1.from_rationals(5, [Fraction(2)]),
         n_max=2, profile=None, stabilization_history=[], family_content=1,
         interpolation_data={}, certified=False, trusted=False, notes=[],
-        levels=(1,), rep_exact=[Fraction(2)])
+        levels=(1,))
     b = SignedLSeries(
-        p=5, sign="-", label="synthetic", representative=None,
+        p=5, sign="-", label="synthetic",
+        representative=IwasawaElement1.from_rationals(5, [Fraction(1)]),
         n_max=2, profile=None, stabilization_history=[], family_content=1,
         interpolation_data={}, certified=False, trusted=False, notes=[],
-        levels=(2,), rep_exact=[Fraction(1)])
+        levels=(2,))
     out = trivial_character_ratio_check(a, b)
     assert out["expected"] == "2"
     assert out["exact_match"]
+
+
+@pytest.mark.parametrize("label,D", sorted({(r["curve"], d) for r in BUNDLED_ROWS
+                                            for d in (r["discriminant"], 1)}))
+def test_integer_reconstruction_matches_fraction_oracle(workbench, label, D):
+    """The integer representative is the Fraction-list Garner lift over the
+    same levels, divided by the family content, and every history profile
+    is the oracle's with mu shifted by that content.  The oracle reads the
+    workbench's cached elements, so it evaluates no paths of its own."""
+    curve = bundled_curve(label)
+    target = workbench.target(curve, D)
+    for sign in ("+", "-"):
+        series = workbench.signed_series(curve, D, sign)
+        theta, profiles = fraction_oracle.reconstruct_fractions(
+            target, sign, series.levels)
+        cg = series.family_content
+        assert [c / cg for c in theta] == series.rep_exact, (label, D, sign)
+        shift = vp(cg, target.p)
+        want = [None if prof is None else dict(prof.as_dict(), mu=prof.mu - shift)
+                for prof in profiles]
+        assert [h["profile"] for h in series.stabilization_history] == want
 
 
 def test_family_content_prime_to_p(series_32a_43):
