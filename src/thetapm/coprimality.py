@@ -129,12 +129,13 @@ def _obviously_equal(f, g):
     match when they agree modulo the least absolute precision at hand."""
     if f.trunc_degree != g.trunc_degree:
         return False
-    for a, b, pa, pb in zip(f.rationals(), g.rationals(),
-                            f.precisions(), g.precisions()):
+    e = vp(f.den * g.den, f.p)
+    for a, b, pa, pb in zip(f.nums, g.nums, f.precisions(), g.precisions()):
         if (a == 0) != (b == 0):
             return False
+        d = a * g.den - b * f.den     # the difference over f.den * g.den
         known = [x for x in (pa, pb) if x is not None]
-        if a != b and (not known or vp(a - b, f.p) < min(known)):
+        if d and (not known or vp(d, f.p) - e < min(known)):
             return False
     return True
 

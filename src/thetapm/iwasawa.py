@@ -4,12 +4,13 @@ One-variable elements model Z_p[[X]] under gamma -> 1 + X: integer
 numerators over one positive denominator, with one absolute precision per
 coefficient as data (None when exact) and a flag for an exact tail, so
 exact polynomials and precision-truncated series (input files, Weierstrass
-output, the signed logarithms) coexist; the Newton polygon never claims
-digits beyond what they carry.  Two-variable elements model Z_p[[S, T]]
-and are exact polynomials: integer numerators over one denominator, with
-no truncation degree, so every reader sees every term.  This
-module is the only one that knows either storage.  Others read a
-one-variable element through ``rationals``, ``valuations``,
+output, the signed logarithms) coexist.  ``newton_invariants`` finds
+valuations, mu, lambda and zero markers in one integer scan, never claims
+digits the numerators lack, and returns a NamedTuple ``InvariantProfile``.
+Two-variable elements model Z_p[[S, T]] and are exact polynomials: integer
+numerators over one denominator, with no truncation degree, so every
+reader sees every term.  This module alone knows either storage.
+Others read a one-variable element through ``rationals``, ``valuations``,
 ``precisions`` and ``lifts``, and a two-variable one through
 ``t_polynomial`` (integer S-coefficient rows over ``den``) and ``p_split``
 (its least p-adic valuation and the residues of f / p^v mod p).  The
@@ -20,9 +21,10 @@ one Bareiss determinant over Z[S] on integer polynomials of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from . import polys
 from .exceptions import (InvalidArgument, PrecisionError, TruncationError)
@@ -31,10 +33,11 @@ from .cyclotomic import cyclotomic_poly_shifted, x_poly_at_zeta_minus_one
 
 DEFAULT_TRUNC = 200
 DEFAULT_PRECISION = 30
+_ODD_PRIMES = set()           # primes IwasawaElement1 has already accepted
+_slope = lru_cache(maxsize=1024)(Fraction)   # a Fraction is immutable, so shareable
 
 
-@dataclass(frozen=True)
-class InvariantProfile:
+class InvariantProfile(NamedTuple):
     """(mu, lambda, slope runs) of a one-variable element.
 
     ``slopes`` is a tuple of (count, slope) runs, steepest first; counts sum
@@ -78,12 +81,14 @@ class IwasawaElement1:
     __slots__ = ("p", "nums", "den", "prec", "exact_tail")
 
     def __init__(self, p, nums, den=1, prec=None, exact_tail=False):
-        if not is_prime(p) or p == 2:
-            raise InvalidArgument("p must be an odd prime, got %r" % (p,))
+        if p not in _ODD_PRIMES:
+            if not is_prime(p) or p == 2:
+                raise InvalidArgument("p must be an odd prime, got %r" % (p,))
+            _ODD_PRIMES.add(p)
         g = gcd(den, *nums)
         self.p = p
-        self.nums = [c // g for c in nums]
-        self.den = den // g
+        self.nums = list(nums) if g == 1 else [c // g for c in nums]
+        self.den = den if g == 1 else den // g
         self.prec = (None,) * len(self.nums) if prec is None else tuple(prec)
         self.exact_tail = exact_tail
 
@@ -176,33 +181,37 @@ def newton_invariants(f):
     coefficient is zero within precision, or when unknown digits could
     undercut mu.
     """
-    known = []
-    unknown = []
-    for i, (v, a) in enumerate(zip(f.valuations(), f.prec)):
-        if v is not None:
+    p, e = f.p, vp(f.den, f.p)
+    known = []                # (i, valuation) of the nonzero coefficients
+    unknown = []              # (i, bound) of the zeros within precision
+    mu = cut = None           # known[cut] is the first point at height mu
+    for i, (c, a) in enumerate(zip(f.nums, f.prec)):
+        if c:
+            v = -e
+            while not c % p:
+                c //= p
+                v += 1
+            if mu is None or v < mu:
+                mu, cut = v, len(known)
             known.append((i, v))
         elif a is not None:
             unknown.append((i, a))
-    if not known:
+    if mu is None:
         raise PrecisionError("all coefficients are zero within precision")
-    mu = min(v for _, v in known)
     for i, bound in unknown:
         if bound <= mu:
             raise PrecisionError(
                 "coefficient %d known only to O(p^%s); mu = %s not certified"
                 % (i, bound, mu))
-    lam = min(i for i, v in known if v == mu)
-    pts = [(i, v) for i, v in known if i <= lam]
-    hull = lower_hull(pts)
+    lam = known[cut][0]
+    hull = lower_hull(known[:cut + 1])
     slopes = []
     if hull[0][0] > 0:
         slopes.append((hull[0][0], None))     # exact zeros: roots at X = 0
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slopes.append((x2 - x1, Fraction(y1 - y2, x2 - x1)))
-    stabilized = True
-    for i, bound in unknown:
-        if i <= lam and (i < hull[0][0] or bound < hull_value(hull, i)):
-            stabilized = False
+        slopes.append((x2 - x1, _slope(y1 - y2, x2 - x1)))
+    stabilized = not any(i <= lam and (i < hull[0][0] or bound < hull_value(hull, i))
+                         for i, bound in unknown)
     return InvariantProfile(mu, lam, tuple(slopes), stabilized)
 
 
@@ -383,7 +392,7 @@ class IwasawaElement2:
 
 def pi_cyc(f):
     """Cyclotomic specialization S -> X, T -> X of a two-variable element."""
-    out = [0] * (max((i + j for (i, j) in f.coeffs), default=0) + 1)
+    out = [0] * (max(map(sum, f.coeffs), default=0) + 1)
     for (i, j), v in f.coeffs.items():
         out[i + j] += v
     return IwasawaElement1(f.p, out, f.den, exact_tail=True)

@@ -35,7 +35,7 @@ from .iwasawa import (InvariantProfile, IwasawaElement1, hull_value,
                       lower_hull, newton_invariants)
 from .modsym import make_twisted_evaluator
 from .padics import vp
-from .polys import mul as poly_mul
+from .polys import mul as poly_mul, taylor_shift
 
 DEFAULT_N_MAX = 6
 MAX_EXTENSION = 2             # levels auto-extension may add beyond n_max
@@ -383,14 +383,13 @@ def reinterpolation_check(series):
     """Verify the representative reproduces every stored interpolation value.
 
     Exact equality of the evaluation at zeta - 1 against the normalized
-    Birch-sum value, for every level in the reconstruction.
+    Birch-sum value, for every level in the reconstruction: the Taylor
+    shift by -1 is taken once, and only its fold into Q(zeta_{p^k}) repeats.
     """
-    failures = []
-    for k, v in series.interpolation_data.items():
-        got = series.representative.evaluate_at_unity_root(k)
-        if not (got - v).is_zero():
-            failures.append(k)
-    return failures
+    rep = series.representative
+    shifted = taylor_shift(rep.nums, -1)
+    return [k for k, v in series.interpolation_data.items()
+            if not (CyclotomicInt.from_exponents(rep.p ** k, shifted, rep.den) - v).is_zero()]
 
 
 def trivial_character_ratio_check(theta_plus, theta_minus):

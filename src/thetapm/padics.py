@@ -41,7 +41,8 @@ def vp(x, p):
     """p-adic valuation of an int or Fraction; None for 0."""
     if x == 0:
         return None
-    if isinstance(x, Fraction):
+    # an exact int skips isinstance, whose ABC dispatch costs more than the loop
+    if type(x) is not int and isinstance(x, Fraction):
         v = 0
         n = x.numerator
         while n % p == 0:

@@ -565,6 +565,21 @@ def _resultant_1var(a, b):
     return det
 
 
+def obviously_equal(f, g):
+    """``coprimality._obviously_equal`` on one ``Fraction`` per coefficient
+    (the replaced reading)."""
+    if f.trunc_degree != g.trunc_degree:
+        return False
+    for a, b, pa, pb in zip(f.rationals(), g.rationals(),
+                            f.precisions(), g.precisions()):
+        if (a == 0) != (b == 0):
+            return False
+        known = [x for x in (pa, pb) if x is not None]
+        if a != b and (not known or vp(a - b, f.p) < min(known)):
+            return False
+    return True
+
+
 # -- the Frobenius character and its divisor (chern) ---------------------------
 
 def _fp2_s_content(h):

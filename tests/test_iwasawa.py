@@ -55,6 +55,20 @@ def test_unknown_digits_block_mu():
         newton_invariants(IwasawaElement1(3, [0, 9], prec=[1, None]))
 
 
+def test_precision_errors_keep_their_order_and_messages():
+    # the all-zero case wins over the zero markers it consists of
+    with pytest.raises(PrecisionError, match="^all coefficients are zero "
+                       "within precision$"):
+        newton_invariants(IwasawaElement1(3, [0, 0], prec=[1, 2]))
+    # the first zero marker at or below mu = 2 is named, not a later one
+    with pytest.raises(PrecisionError, match=r"^coefficient 1 known only to "
+                       r"O\(p\^2\); mu = 2 not certified$"):
+        newton_invariants(IwasawaElement1(3, [9, 0, 0, 9], prec=[None, 2, 1, None]))
+    # a denominator lowers every valuation before the markers are compared
+    prof = newton_invariants(IwasawaElement1(3, [9, 0, 27], 27, prec=[None, 0, None]))
+    assert (prof.mu, prof.lam, prof.slopes, prof.stabilized) == (-1, 0, (), True)
+
+
 def test_unstabilized_flag_from_unknown_interior():
     # interior coefficient known only to O(3^1) below the hull
     prof = newton_invariants(IwasawaElement1(3, [27, 0, 1], prec=[None, 1, None]))
@@ -67,6 +81,23 @@ def test_table_row_profile_from_series(series_32a_43):
     prof = newton_invariants(Tp.representative)
     assert prof.lam == 8
     assert prof.slopes == ((2, Fraction(1, 2)), (6, Fraction(1, 6)))
+
+
+def test_bad_prime_refused_before_and_after_a_valid_one():
+    for _ in range(2):
+        for p in (1, 2, 4, 9, 15):
+            with pytest.raises(InvalidArgument, match="odd prime"):
+                IwasawaElement1(p, [1, p])
+        assert IwasawaElement1(3, [6, 3], 9).nums == [2, 1]
+
+
+def test_element_in_lowest_terms_owns_its_numerators():
+    nums = [1, 3, 0]
+    el = IwasawaElement1(3, nums, 2)
+    nums[0] = 5
+    assert (el.nums, el.den) == ([1, 3, 0], 2)
+    el = IwasawaElement1(5, [10, -15], 35)
+    assert (el.nums, el.den) == ([2, -3], 7)
 
 
 # -- weierstrass preparation ---------------------------------------------------

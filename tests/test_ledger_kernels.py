@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 import ledger_oracle as oracle
 
 from ledger_oracle import PadicScalar, _hensel_weierstrass_t
-from thetapm import (IwasawaElement1, IwasawaElement2, newton_invariants, polys,
-                     resultant_in_T, vp)
+from thetapm import (BUNDLED_ROWS, IwasawaElement1, IwasawaElement2, bundled_curve,
+                     newton_invariants, polys, resultant_in_T, vp)
 from thetapm.chern import S_TRUNC, _fiber_gcd_at_origin, _t_divmod
 from thetapm.exceptions import InvalidArgument, PrecisionError, TruncationError
-from thetapm.coprimality import _abs_floor_bound, _resultant_mod
+from thetapm.coprimality import _abs_floor_bound, _obviously_equal, _resultant_mod
 from thetapm.iwasawa import _bareiss_det, weierstrass_prepare
 
 PRIMES = (3, 5, 7, 11)
@@ -470,3 +470,40 @@ def test_integer_series_readers_match_scalar_oracle(case):
         assert [x == 0 for x in got.rationals()] == \
             [c.is_zero_within_precision() for c in ref]
     assert (unit.exact_tail, dist.exact_tail) == (False, True)
+
+
+@ORACLE_SETTINGS
+@given(series_with_scalars(), st.data())
+def test_obviously_equal_matches_fraction_reading(case, data):
+    """The equality test of the certificate on numerators over their
+    denominators gives the verdict of the Fraction reading, on f against
+    itself and against f with some nonzero coefficients moved by
+    p^k * u / d, which changes the denominator of the moved copy."""
+    f, _ = case
+    p, n = f.p, len(f.nums)
+    moved = [x if x == 0 or not data.draw(st.booleans()) else
+             x + Fraction(data.draw(st.sampled_from([-2, -1, 1, 2])) * p ** data.draw(
+                 st.integers(0, 10)), data.draw(st.sampled_from([1, 2, 7, p])))
+             for x in f.rationals()]
+    prec = data.draw(st.lists(st.one_of(st.none(), st.integers(-1, 10)),
+                              min_size=n, max_size=n))
+    g = IwasawaElement1(p, *polys.clear_denominators(moved), prec=prec)
+    assert _obviously_equal(f, f) == oracle.obviously_equal(f, f) is True
+    assert _obviously_equal(f, g) == oracle.obviously_equal(f, g)
+    assert _obviously_equal(g, f) == oracle.obviously_equal(g, f)
+
+
+def test_table_representative_profiles_match_scalar_oracle(workbench, table_results):
+    """The one-scan profile of every representative the bundled table built,
+    at full size, against the scalar reader; the table already built them,
+    so no path is evaluated here."""
+    sizes = []
+    for row in BUNDLED_ROWS:
+        curve = bundled_curve(row["curve"])
+        for D in (row["discriminant"], 1):
+            for sign in ("+", "-"):
+                rep = workbench.signed_series(curve, D, sign).representative
+                sizes.append(len(rep.nums))
+                assert newton_invariants(rep) == \
+                    oracle.newton_invariants(oracle.scalars(rep)), (curve.label, D, sign)
+    assert max(sizes) >= 1640

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,15 @@ def test_reinterpolation_exact(series_32a_43, base_series):
     for pair in base_series.values():
         for s in pair:
             assert reinterpolation_check(s) == []
+
+
+def test_reinterpolation_reports_exactly_the_perturbed_level(series_32a_43):
+    for s in series_32a_43:
+        assert len(s.interpolation_data) >= 3
+        for k, v in s.interpolation_data.items():
+            data = dict(s.interpolation_data)
+            data[k] = v + Fraction(1, 3)
+            assert reinterpolation_check(replace(s, interpolation_data=data)) == [k]
 
 
 def test_negative_normalized_mu_raises(workbench):

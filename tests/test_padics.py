@@ -20,6 +20,13 @@ def test_vp_basics():
     assert vp(Fraction(2, 9), 3) == -2
     assert vp(0, 3) is None
     assert vp(Fraction(27, 4), 3) == 3
+    assert vp(-18, 3) == 2
+    assert vp(-1, 3) == 0
+    assert vp(-5 ** 4, 5) == 4
+    assert vp(Fraction(0), 3) is None
+    assert vp(Fraction(-45, 7), 3) == 2       # p in the numerator
+    assert vp(Fraction(7, -81), 3) == -4      # p in the denominator
+    assert vp(Fraction(9, 27), 3) == -1       # reduced to 1/3 first
 
 
 def test_exact_construction_and_views():
