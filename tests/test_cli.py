@@ -335,6 +335,16 @@ def test_cmd_theta_base_curve(capsys):
     assert recs[0]["stabilized"] is True
 
 
+def test_cmd_table_report_is_pinned(table_results, monkeypatch, capsys):
+    """The six-row ``thetapm table`` report, timestamp aside, is the one
+    recorded in ``pinned_reports/table.jsonl``.  The command renders the
+    session's table results, so no path is evaluated here."""
+    monkeypatch.setattr(Workbench, "run_table", lambda self, rows=None: table_results)
+    code, out = run_cli(["table"], capsys)
+    assert code == 0
+    assert_pinned(out, "table")
+
+
 def test_cmd_table_row_with_wrong_prime_isolates(tmp_path, capsys):
     rows = tmp_path / "rows.jsonl"
     rows.write_text('{"curve": "32a", "discriminant": -43, "p": 5}\n')
