@@ -32,7 +32,7 @@ for sign in ("+", "-"):
         print("  levels %-12s deg(modulus)=%-4d %s%s" % (
             entry["levels"], entry["modulus_degree"], desc,
             "  [certified]" if entry.get("certified") else ""))
-    print("  final: %s" % s.profile)
+    print("  final: %s" % (s.profile,))
     print("  stabilized=%s certified=%s family content=%d"
           % (s.is_stabilized(), s.certified, s.family_content))
     print("  re-interpolation failures: %s" % reinterpolation_check(s))

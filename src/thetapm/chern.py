@@ -261,8 +261,7 @@ def pushforward_c2(f, g):
     """
     p = f.p
     res = resultant_in_T(f, g)
-    vals = res.rationals()
-    if all(c == 0 for c in vals):
+    if not any(res.nums):
         raise CommonFactorWithinPrecision("T-resultant vanishes")
     prof = newton_invariants(res)
     divisor = C2Divisor(completeness="partial-with-pushforward")
@@ -291,16 +290,11 @@ def pushforward_c2(f, g):
                                      "<unresolved fiber>"), resolved=False), rest)
         divisor.notes.append("distinguished resultant part of degree %d not "
                              "resolved into individual primes" % rest)
-    unit_deg = _unit_part_degree(vals, prof, p)
+    unit_deg = max(i for i, c in enumerate(res.nums) if c) - prof.lam
     if unit_deg:
         divisor.notes.append("resultant unit part has degree %d (unit-shifted "
                              "components excluded from the divisor)" % unit_deg)
     return res, divisor
-
-
-def _unit_part_degree(vals, prof, p):
-    deg = max((i for i, c in enumerate(vals) if c != 0), default=0)
-    return deg - prof.lam
 
 
 def _fiber_gcd_at_origin(f, g, p):

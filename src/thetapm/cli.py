@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -93,24 +94,55 @@ def _resolve_curve(args):
     return bundled_curve(args.curve)
 
 
+def _field(data, key, path, kind=object):
+    """``data[key]`` of an input file; it must be there and be a ``kind``."""
+    if not (isinstance(data, dict) and key in data and isinstance(data[key], kind)):
+        raise InvalidArgument("%s: %r is missing or malformed" % (path, key))
+    return data[key]
+
+
+def _number(value, path, integer=False):
+    """An exact rational, or with ``integer`` an int, given as a string or
+    a JSON integer."""
+    try:
+        q = Fraction(value) if type(value) in (str, int) else None
+    except (ValueError, ZeroDivisionError):
+        q = None
+    if q is None or (integer and q.denominator != 1):
+        raise InvalidArgument("%s: %r is not %s" % (
+            path, value, "an integer" if integer else "a rational number"))
+    return int(q) if integer else q
+
+
+def _terms(data, key, path, integer=False):
+    """The ``{"i,j": value}`` terms under ``key``, the exponents of S and T
+    two integers >= 0."""
+    out = {}
+    for k, v in _field(data, key, path, dict).items():
+        m = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*", k)
+        if not m:
+            raise InvalidArgument("%s: term %r is not two integers >= 0" % (path, k))
+        out[int(m[1]), int(m[2])] = _number(v, path, integer)
+    return out
+
+
 def _series_from_file(path):
     """A file with ``precision`` is a series with an unknown tail; one
     without it is an exact polynomial."""
     data = _load_json(path)
-    co = [Fraction(c) for c in data["coefficients"]]
+    p = _number(_field(data, "p", path), path, True)
+    co = [_number(c, path) for c in _field(data, "coefficients", path, list)]
     prec = data.get("precision")
-    f = IwasawaElement1.from_rationals(int(data["p"]), co, precision=prec)
+    f = IwasawaElement1.from_rationals(
+        p, co, precision=None if prec is None else _number(prec, path, True))
     f.exact_tail = prec is None
     return f
 
 
 def _twovar_from_file(path):
     data = _load_json(path)
-    terms = {}
-    for key, val in data["terms"].items():
-        i, j = (int(x) for x in key.split(","))
-        terms[(i, j)] = Fraction(val)
-    return IwasawaElement2.from_dict(int(data["p"]), terms)
+    return IwasawaElement2.from_dict(_number(_field(data, "p", path), path, True),
+                                     _terms(data, "terms", path))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -181,7 +213,8 @@ def cmd_coprime(args):
 
 def cmd_fudge(args):
     curve = _resolve_curve(args)
-    sigma = _load_json(args.sigma_file)["primes"] if args.sigma_file else []
+    sigma = (_field(_load_json(args.sigma_file), "primes", args.sigma_file)
+             if args.sigma_file else [])
     frob = FrobeniusData()
     if args.frobenius_file:
         doc = _load_json(args.frobenius_file)
@@ -198,17 +231,11 @@ def cmd_fudge(args):
 
 
 def cmd_c2(args):
-    data = _load_json(args.ideal_file)
-    p = int(data["p"])
-
-    def parse_terms(d):
-        return {tuple(int(x) for x in k.split(",")): Fraction(v)
-                for k, v in d.items()}
-    f = IwasawaElement2.from_dict(p, parse_terms(data["f"]))
-    g = IwasawaElement2.from_dict(p, parse_terms(data["g"]))
-    pbar = {tuple(int(x) for x in k.split(",")): int(v)
-            for k, v in data["pbar"].items()}
-    length = local_length_vertical((f, g), pbar)
+    path = args.ideal_file
+    data = _load_json(path)
+    p = _number(_field(data, "p", path), path, True)
+    f, g = (IwasawaElement2.from_dict(p, _terms(data, key, path)) for key in "fg")
+    length = local_length_vertical((f, g), _terms(data, "pbar", path, True))
     _emit(args, "c2", [{"length": length, "pbar": data["pbar"]}])
     return EXIT_OK
 

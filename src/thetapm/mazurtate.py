@@ -18,6 +18,10 @@ Everything here is exact.  The representative is one ``IwasawaElement1``,
 integer numerators over one denominator, from its first level through every
 Garner step, the content normalization, the Newton layer and the
 reinterpolation check; no coefficient becomes a ``Fraction``.
+
+Each fact is computed once: one Newton profile per level, whose slope runs
+give the dominance certificate; the final profile is the last one with mu
+shifted by the family content, and the history is written after the loop.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .cyclotomic import (CyclotomicInt, cyclotomic_poly_shifted,
                          zeta_to_x_basis)
 from .exceptions import InvalidArgument, PrecisionError, WorkbenchError
 from .iwasawa import (InvariantProfile, IwasawaElement1, hull_value,
-                      lower_hull, newton_invariants)
+                      newton_invariants)
 from .modsym import make_twisted_evaluator
 from .padics import vp
 from .polys import mul as poly_mul, taylor_shift
@@ -170,15 +174,25 @@ class SignedLSeries:
     sign: str
     label: str
     representative: IwasawaElement1
-    n_max: int
     profile: InvariantProfile
     stabilization_history: list
     family_content: int
     interpolation_data: dict          # k -> CyclotomicInt (content-normalized)
-    certified: bool
-    trusted: bool
     notes: list
     levels: tuple
+
+    @property
+    def n_max(self):
+        """The deepest level used, auto-extension included."""
+        return self.levels[-1]
+
+    @property
+    def certified(self):
+        return self.stabilization_history[-1]["certified"]
+
+    @property
+    def trusted(self):
+        return self.stabilization_history[-1]["trusted"]
 
     @property
     def rep_exact(self):
@@ -249,134 +263,105 @@ def _modulus_polygon(p, ks):
     return pts
 
 
-def _dominance_certified(profile, rep, p, ks):
-    """True when the modulus polygon strictly dominates the representative's
+def _dominance_certified(profile, p, ks):
+    """True when the modulus polygon strictly dominates the profile's
     polygon through lambda, so the profile provably belongs to the full
     series and not just to this representative.
 
     Only mu = 0 profiles without exact X-divisibility can be certified:
     a positive mu or a vanishing constant term could always be destroyed
-    by the unknown multiple of the modulus.
+    by the unknown multiple of the modulus.  The polygon is read off the
+    slope runs: it starts at height sum(count * slope) and ends at
+    (lambda, 0).
     """
-    if profile is None or profile.mu != 0:
+    if profile is None or profile.mu != 0 or profile.has_zero_roots():
         return False
-    hullpts = [(i, v) for i, v in enumerate(rep.valuations()[:profile.lam + 1])
-               if v is not None]
-    if not hullpts or hullpts[0][0] != 0:
-        return False
-    hull = lower_hull(hullpts)
+    hull = [(0, sum(c * s for c, s in profile.slopes))]
+    for c, s in profile.slopes:
+        x, y = hull[-1]
+        hull.append((x + c, y - c * s))
     mod_hull = _modulus_polygon(p, ks)
-    for i in range(profile.lam + 1):
-        if hull_value(mod_hull, i) <= hull_value(hull, i):
-            return False
-    return True
+    return all(hull_value(hull, i) < hull_value(mod_hull, i)
+               for i in range(profile.lam + 1))
+
+
+def _history_entry(levels, k, deg_mod, prof, p, shift):
+    """One level's history record, its mu under the family normalization."""
+    entry = {"levels": list(levels), "conductor_exponent": k + 1,
+             "modulus_degree": deg_mod}
+    if prof is None:
+        return entry | {"profile": None, "trusted": False, "certified": False,
+                        "note": "representative vanishes; all interpolation data zero"}
+    margin = max([s.denominator for _, s in prof.slopes if s is not None], default=1)
+    entry |= {"profile": prof._replace(mu=prof.mu - shift).as_dict(),
+              "trusted": prof.lam < deg_mod - margin,
+              "certified": _dominance_certified(prof, p, levels)}
+    if not entry["trusted"]:
+        entry["note"] = "needs larger n_max"
+    return entry
+
+
+def _last_two_agree(steps):
+    """True when the last two levels' profiles agree on (mu, lambda, slopes)."""
+    profs = [step[-1] for step in steps[-2:]]
+    return len(profs) == 2 and None not in profs and profs[0][:3] == profs[1][:3]
 
 
 def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX, auto_extend=True):
     """Reconstruct the signed series of the target modulo a half-log product.
 
-    Runs over increasing level sets of matching parity, recording the
-    profile history; ``stabilized`` requires the last two levels to agree on
-    (mu, lambda, slopes).  The dominance certificate additionally marks
-    profiles that provably survive to the full series.  When stabilization
-    fails within n_max and auto_extend is set, up to two deeper levels are
-    attempted (each costs a factor ~p^2 in path evaluations), so the
-    deepest level is n_max + MAX_EXTENSION.
+    Runs over increasing level sets of matching parity, profiling the
+    representative once per level; ``stabilized`` requires the last two
+    levels to agree on (mu, lambda, slopes).  The dominance certificate
+    additionally marks profiles that provably survive to the full series.
+    When stabilization fails within n_max and auto_extend is set, up to two
+    deeper levels are attempted (each costs a factor ~p^2 in path
+    evaluations), so the deepest level is n_max + MAX_EXTENSION.
     """
     if sign not in ("+", "-"):
         raise InvalidArgument("sign must be '+' or '-'")
     p = target.p
-    parity = 1 if sign == "+" else 0
-    cap = n_max + MAX_EXTENSION
-    ks_all = [k for k in range(1, n_max + 1) if k % 2 == parity]
-    if not ks_all:
+    k = 1 if sign == "+" else 2
+    if k > n_max:
         raise InvalidArgument("n_max too small for sign %s" % sign)
-
-    history = []
-    notes = []
-    theta = None
-    mod_coeffs = [1]
-    used = []
-    values = {}
-
-    def push_level(k):
-        nonlocal theta, mod_coeffs
+    cap = n_max + MAX_EXTENSION
+    theta, mod_coeffs = None, [1]
+    values = {}                  # k -> interpolation value, in level order
+    steps = []                   # per level: (levels, k, modulus degree, profile)
+    while k <= n_max or (auto_extend and k <= cap and not _last_two_agree(steps)):
         v_k = interpolation_value(target, sign, k)
-        values[k] = v_k
         if theta is None:
             theta = IwasawaElement1(p, *zeta_to_x_basis(v_k, p, k), exact_tail=True)
         else:
-            theta = _crt_extend(theta, mod_coeffs, list(used), v_k, p, k)
+            theta = _crt_extend(theta, mod_coeffs, list(values), v_k, p, k)
+        values[k] = v_k
         mod_coeffs = poly_mul(mod_coeffs, cyclotomic_poly_shifted(p, k))
-        used.append(k)
-        deg_mod = len(mod_coeffs) - 1
-        prof = _profile(theta)
-        entry = {"levels": list(used), "conductor_exponent": k + 1,
-                 "modulus_degree": deg_mod}
-        if prof is None:
-            entry["profile"] = None
-            entry["note"] = "representative vanishes; all interpolation data zero"
-            entry["trusted"] = False
-            entry["certified"] = False
-        else:
-            margin = max([s.denominator for _, s in prof.slopes
-                          if s is not None], default=1)
-            trusted = prof.lam < deg_mod - margin
-            certified = _dominance_certified(prof, theta, p, used)
-            entry["profile"] = prof.as_dict()
-            entry["trusted"] = trusted
-            entry["certified"] = certified
-            if not trusted:
-                entry["note"] = "needs larger n_max"
-        history.append(entry)
+        steps.append((tuple(values), k, len(mod_coeffs) - 1, _profile(theta)))
+        k += 2
 
-    for k in ks_all:
-        push_level(k)
-    while auto_extend and not _last_two_agree(history) and used[-1] + 2 <= cap:
-        push_level(used[-1] + 2)
-    stabilized_pair = _last_two_agree(history)
-    if not stabilized_pair:
-        notes.append("profiles at the last two levels disagree; not stabilized")
-
-    content = 0
-    for k in used:
-        content = gcd(content, target.mazur_tate(k).raw_content)
-    cg = abs(content) or 1
-    rep = IwasawaElement1(p, theta.nums, theta.den * cg, exact_tail=True)
-    prof_final = _profile(rep)
-    if prof_final is not None:
-        if prof_final.mu < 0:
+    stabilized = _last_two_agree(steps)
+    notes = [] if stabilized else ["profiles at the last two levels disagree; not stabilized"]
+    # dividing by the family content shifts every valuation by vp(cg):
+    # lambda and the slopes stay, mu moves
+    cg = gcd(*(target.mazur_tate(k).raw_content for k in values)) or 1
+    shift = vp(cg, p)
+    profile = steps[-1][-1]
+    if profile is not None:
+        profile = profile._replace(mu=profile.mu - shift, stabilized=stabilized)
+        if profile.mu < 0:
             # the signed series are integral, so this means wrong input data
             raise WorkbenchError("%s %s: normalized mu = %d is negative"
-                                 % (target.label, sign, prof_final.mu))
-        prof_final = InvariantProfile(prof_final.mu, prof_final.lam,
-                                      prof_final.slopes, stabilized_pair)
-    certified = bool(history) and history[-1].get("certified", False)
-    trusted = bool(history) and history[-1].get("trusted", False)
-    # re-derive history profiles under the family normalization
-    shift = vp(cg, p)
+                                 % (target.label, sign, profile.mu))
     if shift:
-        for entry in history:
-            if entry.get("profile"):
-                entry["profile"]["mu"] -= shift
         notes.append("family content divides out p^%d" % shift)
-
-    norm_values = {k: v * Fraction(1, cg) for k, v in values.items()}
     return SignedLSeries(
-        p=p, sign=sign, label=target.label, representative=rep,
-        n_max=used[-1] if used else n_max,
-        profile=prof_final, stabilization_history=history,
-        family_content=cg, interpolation_data=norm_values,
-        certified=certified, trusted=trusted, notes=notes,
-        levels=tuple(used))
-
-
-def _last_two_agree(history):
-    profs = [h.get("profile") for h in history]
-    if len(profs) < 2 or profs[-1] is None or profs[-2] is None:
-        return False
-    a, b = profs[-2], profs[-1]
-    return (a["mu"], a["lambda"], a["slopes"]) == (b["mu"], b["lambda"], b["slopes"])
+        p=p, sign=sign, label=target.label,
+        representative=IwasawaElement1(p, theta.nums, theta.den * cg, exact_tail=True),
+        profile=profile,
+        stabilization_history=[_history_entry(*step, p, shift) for step in steps],
+        family_content=cg,
+        interpolation_data={k: v * Fraction(1, cg) for k, v in values.items()},
+        notes=notes, levels=tuple(values))
 
 
 def reinterpolation_check(series):
@@ -401,8 +386,6 @@ def trivial_character_ratio_check(theta_plus, theta_minus):
     'consistent-up-to-unit' at best; the exact ratio is still reported.
     """
     p = theta_plus.p
-    if theta_plus.representative is None or theta_minus.representative is None:
-        return {"status": "inconclusive", "reason": "missing representative"}
     cp = theta_plus.constant_term()
     cm = theta_minus.constant_term()
     expected = Fraction(p - 1, 2)
@@ -411,7 +394,7 @@ def trivial_character_ratio_check(theta_plus, theta_minus):
                 "expected": str(expected)}
     ratio = Fraction(cp, cm)
     det_digits = min(len(theta_plus.levels), len(theta_minus.levels))
-    out = {
+    return {
         "status": "consistent-up-to-unit" if vp(ratio, p) == vp(expected, p)
         else "valuation-mismatch",
         "computed_ratio": str(ratio),
@@ -424,4 +407,3 @@ def trivial_character_ratio_check(theta_plus, theta_minus):
                      "global normalization scalar; only the p-adic valuation of "
                      "the ratio is intrinsic here",
     }
-    return out

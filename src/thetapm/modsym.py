@@ -26,13 +26,6 @@ from .padics import is_prime, prime_factors
 LEVEL_BOUND = 10 ** 4
 
 
-def _ext_gcd(a, b):
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - y * (a // b)
-
-
 class P1Table:
     """Canonical representatives and a full lookup table for P^1(Z/N).
 
@@ -195,9 +188,8 @@ class ManinSymbolSpace:
         while gcd(c0, d0 + t * N) != 1:
             t += 1
         d0 += t * N
-        g, x, y = _ext_gcd(d0, c0)
-        assert g == 1
-        return (x, -y, c0, d0)   # a*d - b*c = 1
+        a = pow(d0, -1, c0)
+        return (a, (a * d0 - 1) // c0, c0, d0)   # a*d - b*c = 1
 
     def star_matrix(self):
         """Involution induced by (c:d) -> (-c:d), scaled by ``den``; rows

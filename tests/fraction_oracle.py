@@ -13,13 +13,15 @@ checks use, lives here too.
 
 The signed reconstruction has its original form here as well: the Garner
 lift on a list of one ``Fraction`` per X-coefficient, with its product of
-``Fraction`` lists and its Newton profile, so the integer representative of
-``thetapm.mazurtate`` is checked against it.
+``Fraction`` lists, its Newton profile and the dominance certificate of
+``ledger_oracle`` at each level, so the integer representative of
+``thetapm.mazurtate`` and its history are checked against it.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import ledger_oracle
 from thetapm import cyclotomic
 from thetapm.exceptions import InvalidArgument, PrecisionError
 from thetapm.iwasawa import IwasawaElement1, newton_invariants
@@ -387,14 +389,17 @@ def newton_profile(coeffs, p):
 
 
 def reconstruct_fractions(target, sign, levels):
-    """(representative, profiles): the Garner lift of the signed data of
-    ``target`` over ``levels`` as one Fraction per coefficient, before the
-    content normalization, and its Newton profile after each level."""
+    """(representative, profiles, certified): the Garner lift of the signed
+    data of ``target`` over ``levels`` as one Fraction per coefficient,
+    before the content normalization, its Newton profile after each level
+    and the dominance verdict of each level, read from the hull of the
+    representative's valuations."""
     p = target.p
     theta = None
     mod_coeffs = [1]
     used = []
     profiles = []
+    certified = []
     for k in levels:
         v_k = interpolation_value(target, sign, k)
         if theta is None:
@@ -403,5 +408,8 @@ def reconstruct_fractions(target, sign, levels):
             theta = crt_extend(theta, mod_coeffs, used, v_k, p, k)
         mod_coeffs = poly_mul(mod_coeffs, cyclotomic.cyclotomic_poly_shifted(p, k))
         used.append(k)
-        profiles.append(newton_profile(theta, p))
-    return theta, profiles
+        prof = newton_profile(theta, p)
+        profiles.append(prof)
+        certified.append(ledger_oracle.dominance_certified(
+            prof, IwasawaElement1.from_rationals(p, theta), p, used))
+    return theta, profiles, certified

@@ -11,6 +11,9 @@ the scalar ``newton_invariants`` and ``weierstrass_prepare`` that read it.
 So does the divisor of a Frobenius character as ``thetapm.chern`` took it
 before the closed form: the character cut at a total degree, its S-content
 split off and its T-factor Hensel-lifted over the S-adic digits.
+The dominance certificate of ``thetapm.mazurtate`` has its original form
+here too: the polygon rebuilt from the representative's valuations with a
+second lower hull, where the library reads it off the Newton profile.
 The elimination runs on the precision-propagating sum, product and
 quotient of scalars below, which the scalar class itself never had (it
 carries precision as data and does no arithmetic): ``Fraction``-based, as
@@ -27,6 +30,7 @@ from thetapm.exceptions import (InvalidArgument, PrecisionError, TruncationError
                                 UnsupportedShape)
 from thetapm.iwasawa import (DEFAULT_PRECISION, InvariantProfile, hull_value,
                              lower_hull)
+from thetapm.mazurtate import _modulus_polygon
 from thetapm.padics import is_prime, vp
 
 
@@ -676,3 +680,22 @@ def vertical_divisor_mod_p(hbar, p):
             terms.append((PrimeDescriptor("vertical", ("p", label),
                                           resolved=(d == 1)), 1 if d == 1 else d))
     return terms
+
+
+def dominance_certified(profile, rep, p, ks):
+    """The certificate read from the hull of the representative's
+    valuations through lambda (the replaced reader): True when the modulus
+    polygon strictly dominates it, for mu = 0 profiles with a nonzero
+    constant term."""
+    if profile is None or profile.mu != 0:
+        return False
+    hullpts = [(i, v) for i, v in enumerate(rep.valuations()[:profile.lam + 1])
+               if v is not None]
+    if not hullpts or hullpts[0][0] != 0:
+        return False
+    hull = lower_hull(hullpts)
+    mod_hull = _modulus_polygon(p, ks)
+    for i in range(profile.lam + 1):
+        if hull_value(mod_hull, i) <= hull_value(hull, i):
+            return False
+    return True

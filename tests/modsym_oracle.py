@@ -14,7 +14,8 @@ from functools import reduce
 from math import gcd
 
 from thetapm.exceptions import InvalidArgument, IsolationFailure
-from thetapm.modsym import EigenSymbol, P1Table, _ext_gcd, _next_prime
+from p1_oracle import _ext_gcd
+from thetapm.modsym import EigenSymbol, P1Table, _next_prime
 
 
 class ManinSymbolSpace:

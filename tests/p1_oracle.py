@@ -4,13 +4,22 @@ These are the original ``_lift_unit`` and ``P1Table.normalize`` of
 ``thetapm.modsym`` (``normalize`` as a function of the level), which built
 the table above level 600 until the orbit enumeration took over at every
 level.  They compute each representative from (u : v) alone, so the table
-of ``P1Table`` is checked against them point by point.
+of ``P1Table`` is checked against them point by point.  The recursive
+extended gcd that they, and the SL2 lift of ``modsym_oracle``, read is the
+one ``thetapm.modsym`` had before its lift took a modular inverse.
 """
 
 from math import gcd
 
 from thetapm.exceptions import InvalidArgument
-from thetapm.modsym import _ext_gcd
+
+
+def _ext_gcd(a, b):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0, by recursion."""
+    if b == 0:
+        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
+    g, x, y = _ext_gcd(b, a % b)
+    return g, y, x - y * (a // b)
 
 
 def _lift_unit(t, d, N):

@@ -273,6 +273,34 @@ def test_cmd_fudge_bad_frobenius_file_is_input_error(tmp_path, capsys, doc):
     assert code == 2 and "input error" in capsys.readouterr().err
 
 
+IDEAL = {"p": 3, "f": {"0,0": "9"}, "g": {"0,1": "1", "1,0": "-1"},
+         "pbar": {"0,1": 1, "1,0": -1}}
+
+
+@pytest.mark.parametrize("command,flag,doc", [
+    # each reached the command line as a traceback with exit 1, or, for a
+    # negative exponent or a fractional pbar value, as a wrong exit-0 report
+    ("invariants", "--series-file", {"p": 3}),
+    ("invariants", "--series-file", {"p": 3, "coefficients": ["1", "one"]}),
+    ("invariants", "--series-file", {"coefficients": ["1"]}),
+    ("specialize", "--twovar-file", {"p": 3}),
+    ("specialize", "--twovar-file", {"p": 3, "terms": {"0,0": "x"}}),
+    ("specialize", "--twovar-file", {"p": 3, "terms": {"0,1,2": "1"}}),
+    ("specialize", "--twovar-file", {"p": 3, "terms": {"-1,2": "1", "0,0": "1"}}),
+    ("c2", "--ideal-file", {k: v for k, v in IDEAL.items() if k != "f"}),
+    ("c2", "--ideal-file", IDEAL | {"pbar": {"0,1": "1/2", "1,0": -1}}),
+    ("c2", "--ideal-file", IDEAL | {"pbar": {"0,1": 1.5, "1,0": -1}}),
+    ("c2", "--ideal-file", IDEAL | {"g": {"-1,1": "1", "1,0": "-1"}}),
+    ("fudge", "--sigma-file", {"prime": [2]}),
+])
+def test_malformed_input_file_is_input_error(tmp_path, capsys, command, flag, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--curve", "32a", "--discriminant", "-43"] if command == "fudge" else []
+    code = main([command, flag, str(path)] + extra)
+    assert code == 2 and "input error" in capsys.readouterr().err
+
+
 def test_cmd_fudge_reads_the_example_frobenius_file(capsys):
     code, out = run_cli(["fudge", "--curve", "32a", "--discriminant", "-43",
                          "--p", "5", "--frobenius-file",

@@ -2,8 +2,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fraction_oracle
+import ledger_oracle
 from characters import principal_unit_dlog
 from fraction_oracle import from_int
 from orbits import orbit_value
@@ -13,6 +16,7 @@ from thetapm import (BUNDLED_ROWS, BadReduction, CurveData, InvalidArgument,
                      interpolation_value, kronecker_symbol, reconstruct_signed,
                      reinterpolation_check, trivial_character_ratio_check, vp)
 from thetapm import IwasawaElement1, mazurtate
+from thetapm.iwasawa import newton_invariants
 from thetapm.mazurtate import SignedLSeries
 from thetapm.polys import taylor_shift
 
@@ -204,14 +208,14 @@ def test_ratio_check_inconclusive_on_zero():
     zero = SignedLSeries(
         p=3, sign="+", label="synthetic",
         representative=IwasawaElement1.from_rationals(3, [Fraction(0), Fraction(1)]),
-        n_max=2, profile=None, stabilization_history=[], family_content=1,
-        interpolation_data={}, certified=False, trusted=False, notes=[],
+        profile=None, stabilization_history=[], family_content=1,
+        interpolation_data={}, notes=[],
         levels=(1,))
     other = SignedLSeries(
         p=3, sign="-", label="synthetic",
         representative=IwasawaElement1.from_rationals(3, [Fraction(1)]),
-        n_max=2, profile=None, stabilization_history=[], family_content=1,
-        interpolation_data={}, certified=False, trusted=False, notes=[],
+        profile=None, stabilization_history=[], family_content=1,
+        interpolation_data={}, notes=[],
         levels=(2,))
     out = trivial_character_ratio_check(zero, other)
     assert out["status"] == "inconclusive"
@@ -222,14 +226,14 @@ def test_ratio_check_p5_expectation():
     a = SignedLSeries(
         p=5, sign="+", label="synthetic",
         representative=IwasawaElement1.from_rationals(5, [Fraction(2)]),
-        n_max=2, profile=None, stabilization_history=[], family_content=1,
-        interpolation_data={}, certified=False, trusted=False, notes=[],
+        profile=None, stabilization_history=[], family_content=1,
+        interpolation_data={}, notes=[],
         levels=(1,))
     b = SignedLSeries(
         p=5, sign="-", label="synthetic",
         representative=IwasawaElement1.from_rationals(5, [Fraction(1)]),
-        n_max=2, profile=None, stabilization_history=[], family_content=1,
-        interpolation_data={}, certified=False, trusted=False, notes=[],
+        profile=None, stabilization_history=[], family_content=1,
+        interpolation_data={}, notes=[],
         levels=(2,))
     out = trivial_character_ratio_check(a, b)
     assert out["expected"] == "2"
@@ -241,13 +245,15 @@ def test_ratio_check_p5_expectation():
 def test_integer_reconstruction_matches_fraction_oracle(workbench, label, D):
     """The integer representative is the Fraction-list Garner lift over the
     same levels, divided by the family content, and every history profile
-    is the oracle's with mu shifted by that content.  The oracle reads the
-    workbench's cached elements, so it evaluates no paths of its own."""
+    is the oracle's with mu shifted by that content.  Every level's
+    certificate is the one read from the hull of the representative's
+    valuations.  The oracle reads the workbench's cached elements, so it
+    evaluates no paths of its own."""
     curve = bundled_curve(label)
     target = workbench.target(curve, D)
     for sign in ("+", "-"):
         series = workbench.signed_series(curve, D, sign)
-        theta, profiles = fraction_oracle.reconstruct_fractions(
+        theta, profiles, certified = fraction_oracle.reconstruct_fractions(
             target, sign, series.levels)
         cg = series.family_content
         assert [c / cg for c in theta] == series.rep_exact, (label, D, sign)
@@ -255,6 +261,47 @@ def test_integer_reconstruction_matches_fraction_oracle(workbench, label, D):
         want = [None if prof is None else dict(prof.as_dict(), mu=prof.mu - shift)
                 for prof in profiles]
         assert [h["profile"] for h in series.stabilization_history] == want
+        assert [h["certified"] for h in series.stabilization_history] == certified
+
+
+def test_one_newton_profile_per_level(workbench, series_32a_43, monkeypatch):
+    """The reconstruction profiles its representative once per level and
+    reads the final profile and every certificate off those profiles.  The
+    target's elements are cached, so no path is evaluated here."""
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return newton_invariants(f)
+    monkeypatch.setattr(mazurtate, "newton_invariants", counted)
+    Tp, _ = series_32a_43
+    target = workbench.target(bundled_curve("32a"), -43)
+    again = reconstruct_signed(target, "+")
+    assert again.levels == Tp.levels == (1, 3, 5, 7)
+    assert len(calls) == len(again.levels)
+    assert again.as_dict() == Tp.as_dict()
+
+
+@st.composite
+def exact_polys(draw):
+    """(p, element, levels): an exact polynomial whose coefficients are
+    zero or p^e times a unit with small e, and a set of modulus levels."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    co = draw(st.lists(st.one_of(st.just(0), st.builds(
+        lambda u, e, s: s * u * p ** e, st.integers(1, p - 1), st.integers(0, 3),
+        st.sampled_from((1, -1)))), min_size=1, max_size=14))
+    den = draw(st.sampled_from((1, 2, p)))
+    ks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True))
+    return p, IwasawaElement1(p, co, den, exact_tail=True), sorted(ks)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(exact_polys())
+def test_certificate_from_profile_matches_hull_of_valuations(case):
+    p, rep, ks = case
+    prof = mazurtate._profile(rep)
+    assert (mazurtate._dominance_certified(prof, p, ks)
+            == ledger_oracle.dominance_certified(prof, rep, p, ks))
 
 
 def test_family_content_prime_to_p(series_32a_43):

@@ -177,6 +177,23 @@ def test_integer_extraction_matches_fraction_oracle(curve):
             assert scaled(sp.hecke_matrix(ell)) == osp.hecke_matrix(ell)
 
 
+@pytest.mark.parametrize("N", range(11, 120))
+def test_hecke_matrices_match_fraction_oracle(N):
+    """The SL2 lift by a modular inverse differs from the oracle's
+    extended-gcd lift by an integer translation, which Gamma_0(N) absorbs:
+    the same lower row, and the same T_ell at every small good prime."""
+    sp = build_space(N)
+    osp = modsym_oracle.ManinSymbolSpace(N)
+    for c, d in sp.generators:
+        a, b, c0, d0 = sp._lift_to_sl2(c, d)
+        assert a * d0 - b * c0 == 1
+        assert (c0, d0) == osp._lift_to_sl2(c, d)[2:]
+    for ell in (2, 3, 5, 7, 11, 13):
+        if N % ell:
+            assert [[Fraction(x, sp.den) for x in row] for row in sp.hecke_matrix(ell)] \
+                == osp.hecke_matrix(ell), ell
+
+
 def test_oracle_cache_entry_loads_from_disk(tmp_path):
     c = bundled_curve("56a")
     osp = modsym_oracle.ManinSymbolSpace(c.conductor)
