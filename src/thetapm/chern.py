@@ -356,6 +356,8 @@ def classify_reduction(curve, ell, field_discriminant, p=None):
     the ramified place the curve is replaced by its twist when that twist
     has better reduction (the two become isomorphic over the completion).
     """
+    if type(ell) is not int or not is_prime(ell):
+        raise InvalidArgument("a fudge place lies above a prime, not %r" % (ell,))
     if p is not None and ell == p:
         raise InvalidArgument("fudge places must avoid p")
     base = local_reduction_type(curve, ell)

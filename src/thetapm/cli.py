@@ -17,7 +17,7 @@ from .chern import (FrobeniusData, fudge_c2, local_length_vertical,
                     theorem_ledger)
 from .config import RunConfig
 from .coprimality import coprime_certificate
-from .curves import CurveData, check_conductor
+from .curves import curve_from_record
 from .exceptions import InvalidArgument, ResourceLimit, WorkbenchError
 from .iwasawa import (IwasawaElement1, IwasawaElement2, newton_invariants,
                       pi_cyc)
@@ -84,11 +84,8 @@ def _load_jsonl(path):
 def _resolve_curve(args):
     if args.curve_file:
         for rec in _load_jsonl(args.curve_file):
-            if rec["label"] == args.curve:
-                curve = CurveData(rec["label"], rec["a_invariants"],
-                                  int(rec["conductor"]))
-                check_conductor(curve)
-                return curve
+            if _field(rec, "label", args.curve_file, str) == args.curve:
+                return curve_from_record(args.curve, rec)
         raise InvalidArgument("label %r not found in %s"
                               % (args.curve, args.curve_file))
     return bundled_curve(args.curve)
@@ -213,8 +210,10 @@ def cmd_coprime(args):
 
 def cmd_fudge(args):
     curve = _resolve_curve(args)
-    sigma = (_field(_load_json(args.sigma_file), "primes", args.sigma_file)
-             if args.sigma_file else [])
+    path = args.sigma_file
+    sigma = ([_number(ell, path, True)
+              for ell in _field(_load_json(path), "primes", path, list)]
+             if path else [])
     frob = FrobeniusData()
     if args.frobenius_file:
         doc = _load_json(args.frobenius_file)

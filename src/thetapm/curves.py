@@ -222,6 +222,20 @@ def local_reduction_type(curve, ell):
     return LocalType("additive", vd, v4, vj)
 
 
+def curve_from_record(label, rec):
+    """The curve of an input record: a string label, five JSON-integer
+    ``a_invariants`` and an integer ``conductor`` that fits the model."""
+    a, N = rec.get("a_invariants"), rec.get("conductor")
+    if not (isinstance(label, str) and type(N) is int
+            and isinstance(a, (list, tuple)) and len(a) == 5
+            and all(type(x) is int for x in a)):
+        raise InvalidArgument("curve record %r needs a string label, five integer "
+                              "a_invariants and an integer conductor" % (rec,))
+    curve = CurveData(label, a, N)
+    check_conductor(curve)
+    return curve
+
+
 def check_conductor(curve):
     """Raise InvalidArgument unless the conductor fits the model.
 

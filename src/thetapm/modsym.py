@@ -1,15 +1,15 @@
 """Rational modular symbols for Gamma_0(N) via Manin symbols.
 
 Generators are the points of P^1(Z/N), one per orbit of the units of Z/N,
-found by enumerating the orbits; the quotient by the two- and three-term
-relations is computed once by fraction-free elimination, each generator's
-class an integer row over one denominator per space.  The star involution
-and the Hecke operators are integer matrices scaled by that denominator,
-built once per space and operator and kept on the space.  An eigensymbol
-is a Hecke/involution eigenfunctional on the quotient, cut out on integers
-by fraction-free elimination and scaled to integer generator values of
-content one; path values {oo, a/m} are produced by the continued-fraction
-(Manin) trick.
+found by enumerating the orbits.  One fraction-free sparse elimination,
+``_echelon``, takes the quotient by the two- and three-term relations once
+per space (each generator's class an integer row over one denominator) and
+cuts the star and Hecke eigenspaces; for the cuts it runs on reversed
+columns, so its largest-column pivots are the leftmost ones.  The star
+involution and the Hecke operators are integer matrices scaled by the
+denominator, built once per space and operator and kept on the space.  An
+eigensymbol is scaled to integer generator values of content one; path
+values {oo, a/m} are produced by the continued-fraction (Manin) trick.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ class ManinSymbolSpace:
         self.p1 = P1Table(N)
         self.generators = self.p1.reps
         self.relation_rows = self._relations()
-        self.basis, self.den, self.reduction = self._quotient(self.relation_rows)
+        self.basis, self.den, self.reduction = _echelon(self.relation_rows,
+                                                        len(self.generators))
         self.dim = len(self.basis)
         self._star = None
         self._hecke = {}
@@ -115,34 +116,6 @@ class ManinSymbolSpace:
         w = [values[g] for g in self.basis]
         return all(sum(map(mul, row, w)) == a * self.den * wi
                    for row, wi in zip(self.hecke_matrix(ell), w))
-
-    def _quotient(self, rows):
-        """(basis, den, reduction): fraction-free sparse elimination, the
-        largest generator of each relation its pivot.  The pivot rows end as
-        the reduced echelon form with columns in decreasing order, so the
-        basis and every class depend on the relations alone."""
-        pivots = {}
-        for r in rows:
-            for k in [k for k in r if k in pivots]:
-                r = _clear(r, pivots[k], k)
-            if not r:
-                continue
-            k = max(r)
-            g = gcd(*r.values()) if r[k] > 0 else -gcd(*r.values())
-            r = {j: v // g for j, v in r.items()}
-            for kk, row in pivots.items():
-                if k in row:
-                    pivots[kk] = _clear(row, r, k)
-            pivots[k] = r
-        basis = [i for i in range(len(self.generators)) if i not in pivots]
-        bindex = {g: i for i, g in enumerate(basis)}
-        den = lcm(*(row[k] for k, row in pivots.items()))
-        # pivot row r: r[k] x_k + sum of r[j] x_j over basis generators j = 0
-        reduction = [[(bindex[i], den)] if i in bindex else
-                     sorted((bindex[j], -v * (den // pivots[i][i]))
-                            for j, v in pivots[i].items() if j != i)
-                     for i in range(len(self.generators))]
-        return basis, den, reduction
 
     # -- vectors over the basis ------------------------------------------
 
@@ -229,6 +202,36 @@ class ManinSymbolSpace:
         return rows
 
 
+def _echelon(rows, n):
+    """(free, den, reduction) of sparse integer rows over columns 0..n-1 by
+    fraction-free elimination, the largest column of each row its pivot.
+    The pivot rows end as the reduced echelon form with columns in
+    decreasing order, so the result depends on the row space alone; column
+    i is ``reduction[i]`` / ``den``, (free position, coefficient) pairs."""
+    pivots = {}
+    for r in rows:
+        for k in [k for k in r if k in pivots]:
+            r = _clear(r, pivots[k], k)
+        if not r:
+            continue
+        k = max(r)
+        g = gcd(*r.values()) if r[k] > 0 else -gcd(*r.values())
+        r = {j: v // g for j, v in r.items()}
+        for kk, row in pivots.items():
+            if k in row:
+                pivots[kk] = _clear(row, r, k)
+        pivots[k] = r
+    free = [i for i in range(n) if i not in pivots]
+    findex = {g: i for i, g in enumerate(free)}
+    den = lcm(*(row[k] for k, row in pivots.items()))
+    # pivot row r: r[k] x_k + sum of r[j] x_j over free columns j = 0
+    reduction = [[(findex[i], den)] if i in findex else
+                 sorted((findex[j], -v * (den // pivots[i][i]))
+                        for j, v in pivots[i].items() if j != i)
+                 for i in range(n)]
+    return free, den, reduction
+
+
 def _clear(r, pivot_row, k):
     """Sparse row r with column k cleared against pivot_row, divided by its
     content; the multiplier of r is pivot_row[k], so its sign is kept."""
@@ -248,36 +251,19 @@ def _primitive(v):
 
 def _nullspace(rows, dim):
     """(free, vectors): the free columns of the integer matrix ``rows``
-    and for each a primitive kernel vector, nonzero there and zero at the
-    other free columns.  Fraction-free, rows divided by their content."""
-    rows = [_primitive(list(r)) for r in rows if any(r)]
-    pivots = []
-    r = 0
-    for c in range(dim):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = _primitive([pv * x - f * y for x, y in zip(rows[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(dim) if c not in pivots]
-    scale = lcm(*(rows[i][pc] for i, pc in enumerate(pivots)))
-    out = []
-    for fc in free:
-        v = [0] * dim
-        v[fc] = scale
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc] * (scale // rows[i][pc])
-        out.append(_primitive(v))
-    return free, out
+    and for each a primitive kernel vector, positive there and zero at the
+    other free columns.  ``_echelon`` pivots on a row's largest column; on
+    reversed columns its pivots are the leftmost ones, so the free columns
+    are those a left-to-right elimination leaves."""
+    last = dim - 1
+    free, _, red = _echelon([{last - j: x for j, x in enumerate(r) if x}
+                             for r in rows], dim)
+    vectors = [[0] * dim for _ in free]
+    for i, terms in enumerate(red):
+        for b, c in terms:
+            vectors[b][last - i] = c
+    return ([last - f for f in reversed(free)],
+            [_primitive(v) for v in reversed(vectors)])
 
 
 @dataclass

@@ -20,7 +20,7 @@ from math import gcd
 
 from . import cache as cache_mod
 from .config import RunConfig
-from .curves import (CurveData, check_conductor, is_fundamental_discriminant,
+from .curves import (CurveData, curve_from_record, is_fundamental_discriminant,
                      kronecker_symbol)
 from .exceptions import InvalidArgument, UnsupportedHypothesis, WorkbenchError
 from .modsym import EigenSymbol, build_space, extract_eigensymbol
@@ -220,21 +220,29 @@ class Workbench:
         return report
 
     def run_table(self, rows=None):
-        """Run every row, isolating per-row failures."""
+        """Run every row, isolating per-row failures; a row without a string
+        curve, an integer discriminant or an integer p (when given) is an
+        input error before any row runs."""
         rows = rows if rows is not None else BUNDLED_ROWS
+        for row in rows:
+            if not (isinstance(row, dict) and isinstance(row.get("curve"), str)
+                    and type(row.get("discriminant")) is int
+                    and type(row.get("p", 0)) is int):
+                raise InvalidArgument("row %r needs a string curve, an integer "
+                                      "discriminant and an optional integer p"
+                                      % (row,))
         out = []
         for row in rows:
             label = row["curve"]
-            D = int(row["discriminant"])
-            if int(row.get("p", self.config.p)) != self.config.p:
+            D = row["discriminant"]
+            if row.get("p", self.config.p) != self.config.p:
                 out.append({"curve": label, "discriminant": D,
                             "error": "row prime %s differs from configured p = %d"
                             % (row.get("p"), self.config.p)})
                 continue
             try:
                 if "a_invariants" in row:
-                    curve = CurveData(label, row["a_invariants"], row["conductor"])
-                    check_conductor(curve)
+                    curve = curve_from_record(label, row)
                 else:
                     curve = bundled_curve(label)
                 out.append(self.table_row(curve, D))

@@ -7,15 +7,19 @@ the eigenspace elimination, each matrix rebuilt on every call.  The tests
 compare the integer path against it: same basis, the same matrices up to
 the space's denominator, and the same symbols, ``normalization_content``
 and certificates included.
+
+``dense_nullspace`` is the dense integer elimination the eigenspace cuts
+ran before they read ``thetapm.modsym._echelon``: leftmost pivots, rows
+divided by their content.  The tests compare ``modsym._nullspace`` with it.
 """
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 from thetapm.exceptions import InvalidArgument, IsolationFailure
 from p1_oracle import _ext_gcd
-from thetapm.modsym import EigenSymbol, P1Table, _next_prime
+from thetapm.modsym import EigenSymbol, P1Table, _next_prime, _primitive
 
 
 class ManinSymbolSpace:
@@ -228,6 +232,40 @@ def _nullspace(rows, dim):
             v[pc] = -rows[i][fc]
         out.append(v)
     return out
+
+
+def dense_nullspace(rows, dim):
+    """(free, vectors): the free columns of the integer matrix ``rows``
+    and for each a primitive kernel vector, nonzero there and zero at the
+    other free columns.  Fraction-free, rows divided by their content."""
+    rows = [_primitive(list(r)) for r in rows if any(r)]
+    pivots = []
+    r = 0
+    for c in range(dim):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = _primitive([pv * x - f * y for x, y in zip(rows[i], prow)])
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    free = [c for c in range(dim) if c not in pivots]
+    scale = lcm(*(rows[i][pc] for i, pc in enumerate(pivots)))
+    out = []
+    for fc in free:
+        v = [0] * dim
+        v[fc] = scale
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][fc] * (scale // rows[i][pc])
+        out.append(_primitive(v))
+    return free, out
 
 
 def extract_eigensymbol(space, curve, sign, ell_bound=60):

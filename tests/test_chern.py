@@ -279,6 +279,12 @@ def test_classify_rejects_ell_equal_p():
         classify_reduction(bundled_curve("32a"), 3, -43, p=3)
 
 
+@pytest.mark.parametrize("ell", [0, 4, -5, 5.0])
+def test_classify_rejects_an_ell_that_is_not_a_prime(ell):
+    with pytest.raises(InvalidArgument):
+        classify_reduction(bundled_curve("32a"), ell, -43)
+
+
 # -- fudge factors ---------------------------------------------------------------
 
 def synthetic_place(kind, tate=None, ell=11, structure="split"):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from math import gcd
 
 import pytest
@@ -11,6 +13,7 @@ from thetapm.reports import comparable, parse_report, render_report
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 PINNED = os.path.join(os.path.dirname(__file__), "pinned_reports")
 
 
@@ -301,6 +304,34 @@ def test_malformed_input_file_is_input_error(tmp_path, capsys, command, flag, do
     assert code == 2 and "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    # the first three reached the command line as a traceback with exit 1,
+    # the last two as an exit-0 ledger with a place above 4 or -5
+    {"primes": [0]}, {"primes": ["x"]}, {"primes": 5}, {"primes": [4]},
+    {"primes": [-5]},
+])
+def test_cmd_fudge_bad_sigma_prime_is_input_error(tmp_path, capsys, doc):
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps(doc))
+    code = main(["fudge", "--curve", "32a", "--discriminant", "-43",
+                 "--sigma-file", str(path)])
+    assert code == 2 and "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [{"primes": [1]}, {"primes": [True]}])
+def test_cmd_fudge_sigma_prime_one_is_input_error(tmp_path, doc):
+    """ell = 1 (or true, read as 1) once looped forever in the valuation of
+    the discriminant; a fresh interpreter with a timeout turns a hang into
+    a failure of this test instead of the suite's."""
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-m", "thetapm.cli", "fudge", "--curve",
+                          "32a", "--discriminant", "-43", "--sigma-file", str(path)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2 and "input error" in out.stderr
+
+
 def test_cmd_fudge_reads_the_example_frobenius_file(capsys):
     code, out = run_cli(["fudge", "--curve", "32a", "--discriminant", "-43",
                          "--p", "5", "--frobenius-file",
@@ -404,6 +435,32 @@ def test_curve_file_with_wrong_conductor_is_input_error(tmp_path, capsys):
     code, _ = run_cli(["fudge", "--curve", "11x", "--curve-file", str(curves),
                        "--discriminant", "-43"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("row", [
+    # a traceback with exit 1, a traceback with exit 1, a row run at p = 3
+    {"discriminant": -43, "p": 3},
+    {"curve": "32a", "discriminant": "abc", "p": 3},
+    {"curve": "32a", "discriminant": -107, "p": 3.5},
+])
+def test_cmd_table_malformed_row_is_input_error(tmp_path, capsys, row):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(json.dumps(row) + "\n")
+    code = main(["table", "--rows-file", str(rows)])
+    assert code == 2 and "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", [
+    # each reached the command line as a traceback with exit 1
+    {"a_invariants": [0, 0, 0, -1, 0], "conductor": 32},
+    {"label": "32a", "a_invariants": [0, 0, 0, -1, 0], "conductor": "x"},
+])
+def test_malformed_curve_file_record_is_input_error(tmp_path, capsys, record):
+    curves = tmp_path / "curves.jsonl"
+    curves.write_text(json.dumps(record) + "\n")
+    code = main(["symbols", "--curve", "32a", "--curve-file", str(curves),
+                 "--sign", "+"])
+    assert code == 2 and "input error" in capsys.readouterr().err
 
 
 def test_reinterpolation_failure_is_row_error(workbench, monkeypatch):

@@ -3,13 +3,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetapm import (CurveData, InvalidArgument, IsolationFailure,
                      ResourceLimit, RunConfig, Workbench, build_space,
                      bundled_curve, extract_eigensymbol,
                      make_twisted_evaluator, twist_symbol_value)
 from thetapm.cache import store_symbol
-from thetapm.modsym import ManinSymbolSpace, P1Table
+from thetapm.modsym import ManinSymbolSpace, P1Table, _echelon, _nullspace
 
 import modsym_oracle
 from p1_oracle import normalize
@@ -65,12 +66,41 @@ def test_quotient_denominator_from_pivot_coefficients():
     denominator: 2 x_2 + x_0 = 0 and 3 x_3 = x_1 make x_2 = -x_0 / 2 and
     x_3 = x_1 / 3, so den = 6.  The Manin relations of the bundled levels
     leave den = 1, so the relations here are built by hand."""
-    class Relations:
-        generators = [None] * 4
-    basis, den, reduction = ManinSymbolSpace._quotient(
-        Relations(), [{0: 1, 2: 2}, {3: 3, 1: -1}, {2: 4, 0: 2}])
+    basis, den, reduction = _echelon(
+        [{0: 1, 2: 2}, {3: 3, 1: -1}, {2: 4, 0: 2}], 4)
     assert (basis, den) == ([0, 1], 6)
     assert reduction == [[(0, 6)], [(1, 6)], [(0, -3)], [(1, 2)]]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 8 x 8, entries -9..9, some rows integer
+    combinations of the others, so that the rank can fall short."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=m)) if m > 1 else ():
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        coeffs[i] = 0
+        rows[i] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(integer_matrices())
+def test_nullspace_matches_dense_oracle(matrix):
+    """The cuts' view of the sparse echelon form is the dense leftmost-pivot
+    elimination it replaced: the same free columns and kernel vectors, each
+    primitive, in the kernel, positive at its free column and zero at the
+    other free columns."""
+    rows, n = matrix
+    free, vectors = _nullspace(rows, n)
+    assert (free, vectors) == modsym_oracle.dense_nullspace(rows, n)
+    for fc, v in zip(free, vectors):
+        assert gcd(*v) == 1
+        assert all(sum(x * y for x, y in zip(r, v)) == 0 for r in rows)
+        assert v[fc] > 0
+        assert all(v[c] == 0 for c in free if c != fc)
 
 
 def test_manin_relations_hold_in_quotient():
