@@ -78,8 +78,12 @@ def coprime_certificate(f, g):
     Order of checks: a common p-factor (both mu > 0) or common roots at the
     origin block immediately; disjoint root-valuation multisets certify
     coprimality; otherwise the resultant of the distinguished parts decides
-    when it has a determined nonzero valuation.
+    when it has a determined nonzero valuation.  Series over different
+    primes have no common ring, so they raise InvalidArgument.
     """
+    primes = {getattr(x, "p", None) for x in (f, g)} - {None}
+    if len(primes) > 1:
+        raise InvalidArgument("series over different primes %s" % sorted(primes))
     pf = _profile_of(f)
     pg = _profile_of(g)
     if not (pf.stabilized and pg.stabilized):

@@ -15,15 +15,18 @@ Others read a one-variable element through ``rationals``, ``valuations``,
 ``t_polynomial`` (integer S-coefficient rows over ``den``) and ``p_split``
 (its least p-adic valuation and the residues of f / p^v mod p).  The
 T-resultant and the certificate resultant are both ``sylvester_resultant``,
-one Bareiss determinant over Z[S] on integer polynomials of
-``thetapm.polys``.
+one fraction-free Bareiss determinant over Z[S] that packs each entry into
+one Python integer (Kronecker substitution) and eliminates on those.
+``weierstrass_prepare`` lifts its factorization mod p to p^digits
+quadratically, doubling the known digits at each step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import chain
+from math import gcd, prod
 from typing import NamedTuple
 
 from . import polys
@@ -222,10 +225,16 @@ def newton_invariants(f):
 def weierstrass_prepare(f):
     """Factor f = p^mu * unit * distinguished over the truncation window.
 
-    The distinguished part is monic of degree lambda with non-leading
-    coefficients in pZ_p; the factorization is a Hensel lift of
-    f/p^mu = X^lambda * (unit series) mod p and matches f coefficientwise
-    to the propagated precision.
+    The distinguished part P is monic of degree lambda with non-leading
+    coefficients in pZ_p and the unit U has degree at most D - lambda;
+    P * U = f/p^mu modulo p^digits, the propagated precision, which fixes
+    both since P is monic.  This is a quadratic Hensel lift (von zur
+    Gathen-Gerhard, Algorithm 15.10) of f/p^mu = X^lambda * U mod p: each
+    step squares the modulus, adds dP = t*e mod P for the error
+    e = f/p^mu - P*U and the exact quotient dU = (e - U*dP) / P (15.10's
+    s*e + q*U), and carries the inverse t of U mod P by a Newton step in
+    place of 15.10's Bezout pair.  U ends at its last coefficient that is
+    nonzero mod p^digits.
     """
     p = f.p
     prof = newton_invariants(f)
@@ -248,28 +257,25 @@ def weierstrass_prepare(f):
     q = p ** vp(dd, p)
     inv = pow(dd // q, -1, mod)
     fb = [c // q * inv % mod for c in nums]
-    A = [0] * lam + [1]                      # X^lambda
     B = polys.trim([x % p for x in fb[lam:]]) or [0]
     if B == [0] or B[0] % p == 0:
         raise InvalidArgument("leading unit coefficient missing")
-    _, t = polys.bezout_mod(A, B, p)
-    P = list(A)                              # lifted monic factor
-    U = list(B)                              # lifted unit cofactor, a series mod X^(D+1)
-    for m in range(1, digits):
-        pm = p ** m
-        E = polys.mod([x // pm for x in polys.sub(fb, polys.mul(P, U))[:len(fb)]], p)
-        if E == [0]:
-            continue
-        # E = X^lambda*dU + B*dP with deg dP < lambda: dP = t*E mod X^lambda,
-        # then dU is a shift
-        dP = polys.mod(polys.mul(t[:lam], E[:lam])[:lam], p)
-        dU = polys.mod(polys.sub(E, polys.mul(B, dP))[lam:], p) or [0]
-        P = polys.add(P, [x * pm for x in dP])
-        U = polys.add(U, [x * pm for x in dU])
-        P = [x % (mod * p) for x in P][:lam + 1]
-        U = [x % (mod * p) for x in U][:D + 1 - lam] or [1]
-    P = [x % mod for x in P[:lam]] + [1]
-    U = [x % mod for x in U]
+    P = [0] * lam + [1]                      # X^lambda, the monic factor mod p
+    U = B                                    # the unit cofactor mod p
+    _, t = polys.bezout_mod(P, B, p)         # t*U = 1 mod (P, m) as each step starts
+    m = p
+    while m < mod:
+        m = min(m * m, mod)
+        # e = fb - P*U is 0 mod the previous m: dP = t*e mod P, and
+        # dU = (e - U*dP) / P exactly mod m, of degree at most D - lambda
+        e = polys.mod(polys.sub(fb, polys.mul(P, U)), m)
+        dP = polys.divmod_mod(polys.mul(t, e), P, m)[1]
+        dU = polys.divmod_mod(polys.sub(e, polys.mul(U, dP)), P, m)[0]
+        P = polys.mod(polys.add(P, dP), m)
+        U = polys.mod(polys.add(U, dU), m)
+        if m < mod:                          # Newton: t <- t * (2 - t*U) mod P
+            r = polys.divmod_mod(polys.mul(t, U), P, m)[1]
+            t = polys.divmod_mod(polys.mul(t, polys.sub([2], r)), P, m)[1]
     # every coefficient is known modulo p^digits; the leading 1 exactly
     unit = IwasawaElement1(p, U, prec=[digits] * len(U))
     dist = IwasawaElement1(p, P, prec=[digits] * lam + [None], exact_tail=True)
@@ -429,7 +435,9 @@ def sylvester_resultant(f, g):
     S-coefficient lists, lowest T-degree first.  The matrix holds deg g
     shifted rows of f, then deg f shifted rows of g, leading coefficients
     on the left; a constant in T gives a diagonal matrix, and two
-    constants the empty one, whose determinant is [1].
+    constants the empty one, whose determinant is [1].  Integer
+    coefficients (S-constants, as in the certificate) pack to themselves,
+    so ``_bareiss_det`` is then plain integer Bareiss elimination.
     """
     m, n = len(f) - 1, len(g) - 1
     rows = [[[0]] * (m + n) for _ in range(m + n)]
@@ -443,28 +451,58 @@ def sylvester_resultant(f, g):
 
 def _bareiss_det(M):
     """Determinant over Z[S] of a square matrix whose entries are trimmed
-    integer coefficient lists; fraction-free Bareiss elimination with exact
-    divisions.
+    integer coefficient lists; [1] for the empty matrix, [0] when singular.
+
+    Every entry is evaluated at S = 2^B (Kronecker substitution) and
+    fraction-free Bareiss elimination (Bareiss 1968) runs on those
+    integers, each division exact.  ``bound``, the product over rows of
+    the summed coefficient 1-norms, bounds every coefficient of every
+    minor, and every Bareiss entry is a minor.  With 2^B > 4 * bound each
+    coefficient is one balanced base-2^B digit, so an evaluated entry is
+    zero exactly when its polynomial is, and the determinant reads back
+    digit by digit.
     """
     n = len(M)
     if not n:
         return [1]
-    rows = [list(row) for row in M]
+    bound = prod(sum(map(abs, chain.from_iterable(row))) for row in M)
+    if not bound:
+        return [0]                  # a zero row
+    B = bound.bit_length() + 2
+    rows = [[_pack_signed(e, B) for e in row] for row in M]
     sign = 1
-    prev = [1]
+    prev = 1
     for k in range(n - 1):
-        if rows[k][k] == [0]:
-            piv = next((r for r in range(k + 1, n) if rows[r][k] != [0]), None)
+        if not rows[k][k]:
+            piv = next((r for r in range(k + 1, n) if rows[r][k]), None)
             if piv is None:
                 return [0]
             rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
+        top = rows[k]
+        pivot = top[k]
+        for row in rows[k + 1:]:
+            a = row[k]
             for j in range(k + 1, n):
-                num = polys.sub(polys.mul(rows[i][j], pivot),
-                                polys.mul(rows[i][k], rows[k][j]))
-                rows[i][j] = polys.exact_div(num, prev)     # raises if inexact
-            rows[i][k] = [0]
+                row[j], rem = divmod(row[j] * pivot - a * top[j], prev)
+                if rem:
+                    raise InvalidArgument("exact division failed: remainder is nonzero")
         prev = pivot
-    return [sign * c for c in rows[n - 1][n - 1]]
+    det = sign * rows[n - 1][n - 1]
+    out = []
+    half, full = 1 << (B - 1), (1 << B) - 1
+    while det:
+        c = det & full
+        if c >= half:
+            c -= 1 << B
+        out.append(c)
+        det = (det - c) >> B
+    return out or [0]
+
+
+def _pack_signed(e, B):
+    """Signed Horner evaluation of a coefficient list at S = 2^B."""
+    v = e[-1]
+    for c in reversed(e[:-1]):
+        v = (v << B) + c
+    return v

@@ -4,8 +4,10 @@ A polynomial is a list of integer coefficients, lowest degree first.  The
 kernels over F_p take residues in [0, p) and reduce once per output
 coefficient, not once per term: a product over F_p is
 ``mod(mul(a, b), p)``, never truncated, so the F_p[S] rows of the local
-lengths stay exact polynomials.  ``trim`` drops trailing zeros but keeps
-one coefficient, so the zero polynomial is [0].
+lengths stay exact polynomials.  ``mod`` and ``divmod_mod`` run over
+Z/p^k as well, dividing by monic polynomials there, for the quadratic
+Hensel lift of ``iwasawa.weierstrass_prepare``.  ``trim`` drops trailing
+zeros but keeps one coefficient, so the zero polynomial is [0].
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def sub(a, b):
 
 
 def mod(a, p):
-    """Residues mod p, trimmed."""
+    """Residues mod p, trimmed; p may be any modulus, such as p^k."""
     return trim([x % p for x in a])
 
 
@@ -115,7 +117,11 @@ def clear_denominators(co):
 
 
 def divmod_mod(a, b, p):
-    """(q, r) with a = q*b + r over F_p and deg r < deg b; b[-1] a unit."""
+    """(q, r) with a = q*b + r over F_p and deg r < deg b; b[-1] a unit.
+
+    Over Z/p^k with ``p`` the modulus p^k the same holds for a monic b
+    (any b whose leading coefficient is a unit mod p^k).
+    """
     r = list(a)
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
@@ -142,25 +148,6 @@ def bezout_mod(a, b, p):
         raise InvalidArgument("polynomials are not coprime mod p")
     inv = pow(r0[0], -1, p)
     return ([x * inv % p for x in s0], [x * inv % p for x in t0])
-
-
-def exact_div(a, b):
-    """a / b over Z for trimmed nonzero b; raises unless b divides a exactly."""
-    if b == [1]:
-        return trim(list(a))
-    r = list(a)
-    db = len(b) - 1
-    q = [0] * max(len(r) - db, 1)
-    for i in range(len(r) - 1, db - 1, -1):
-        if r[i]:
-            c, rem = divmod(r[i], b[-1])
-            if rem:
-                raise InvalidArgument("exact division failed: remainder is nonzero")
-            q[i - db] = c
-            r[i - db:i + 1] = map(_sub, r[i - db:i + 1], [c * y for y in b])
-    if any(r[:db]):
-        raise InvalidArgument("exact division failed: remainder is nonzero")
-    return trim(q)
 
 
 def prem(a, b):

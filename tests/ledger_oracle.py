@@ -8,6 +8,9 @@ reduce mod p after every term and the rational remainder of
 ``thetapm.chern``.  ``PadicScalar``, the one-variable coefficient type
 before series became integers over one denominator, lives here too, with
 the scalar ``newton_invariants`` and ``weierstrass_prepare`` that read it.
+The determinant over Z[S] of ``thetapm.iwasawa`` before it packed its
+entries into integers is here as well: Bareiss elimination on integer
+coefficient lists, with the exact division of ``thetapm.polys`` it ran on.
 So does the divisor of a Frobenius character as ``thetapm.chern`` took it
 before the closed form: the character cut at a total degree, its S-content
 split off and its T-factor Hensel-lifted over the S-adic digits.
@@ -22,6 +25,7 @@ kernels are checked against them.
 """
 
 from fractions import Fraction
+from operator import sub as _int_sub
 
 from thetapm import polys
 from thetapm.chern import (S_TRUNC, PrimeDescriptor, _fp2_t_poly, _fps_poly_str,
@@ -510,6 +514,53 @@ def _bareiss_det(M):
         prev = M[k][k]
     det = M[n - 1][n - 1]
     return [c * sign for c in det]
+
+
+def exact_div(a, b):
+    """a / b over Z for trimmed nonzero b; raises unless b divides a exactly."""
+    if b == [1]:
+        return polys.trim(list(a))
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 1)
+    for i in range(len(r) - 1, db - 1, -1):
+        if r[i]:
+            c, rem = divmod(r[i], b[-1])
+            if rem:
+                raise InvalidArgument("exact division failed: remainder is nonzero")
+            q[i - db] = c
+            r[i - db:i + 1] = map(_int_sub, r[i - db:i + 1], [c * y for y in b])
+    if any(r[:db]):
+        raise InvalidArgument("exact division failed: remainder is nonzero")
+    return polys.trim(q)
+
+
+def int_bareiss_det(M):
+    """Determinant over Z[S] of a square matrix whose entries are trimmed
+    integer coefficient lists; fraction-free Bareiss elimination on the
+    lists, each division an ``exact_div``."""
+    n = len(M)
+    if not n:
+        return [1]
+    rows = [list(row) for row in M]
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if rows[k][k] == [0]:
+            piv = next((r for r in range(k + 1, n) if rows[r][k] != [0]), None)
+            if piv is None:
+                return [0]
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = polys.sub(polys.mul(rows[i][j], pivot),
+                                polys.mul(rows[i][k], rows[k][j]))
+                rows[i][j] = exact_div(num, prev)
+            rows[i][k] = [0]
+        prev = pivot
+    return [sign * c for c in rows[n - 1][n - 1]]
 
 
 def _q_mod(a, b):

@@ -339,13 +339,14 @@ def test_cmd_fudge_reads_the_example_frobenius_file(capsys):
     assert code == 0 and parse_report(out)[0]["kind"] == "fudge"
 
 
-def run_coprime_files(tmp_path, capsys, f_coeffs, g_coeffs, precision=None):
+def run_coprime_files(tmp_path, capsys, f_coeffs, g_coeffs, precision=None,
+                      primes=(3, 3)):
     """``coprime`` on two series files: exact polynomials, or series with
     an unknown tail when ``precision`` is given."""
     paths = []
-    for name, co in (("f", f_coeffs), ("g", g_coeffs)):
+    for name, co, p in (("f", f_coeffs, primes[0]), ("g", g_coeffs, primes[1])):
         path = tmp_path / ("%s.json" % name)
-        data = {"p": 3, "coefficients": co}
+        data = {"p": p, "coefficients": co}
         if precision is not None:
             data["precision"] = precision
         path.write_text(json.dumps(data))
@@ -383,6 +384,15 @@ def test_cmd_coprime_series_files_honour_precision(tmp_path, capsys):
     _, recs = parse_report(out)
     assert recs[0]["verdict"] == "inconclusive"
     assert "lambda = 2 exceeds truncation 2" in recs[0]["detail"]
+
+
+def test_cmd_coprime_series_files_over_different_primes_is_input_error(tmp_path, capsys):
+    # X^2 - 3 over Z_3 and X^2 + 5 over Z_5 both have slope 1/2, which used
+    # to send them down the resultant route to a "coprime" verdict
+    code, out = run_coprime_files(tmp_path, capsys, ["-3", "0", "1"],
+                                  ["5", "0", "1"], primes=(3, 5))
+    assert code == 2
+    assert out == ""
 
 
 def test_cmd_theta_base_curve(capsys):

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from thetapm import (CoprimalityCertificate, InvariantProfile, IwasawaElement1,
-                     PrecisionError, conjecture_b_report, coprime_certificate,
-                     is_unit, newton_invariants, polys, shadow_products,
-                     weierstrass_prepare)
+from thetapm import (CoprimalityCertificate, InvalidArgument, InvariantProfile,
+                     IwasawaElement1, PrecisionError, conjecture_b_report,
+                     coprime_certificate, is_unit, newton_invariants, polys,
+                     shadow_products, weierstrass_prepare)
 from thetapm.coprimality import _abs_floor_bound, _resultant_mod
 
 from ledger_oracle import _resultant_1var, scalars
@@ -77,6 +77,16 @@ def test_certificate_resultant_route():
     assert cert.method == "resultant"
     assert cert.verdict == "coprime"
     assert cert.resultant_valuation is not None
+
+
+def test_certificate_refuses_series_over_different_primes():
+    # X^2 - 3 over Z_3 and X^2 + 5 over Z_5 share the slope 1/2: there is no
+    # ring in which to compare them, so no resultant is taken
+    f = poly([-3, 0, 1], p=3)
+    g = poly([5, 0, 1], p=5)
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(InvalidArgument, match="different primes"):
+            coprime_certificate(a, b)
 
 
 def test_certificate_resultant_detects_common_factor():

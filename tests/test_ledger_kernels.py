@@ -1,6 +1,6 @@
 """Integer ledger kernels against the replaced Fraction and per-term code.
 
-``thetapm.polys``, the integer Bareiss determinant behind
+``thetapm.polys``, the packed integer Bareiss determinant behind
 ``sylvester_resultant``, the T-resultant, ``IwasawaElement2.p_split``, the
 integer certificate resultant and the Newton and Weierstrass readers of
 integer one-variable series must give what the code in ``ledger_oracle``
@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import ledger_oracle as oracle
@@ -157,10 +157,10 @@ def test_exact_div_matches_fraction_division(b, a, r):
         q, rem = oracle._q_poly_divmod([Fraction(x) for x in num],
                                        [Fraction(x) for x in b])
         if rem == [0] and all(x.denominator == 1 for x in q):
-            assert polys.exact_div(num, b) == q
+            assert oracle.exact_div(num, b) == q
         else:
             with pytest.raises(InvalidArgument):
-                polys.exact_div(num, b)
+                oracle.exact_div(num, b)
 
 
 def _oracle_fiber_gcd(fa, ga):
@@ -244,6 +244,49 @@ def test_bareiss_det_singular_matrix_is_zero():
     M = [row, [[4], [0, 1], [5]], list(row)]
     assert oracle._bareiss_det(M) == [0]
     assert _bareiss_det(M) == [0]
+
+
+@st.composite
+def zs_matrices(draw):
+    """Square matrices over Z[S] of size 0 to 7, not only Sylvester ones.
+
+    Coefficients reach 2^200 in absolute value with either sign, entries
+    are often zero, and a matrix may carry a zero row or a row that is a
+    Z[S]-combination of two others."""
+    n = draw(st.integers(0, 7))
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
+    entry = st.one_of(st.just([0]), st.lists(coeff, min_size=1, max_size=4).map(polys.trim))
+    M = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        a, b = draw(int_polys(1, 2, 3)), draw(int_polys(1, 2, 3))
+        M[i] = [polys.trim(polys.add(polys.mul(a, x), polys.mul(b, y)))
+                for x, y in zip(M[j], M[k])]
+    if n and draw(st.integers(0, 4)) == 0:
+        M[draw(st.integers(0, n - 1))] = [[0]] * n
+    return M
+
+
+# no shrink phase: shrinking 200-bit coefficients takes hypothesis minutes,
+# while the unshrunk failing matrix is printed at once
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate),
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(zs_matrices())
+def test_bareiss_det_matches_list_polynomial_oracle(M):
+    """The packed integer determinant against Bareiss elimination on the
+    coefficient lists, which it replaced."""
+    assert _bareiss_det(M) == oracle.int_bareiss_det(M)
+
+
+def test_bareiss_det_reads_back_coefficients_at_the_bound():
+    # a determinant coefficient equal to the bound, negative and positive
+    big = 2 ** 200
+    assert _bareiss_det([[[0, -big]]]) == [0, -big]
+    M = [[[-big], [0]], [[0], [0, -big]]]
+    assert _bareiss_det(M) == oracle.int_bareiss_det(M) == [0, big * big]
+    M = [[[0], [0, -big]], [[-big, 1], [3]]]
+    assert _bareiss_det(M) == oracle.int_bareiss_det(M) == [0, -big * big, big]
 
 
 @ORACLE_SETTINGS
@@ -456,8 +499,14 @@ def test_integer_series_readers_match_scalar_oracle(case):
     Weierstrass factors."""
     el, old = case
     assert outcome(newton_invariants, el) == outcome(oracle.newton_invariants, old)
-    new = outcome(weierstrass_prepare, el)
-    want = outcome(oracle.weierstrass_prepare, el.p, old, el.exact_tail)
+    assert_same_preparation(outcome(weierstrass_prepare, el),
+                            outcome(oracle.weierstrass_prepare, el.p, old, el.exact_tail))
+
+
+def assert_same_preparation(new, want):
+    """An integer Weierstrass preparation against the scalar oracle's: the
+    same error, or the same mu, coefficient lifts mod p^digits, absolute
+    precisions and zero markers of both factors."""
     if isinstance(want[0], type):
         assert new == want
         return
@@ -470,6 +519,87 @@ def test_integer_series_readers_match_scalar_oracle(case):
         assert [x == 0 for x in got.rationals()] == \
             [c.is_zero_within_precision() for c in ref]
     assert (unit.exact_tail, dist.exact_tail) == (False, True)
+
+
+@st.composite
+def planted_series(draw):
+    """A one-variable series p^mu * (c_0 + c_1 X + ...) / d with p | c_i
+    below a planted lambda of 0 to 8 and c_lambda a unit; mu is -2 to 2.
+    The precision is none, one relative precision up to 60, or per
+    coefficient none or 1 to 60 digits beyond its valuation (beyond mu for
+    a zero); the tail is exact or unknown."""
+    p = draw(st.sampled_from(PRIMES))
+    lam = draw(st.integers(0, 8))
+    low = [p * draw(st.integers(-p ** 4, p ** 4)) for _ in range(lam)]
+    lead = draw(st.integers(1, p ** 3).filter(lambda x: x % p))
+    high = draw(st.lists(st.integers(-p ** 6, p ** 6), max_size=5))
+    mu = draw(st.integers(-2, 2))
+    scale = Fraction(p) ** mu / draw(st.sampled_from([1, 2, 4]))
+    values = [c * scale for c in low + [lead] + high]
+    mode = draw(st.sampled_from(["exact", "relative", "absolute"]))
+    if mode == "relative":
+        el = IwasawaElement1.from_rationals(p, values, precision=draw(st.integers(1, 60)))
+    else:
+        el = IwasawaElement1.from_rationals(p, values)
+        if mode == "absolute":
+            prec = [draw(st.one_of(st.none(), st.integers(1, 60).map(
+                lambda r, x=x: r + (mu if x == 0 else vp(x, p))))) for x in values]
+            el = IwasawaElement1(p, el.nums, el.den, prec=prec)
+    el.exact_tail = draw(st.booleans())
+    return el
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(planted_series())
+def test_quadratic_lift_matches_one_digit_oracle(el):
+    """The quadratic Hensel lift against the one-digit lift on scalars that
+    it replaced: the same mu, coefficient lifts (and so the same length of
+    the unit), precisions and zero markers, or the same error; and the two
+    factors multiply back to f / p^mu mod p^digits."""
+    new = outcome(weierstrass_prepare, el)
+    assert_same_preparation(new, outcome(oracle.weierstrass_prepare, el.p,
+                                         oracle.scalars(el), el.exact_tail))
+    if isinstance(new[0], type):
+        return
+    unit, dist, mu = new
+    digits = unit.precisions()[0]
+    p, m = el.p, el.p ** digits
+    fb = [c * Fraction(p) ** -mu for c in el.rationals()]
+    fb = [x.numerator * pow(x.denominator, -1, m) % m for x in fb]
+    assert polys.mod(polys.sub(fb, polys.mul(unit.lifts(digits), dist.lifts(digits))), m) == [0]
+
+
+def lifted_factors(f):
+    """(unit lifts, distinguished lifts, unit precisions, mu), once they
+    match the one-digit oracle's."""
+    new = weierstrass_prepare(f)
+    assert_same_preparation(new, oracle.weierstrass_prepare(f.p, oracle.scalars(f),
+                                                            f.exact_tail))
+    unit, dist, mu = new
+    digits = unit.precisions()[0]
+    return unit.lifts(digits), dist.lifts(digits), unit.precisions(), mu
+
+
+def test_quadratic_lift_at_one_digit_runs_no_step():
+    # 3 + X + 2X^2 to one digit: X * (1 + 2X) mod 3 is already the answer
+    f = IwasawaElement1.from_rationals(3, [3, 1, 2], precision=1)
+    assert lifted_factors(f) == ([1, 2], [0, 1], (1, 1), 0)
+
+
+def test_quadratic_lift_of_a_unit_is_the_unit():
+    # lambda = 0: the distinguished part is 1 and the unit is f mod 5^6,
+    # without its zero marker at X^3
+    f = IwasawaElement1.from_rationals(5, [2, 5, 25, 0], precision=6)
+    assert lifted_factors(f) == ([2, 5, 25], [1], (6,) * 3, 0)
+
+
+def test_quadratic_lift_drops_unit_coefficients_that_vanish_mod_p_digits():
+    # (X + 3)(1 + X + 3^4 X^2) to 4 digits: the unit's X^2 coefficient is
+    # 0 mod 3^4, so the unit is 1 + X, of length 2 and not D + 1 - lambda = 3
+    f = IwasawaElement1.from_rationals(3, polys.mul([3, 1], [1, 1, 81]), precision=4)
+    assert f.nums == [3, 4, 244, 81]
+    assert lifted_factors(f) == ([1, 1], [3, 1], (4, 4), 0)
 
 
 @ORACLE_SETTINGS
