@@ -9,7 +9,7 @@ columns, so its largest-column pivots are the leftmost ones.  The star
 involution and the Hecke operators are integer matrices scaled by the
 denominator, built once per space and operator and kept on the space.  An
 eigensymbol is scaled to integer generator values of content one; path
-values {oo, a/m} are produced by the continued-fraction (Manin) trick.
+values {oo, a/m} are summed off rows of them by the Manin trick.
 """
 
 from __future__ import annotations
@@ -282,37 +282,35 @@ class EigenSymbol:
         """Fast integer path evaluator (x, m) -> value on {oo, x/m}.
 
         The Manin trick sums the generator values at (-+q_j : q_(j-1)) over
-        the convergent denominators of x/m, the sign alternating from -1.
-        The denominators are carried mod N, so the point (-q : d) sits at
-        index d - q*N of the P^1 table (row N - q, or row 0 when q is 0),
-        and each loop turn takes one Euclid step of each sign.
+        the convergent denominators of x/m, carried mod N, the sign
+        alternating from -1, one Euclid step of each sign a loop turn, off
+        rows built once (``neg[c]`` the row of -c).  x/m is not reduced, as
+        Euclid's quotients on (g m, g x) are those on (m, x).
         """
         N = self.level
         table = self._space.p1.table
         vals = self.values_on_generators
-        start = vals[table[(N - 1) * N]]
+        rows = [[vals[i] for i in table[c * N:c * N + N]] for c in range(N)]
+        neg = [rows[-c % N] for c in range(N)]
+        start = rows[N - 1][0]
 
         def ev(x, m):
-            if m < 0:
+            if m <= 0:
+                if not m:
+                    return 0
                 x, m = -x, -m
-            if m == 0:
-                return 0
-            g = gcd(x, m)
-            if g > 1:
-                x //= g
-                m //= g
-            a, b = m, x % m
+            b = x % m
             q, qm = 1 % N, 0
             total = start
             while b:
-                t, a = divmod(a, b)
-                q, qm = (t * q + qm) % N, q
-                total += vals[table[q * N + qm]]
-                if not a:
+                q, qm = (m // b * q + qm) % N, q
+                m %= b
+                total += rows[q][qm]
+                if not m:
                     break
-                t, b = divmod(b, a)
-                q, qm = (t * q + qm) % N, q
-                total += vals[table[qm - q * N]]
+                q, qm = (b // m * q + qm) % N, q
+                b %= m
+                total += neg[q][qm]
             return total
         return ev
 
@@ -409,8 +407,6 @@ def twist_symbol_value(symbol_pair, D, a, m):
     plus, minus = symbol_pair
     if not is_fundamental_discriminant(D):
         raise InvalidArgument("%d is not a fundamental discriminant" % D)
-    if D == 1:
-        return plus.evaluator()(a, m), minus.evaluator()(a, m)
     if gcd(D, m) != 1:
         raise InvalidArgument("twist discriminant must be prime to the denominator")
     if D < 0:
@@ -423,23 +419,24 @@ def make_twisted_evaluator(base_symbol, D):
     """Single-sign twisted path evaluator for the Birch-sum family.
 
     Returns f(a, m) -> integer, the twisted value whose sign is opposite to
-    the base symbol's when D < 0 (and equal when D > 0).
+    the base symbol's when D < 0 (and equal when D > 0).  The u mod |D| with
+    chi_D(u) != 0 are listed once; for D = 1 that is u = 0 alone.
     """
     if not is_fundamental_discriminant(D) or D == 0:
         raise InvalidArgument("need a fundamental discriminant")
     absD = abs(D)
-    chi = [kronecker_symbol(D, u) for u in range(absD)]
+    terms = [(u, w) for u in range(absD) if (w := kronecker_symbol(D, u))]
     ev = base_symbol.evaluator()
 
     def tev(a, m):
         if gcd(D, m) != 1:
             raise InvalidArgument("denominator shares a factor with the discriminant")
+        if not m:
+            return 0
         M = m * absD
         base = a * absD
         total = 0
-        for u in range(1, absD):
-            w = chi[u]
-            if w:
-                total += w * ev((base + u * m) % M, M)
+        for u, w in terms:
+            total += w * ev((base + u * m) % M, M)
         return total
     return tev

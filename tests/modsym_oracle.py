@@ -11,12 +11,19 @@ and certificates included.
 ``dense_nullspace`` is the dense integer elimination the eigenspace cuts
 ran before they read ``thetapm.modsym._echelon``: leftmost pivots, rows
 divided by their content.  The tests compare ``modsym._nullspace`` with it.
+
+``evaluator`` and ``twisted_evaluator`` are the path evaluators as they were
+before the value rows: the fraction reduced by its gcd, one ``divmod`` per
+Euclid step, each point looked up in the flat P^1 table, and the Birch sum
+scanning every u from 1 with the character read per term.  That scan drops
+u = 0, right for |D| > 1 where chi(0) = 0 and wrong for D = 1.
 """
 
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
+from thetapm.curves import kronecker_symbol
 from thetapm.exceptions import InvalidArgument, IsolationFailure
 from p1_oracle import _ext_gcd
 from thetapm.modsym import EigenSymbol, P1Table, _next_prime, _primitive
@@ -330,3 +337,57 @@ def extract_eigensymbol(space, curve, sign, ell_bound=60):
     return EigenSymbol(space.level, sign, ints, Fraction(1) / scale,
                        label=curve.label, ap_certificate=certificate,
                        _space=space)
+
+
+def evaluator(symbol):
+    """Integer path evaluator (x, m) -> value on {oo, x/m}: the point
+    (-q : d) sits at index d - q*N of the P^1 table (row N - q, or row 0
+    when q is 0), and each loop turn takes one Euclid step of each sign."""
+    N = symbol.level
+    table = symbol._space.p1.table
+    vals = symbol.values_on_generators
+    start = vals[table[(N - 1) * N]]
+
+    def ev(x, m):
+        if m < 0:
+            x, m = -x, -m
+        if m == 0:
+            return 0
+        g = gcd(x, m)
+        if g > 1:
+            x //= g
+            m //= g
+        a, b = m, x % m
+        q, qm = 1 % N, 0
+        total = start
+        while b:
+            t, a = divmod(a, b)
+            q, qm = (t * q + qm) % N, q
+            total += vals[table[q * N + qm]]
+            if not a:
+                break
+            t, b = divmod(b, a)
+            q, qm = (t * q + qm) % N, q
+            total += vals[table[qm - q * N]]
+        return total
+    return ev
+
+
+def twisted_evaluator(base_symbol, D):
+    """Birch-sum twisted evaluator over ``evaluator``, u from 1 to |D| - 1."""
+    absD = abs(D)
+    chi = [kronecker_symbol(D, u) for u in range(absD)]
+    ev = evaluator(base_symbol)
+
+    def tev(a, m):
+        if gcd(D, m) != 1:
+            raise InvalidArgument("denominator shares a factor with the discriminant")
+        M = m * absD
+        base = a * absD
+        total = 0
+        for u in range(1, absD):
+            w = chi[u]
+            if w:
+                total += w * ev((base + u * m) % M, M)
+        return total
+    return tev

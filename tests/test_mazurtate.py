@@ -53,6 +53,34 @@ def test_character_evaluation_two_routes(target32):
         assert from_int(via_element) == direct
 
 
+@pytest.mark.parametrize("D", [-43, 1])
+def test_build_evaluates_each_base_path_once(workbench, monkeypatch, D):
+    """The exact path count: a level-k build of 32a x D calls the function
+    ``EigenSymbol.evaluator`` returns phi(p^(k+1)) * phi(|D|) times, counted
+    by wrapping that method as the benchmark's tracer does."""
+    from thetapm.mazurtate import MazurTateElement
+    from thetapm.modsym import EigenSymbol
+    calls = [0]
+    original = EigenSymbol.evaluator
+
+    def evaluator(symbol):
+        ev = original(symbol)
+
+        def counted(x, m):
+            calls[0] += 1
+            return ev(x, m)
+        return counted
+    monkeypatch.setattr(EigenSymbol, "evaluator", evaluator)
+    c = bundled_curve("32a")
+    target = ThetaTarget(c, 3, D, plus_symbol=workbench.symbol(c, +1)[0],
+                         minus_symbol=workbench.symbol(c, -1)[0])
+    phi_D = 42 if D == -43 else 1
+    for k in range(1, 5):
+        calls[0] = 0
+        MazurTateElement.build(target, k)
+        assert calls[0] == 2 * 3 ** k * phi_D, k
+
+
 def test_level2_evaluation_nonzero(target32):
     el = target32.mazur_tate(2)
     v = el.evaluate(t=1)

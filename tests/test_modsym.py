@@ -387,6 +387,73 @@ def test_evaluator_matches_single_step_loop(label, sym32):
             assert ev(x, m) == _single_step_path_value(sym, x, m), (label, x, m)
 
 
+@pytest.fixture(scope="module")
+def oracle_pairs(sym32):
+    """(evaluator, oracle evaluator, symbol) per level and sign."""
+    curves = {11: CurveData("11a1", (0, -1, 1, -10, -20), 11),
+              40: bundled_curve("40a"), 56: bundled_curve("56a")}
+    symbols = {32: sym32[:2]}
+    for N, c in curves.items():
+        sp = build_space(N)
+        symbols[N] = tuple(extract_eigensymbol(sp, c, s) for s in (1, -1))
+    return {(N, sym.sign): (sym.evaluator(), modsym_oracle.evaluator(sym), sym)
+            for N, pair in symbols.items() for sym in pair}
+
+
+@st.composite
+def paths(draw):
+    """(x, m) with |m| <= 10^12, x often a multiple of m, and both scaled
+    by a common factor now and then, so the fraction is not reduced."""
+    m = draw(st.one_of(st.sampled_from([0, 1, -1]),
+                       st.integers(-10 ** 12, 10 ** 12)))
+    if draw(st.booleans()):
+        x = draw(st.integers(-3, 3)) * m
+    else:
+        x = draw(st.integers(-10 ** 13, 10 ** 13))
+    g = draw(st.sampled_from([1, 1, 2, 3, 9, 35, 10 ** 6 + 3]))
+    return x * g, m * g
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(N, s) for N in (11, 32, 40, 56) for s in (1, -1)]),
+       paths())
+def test_evaluator_matches_oracle(oracle_pairs, key, path):
+    """The row-table walk against the gcd-reducing, divmod, flat-table
+    evaluator it replaced, at levels 11, 32, 40 and 56, both signs."""
+    ev, oracle, _ = oracle_pairs[key]
+    assert ev(*path) == oracle(*path)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(N, s) for N in (11, 32, 40, 56) for s in (1, -1)]),
+       st.sampled_from([-3, -4, -43, -107, 5, 8, 12]), paths())
+def test_twisted_evaluator_matches_oracle(oracle_pairs, key, D, path):
+    """The listed-term Birch sum against the per-term scan it replaced; a
+    denominator sharing a factor with D is refused by both."""
+    sym = oracle_pairs[key][2]
+    tev = make_twisted_evaluator(sym, D)
+    oracle = modsym_oracle.twisted_evaluator(sym, D)
+    if gcd(D, path[1]) != 1:
+        for f in (tev, oracle):
+            with pytest.raises(InvalidArgument):
+                f(*path)
+    else:
+        assert tev(*path) == oracle(*path)
+
+
+def test_twisted_evaluator_at_trivial_discriminant_is_the_evaluator(sym32):
+    """D = 1: the Birch sum has the one term u = 0, chi(0) = 1."""
+    for sym in sym32[:2]:
+        ev = sym.evaluator()
+        tev = make_twisted_evaluator(sym, 1)
+        cases = [(a, m) for m in (0, 1, 2, 7, 9, 27, 81, -5, 10 ** 9 + 7)
+                 for a in range(-3, 12)]
+        assert [tev(a, m) for a, m in cases] == [ev(a, m) for a, m in cases]
+        assert any(ev(a, m) for a, m in cases)
+    assert [make_twisted_evaluator(sym32[0], 1)(a, 7) for a in range(1, 7)] \
+        == [-1, -1, 3, 3, -1, -1]
+
+
 def test_relations_vanish_detects_altered_values(sym32):
     plus, minus, _, sp = sym32
     for sym in (plus, minus):
