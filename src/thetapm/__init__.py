@@ -35,8 +35,7 @@ _EXPORTS = {
                   "interpolation_value", "reconstruct_signed",
                   "reinterpolation_check", "trivial_character_ratio_check"),
     "modsym": ("EigenSymbol", "ManinSymbolSpace", "build_space",
-               "extract_eigensymbol", "make_twisted_evaluator",
-               "twist_symbol_value"),
+               "extract_eigensymbol", "make_twisted_evaluator"),
     "padics": ("vp",),
     "table": ("BUNDLED_CURVES", "BUNDLED_ROWS", "FieldSpec",
               "REFERENCE_INVARIANTS", "Workbench", "bundled_curve"),

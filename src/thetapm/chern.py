@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import polys
-from .curves import kronecker_symbol, local_reduction_type, unit_square_class
+from .curves import kronecker_symbol, local_reduction_type
 from .exceptions import (CommonFactorWithinPrecision, InvalidArgument,
                          NotPseudoNull, UnsupportedShape)
 from .iwasawa import newton_invariants, resultant_in_T
@@ -402,14 +402,13 @@ def _additive_over_ramified(curve, ell, D):
         return "good", None, ["becomes good: the quadratic twist has good "
                               "reduction at %d" % ell]
     if tw.kind in ("split-mult", "nonsplit-mult"):
-        tate = 2 * tw.v_disc
-        _, c6t = twist.c_invariants()
         if ell == 2:
             raise UnsupportedShape("splitness over a ramified 2-adic place "
                                    "is not implemented")
-        split = unit_square_class(-c6t, ell) == 1
-        kind = "split-mult" if split else "nonsplit-mult"
-        return kind, tate, ["becomes multiplicative via the quadratic twist"]
+        # the ramified completion keeps the residue field F_ell, so the
+        # twist's split or nonsplit type over Q_ell holds there too
+        return tw.kind, 2 * tw.v_disc, ["becomes multiplicative via the "
+                                        "quadratic twist"]
     return "additive", None, ["potentially good at the ramified place"]
 
 

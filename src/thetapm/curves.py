@@ -280,10 +280,3 @@ def _is_local_square(a, ell):
     if ell == 2:
         return u % 8 == 1
     return kronecker_symbol(u, ell) == 1
-
-
-def unit_square_class(a, ell):
-    """Square class of the unit part of a in Q_ell^* (for odd ell): +1/-1."""
-    v = vp(a, ell)
-    u = a // ell ** v
-    return kronecker_symbol(u, ell)

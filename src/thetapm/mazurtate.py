@@ -48,32 +48,29 @@ MAX_EXTENSION = 2             # levels auto-extension may add beyond n_max
 class ThetaTarget:
     """A curve or a quadratic twist, seen through its plus-type path family.
 
-    For a negative twist discriminant the plus family of the twist unfolds
-    to Birch sums of the base minus symbol; the untwisted family is the
-    plus symbol itself.  Raw values are integers; their running gcd is the
-    family content used to normalize reported mu-invariants.
+    Every family is a Birch sum over one base symbol: for a negative twist
+    discriminant the plus family of the twist unfolds to Birch sums of the
+    base minus symbol, and the untwisted family (D = 1, a one-term sum) is
+    the plus symbol itself.  Raw values are integers; their running gcd is
+    the family content used to normalize reported mu-invariants.
     """
 
     def __init__(self, curve, p, discriminant=1, plus_symbol=None, minus_symbol=None):
         if p % 2 == 0 or p < 3:
             raise InvalidArgument("p must be an odd prime")
         curve.require_supersingular(p)
+        if discriminant % p == 0:
+            raise InvalidArgument("twist discriminant must be prime to p")
+        base = minus_symbol if discriminant < 0 else plus_symbol
+        if base is None:
+            raise InvalidArgument("target needs the %s symbol"
+                                  % ("minus" if discriminant < 0 else "plus"))
         self.curve = curve
         self.p = p
         self.discriminant = discriminant
-        if discriminant == 1:
-            if plus_symbol is None:
-                raise InvalidArgument("untwisted target needs the plus symbol")
-            self._ev = plus_symbol.evaluator()
-            self.label = curve.label
-        else:
-            if discriminant % p == 0:
-                raise InvalidArgument("twist discriminant must be prime to p")
-            base = minus_symbol if discriminant < 0 else plus_symbol
-            if base is None:
-                raise InvalidArgument("twisted target needs the opposite-sign base symbol")
-            self._ev = make_twisted_evaluator(base, discriminant)
-            self.label = "%s x (%d)" % (curve.label, discriminant)
+        self._ev = make_twisted_evaluator(base, discriminant)
+        self.label = curve.label if discriminant == 1 else "%s x (%d)" % (
+            curve.label, discriminant)
         self._mt_cache = {}
 
     def family_value(self, a, q):
@@ -229,14 +226,13 @@ def _crt_extend(theta, mod_coeffs, prev_ks, v_k, p, k):
     level-k datum.
 
     ``mod_coeffs`` is the integer product of Phi_{p^j}(1+X) over the levels
-    already used; the correction mod_coeffs * dx is added over the lcm of
-    the two denominators.
+    ``prev_ks`` already used ([1] before the first); the correction
+    mod_coeffs * dx is added over the lcm of the two denominators.
     """
     diff = v_k - theta.evaluate_at_unity_root(k)
-    inv = CyclotomicInt.one(p ** k)
     for j in prev_ks:
-        inv = inv * phi_value_at_root_inverse(p, j, k)
-    prod, dd = fraction_poly_mul((mod_coeffs, 1), zeta_to_x_basis(diff * inv, p, k))
+        diff = diff * phi_value_at_root_inverse(p, j, k)
+    prod, dd = fraction_poly_mul((mod_coeffs, 1), zeta_to_x_basis(diff, p, k))
     den = lcm(theta.den, dd)
     a, b = den // theta.den, den // dd
     out = [c * a for c in theta.nums]
@@ -325,18 +321,17 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX, auto_extend=True):
     if k > n_max:
         raise InvalidArgument("n_max too small for sign %s" % sign)
     cap = n_max + MAX_EXTENSION
-    theta, mod_coeffs = None, [1]
+    theta, mod_coeffs, deg_mod = IwasawaElement1.zero(p), [1], 0
     values = {}                  # k -> interpolation value, in level order
     steps = []                   # per level: (levels, k, modulus degree, profile)
     while k <= n_max or (auto_extend and k <= cap and not _last_two_agree(steps)):
+        if values:
+            mod_coeffs = poly_mul(mod_coeffs, cyclotomic_poly_shifted(p, k - 2))
         v_k = interpolation_value(target, sign, k)
-        if theta is None:
-            theta = IwasawaElement1(p, *zeta_to_x_basis(v_k, p, k), exact_tail=True)
-        else:
-            theta = _crt_extend(theta, mod_coeffs, list(values), v_k, p, k)
+        theta = _crt_extend(theta, mod_coeffs, list(values), v_k, p, k)
         values[k] = v_k
-        mod_coeffs = poly_mul(mod_coeffs, cyclotomic_poly_shifted(p, k))
-        steps.append((tuple(values), k, len(mod_coeffs) - 1, _profile(theta)))
+        deg_mod += (p - 1) * p ** (k - 1)
+        steps.append((tuple(values), k, deg_mod, _profile(theta)))
         k += 2
 
     stabilized = _last_two_agree(steps)

@@ -395,26 +395,6 @@ def _next_prime(n):
     return n
 
 
-def twist_symbol_value(symbol_pair, D, a, m):
-    """Value on {oo, a/m} of the quadratic twist by D, as a Birch sum.
-
-    ``symbol_pair`` is (plus symbol, minus symbol) of the base curve.  For
-    D < 0 the twisted value of either sign is read off the opposite-sign
-    base symbol; the result carries the family normalization of the base
-    symbols (one global rational scalar away from the twisted curve's own
-    unitized symbol).
-    """
-    plus, minus = symbol_pair
-    if not is_fundamental_discriminant(D):
-        raise InvalidArgument("%d is not a fundamental discriminant" % D)
-    if gcd(D, m) != 1:
-        raise InvalidArgument("twist discriminant must be prime to the denominator")
-    if D < 0:
-        plus, minus = minus, plus
-    return (make_twisted_evaluator(plus, D)(a, m),
-            make_twisted_evaluator(minus, D)(a, m))
-
-
 def make_twisted_evaluator(base_symbol, D):
     """Single-sign twisted path evaluator for the Birch-sum family.
 

@@ -52,8 +52,9 @@ def mod(a, p):
 def mul(a, b):
     """Product over Z: schoolbook for short factors, Kronecker above.
 
-    The Kronecker product splits signs into nonnegative parts (four packed
-    big-integer multiplications), worthwhile from a few dozen terms up.
+    The Kronecker product packs each factor as its positive part minus its
+    negative part and multiplies once, worthwhile from a few dozen terms
+    up; a bias of half a block per digit makes every digit nonnegative.
     """
     if not a or not b:
         return []
@@ -68,13 +69,12 @@ def mul(a, b):
         return out
     bound = (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1) * len(a)
     block = (bound.bit_length() + 8) // 8
-    Ap, An, Bp, Bn = (pack(c, block) for c in (
-        [x if x > 0 else 0 for x in a], [-x if x < 0 else 0 for x in a],
-        [x if x > 0 else 0 for x in b], [-x if x < 0 else 0 for x in b]))
+    A, B = (pack([x if x > 0 else 0 for x in c], block)
+            - pack([-x if x < 0 else 0 for x in c], block) for c in (a, b))
     count = len(a) + len(b) - 1
-    pos = unpack(Ap * Bp + An * Bn, block, count)
-    neg = unpack(Ap * Bn + An * Bp, block, count)
-    return list(map(_sub, pos, neg))
+    half = 1 << (8 * block - 1)          # |each product coefficient| < half
+    bias = int.from_bytes(half.to_bytes(block, "little") * count, "little")
+    return [c - half for c in unpack(A * B + bias, block, count)]
 
 
 def taylor_shift(a, sign=1):

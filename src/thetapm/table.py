@@ -177,8 +177,7 @@ class Workbench:
 
     def table_row(self, curve, discriminant):
         """Full invariants-and-verdicts report for one example row."""
-        from .coprimality import (conjecture_b_report, coprime_certificate,
-                                  shadow_products)
+        from .coprimality import conjecture_b_report, shadow_products
         from .mazurtate import (reinterpolation_check,
                                 trivial_character_ratio_check)
         p = self.config.p
@@ -198,20 +197,21 @@ class Workbench:
         Tp, Tm = series["twist_plus"], series["twist_minus"]
         tp, tm = series["base_plus"], series["base_minus"]
         facts = CURVE_FACTS.get(curve.label, {"cm": False, "surjective": False})
-        cert = coprime_certificate(Tp, Tm)
+        # condition (b) of conjecture B is the twisted pair's certificate
+        conj_b = conjecture_b_report(
+            curve.label, discriminant, p, (tp, tm), (Tp, Tm),
+            surjectivity_known=facts["surjective"], cm_curve=facts["cm"],
+            p_splits=fs.p_splits(p))
         report = {
             "curve": curve.label,
             "discriminant": discriminant,
             "p": p,
             "p_splits_in_K": fs.p_splits(p),
             "series": {name: s.as_dict() for name, s in series.items()},
-            "coprimality": cert.as_dict(),
+            "coprimality": conj_b["conditions"]["b"]["certificate"],
             "shadow": shadow_products((tp, tm), (Tp, Tm)),
             "ratio_check": trivial_character_ratio_check(tp, tm),
-            "conjecture_b": conjecture_b_report(
-                curve.label, discriminant, p, (tp, tm), (Tp, Tm),
-                surjectivity_known=facts["surjective"], cm_curve=facts["cm"],
-                p_splits=fs.p_splits(p)),
+            "conjecture_b": conj_b,
             "reinterpolation_failures": failures,
         }
         expected = REFERENCE_INVARIANTS.get((curve.label, discriminant))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetapm import (CurveData, InvalidArgument, IsolationFailure,
-                     ResourceLimit, RunConfig, Workbench, build_space,
-                     bundled_curve, extract_eigensymbol,
-                     make_twisted_evaluator, twist_symbol_value)
+                     ResourceLimit, RunConfig, ThetaTarget, Workbench,
+                     build_space, bundled_curve, extract_eigensymbol,
+                     make_twisted_evaluator)
 from thetapm.cache import store_symbol
 from thetapm.modsym import ManinSymbolSpace, P1Table, _echelon, _nullspace
 
@@ -486,18 +486,21 @@ def test_birch_coherence_between_normalizations(sym32):
 # -- twisting ---------------------------------------------------------------------
 
 def test_twist_identity_discriminant(sym32):
-    plus, minus, _, _ = sym32
-    vp_, vm_ = twist_symbol_value((plus, minus), 1, 3, 7)
-    assert vp_ == plus.evaluator()(3, 7)
-    assert vm_ == minus.evaluator()(3, 7)
+    """The untwisted target's family is the plus symbol's path values."""
+    plus, minus, c, _ = sym32
+    fv = ThetaTarget(c, 3, 1, plus_symbol=plus, minus_symbol=minus).family_value
+    ev = plus.evaluator()
+    for n in range(1, 5):
+        q = 3 ** (n + 1)
+        assert [fv(a, q) for a in range(q)] == [ev(a, q) for a in range(q)]
 
 
 def test_twist_rejects_bad_inputs(sym32):
     plus, minus, _, _ = sym32
     with pytest.raises(InvalidArgument):
-        twist_symbol_value((plus, minus), -6, 1, 5)     # not fundamental
+        make_twisted_evaluator(minus, -6)               # not fundamental
     with pytest.raises(InvalidArgument):
-        twist_symbol_value((plus, minus), -43, 1, 86)   # gcd(D, m) != 1
+        make_twisted_evaluator(minus, -43)(1, 86)       # gcd(D, m) != 1
 
 
 def test_twist_agrees_with_direct_twisted_space(sym32):
