@@ -37,8 +37,8 @@ _EXPORTS = {
     "modsym": ("EigenSymbol", "ManinSymbolSpace", "build_space",
                "extract_eigensymbol", "make_twisted_evaluator"),
     "padics": ("vp",),
-    "table": ("BUNDLED_CURVES", "BUNDLED_ROWS", "FieldSpec",
-              "REFERENCE_INVARIANTS", "Workbench", "bundled_curve"),
+    "table": ("BUNDLED_CURVES", "BUNDLED_ROWS", "REFERENCE_INVARIANTS",
+              "Workbench", "bundled_curve"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

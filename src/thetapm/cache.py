@@ -2,11 +2,10 @@
 
 Cache location comes from an explicit directory or the WORKBENCH_CACHE
 environment variable; without either, caching is disabled.  Entries are
-keyed by (level, label, sign, code version).  On load an entry must parse,
-match its key and hold integer values, a rational content and an integer
-eigenvalue certificate; anything else is a miss.  Whether the values form
-a Manin symbol of the level is checked by the caller (``Workbench.symbol``),
-which recomputes and overwrites an entry that fails.
+keyed by (level, label, sign, code version).  On load an entry must parse
+and match its key, or it is a miss; whether its record is the symbol is
+``EigenSymbol.from_record``'s check, and ``Workbench.symbol`` recomputes
+and overwrites an entry that fails it.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from fractions import Fraction
 
 CODE_VERSION = "1"
 ENV_VAR = "WORKBENCH_CACHE"
@@ -28,31 +26,25 @@ def resolve_cache_dir(explicit=None):
     return d
 
 
-def _entry_path(cache_dir, level, label, sign, version=CODE_VERSION):
+def _entry_path(cache_dir, level, label, sign):
     safe = "".join(ch if ch.isalnum() else "_" for ch in str(label))
     name = "symbol_%s_N%d_s%s_v%s.json" % (safe, level,
-                                           "p" if sign > 0 else "m", version)
+                                           "p" if sign > 0 else "m", CODE_VERSION)
     return os.path.join(cache_dir, name)
 
 
 def load_symbol(cache_dir, level, label, sign):
-    """Cached generator values, or None on miss/corruption."""
+    """The entry's record when it parses and matches its key, else None."""
     if not cache_dir:
         return None
     path = _entry_path(cache_dir, level, label, sign)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if data.get("code_version") != CODE_VERSION:
-            return None
-        if (data["level"], data["label"], data["sign"]) != (level, label, sign):
-            return None
-        values = [int(v) for v in data["values"]]
-        Fraction(data["content"])
-        [(int(l), int(a)) for l, a in data["ap_certificate"]]
-        return data | {"values": values}
+        key = (data["code_version"], data["level"], data["label"], data["sign"])
     except (OSError, ValueError, KeyError, TypeError):
         return None
+    return data if key == (CODE_VERSION, level, label, sign) else None
 
 
 def store_symbol(cache_dir, symbol):

@@ -569,17 +569,15 @@ def theorem_ledger(coprimality_shadow=None, fudge_divisor=None, fudge_report=Non
     The two Galois-cohomological terms on the right are never computable
     here and are always marked out of scope; what is reported is exactly
     which side carries verified data, which is conditional, and which is
-    absent.
+    absent.  ``coprimality_shadow`` is a ``CoprimalityCertificate``.
     """
     lhs = {"status": "absent"}
     if coprimality_shadow is not None:
-        status = coprimality_shadow.get("verdict") if isinstance(
-            coprimality_shadow, dict) else coprimality_shadow.verdict
         lhs = {"status": "shadow",
-               "certificate": coprimality_shadow if isinstance(
-                   coprimality_shadow, dict) else coprimality_shadow.as_dict(),
+               "certificate": coprimality_shadow.as_dict(),
                "note": "pseudo-nullity of the quotient certified through the "
-                       "one-variable shadow" if status == "coprime"
+                       "one-variable shadow"
+               if coprimality_shadow.verdict == "coprime"
                else "shadow certificate inconclusive"}
     rhs = {
         "fudge": fudge_divisor.as_dict() if fudge_divisor is not None else None,

@@ -29,21 +29,20 @@ EXIT_COMPUTATIONAL = 1
 EXIT_INPUT = 2
 
 
+CONFIG_FLAGS = {"--p": {"type": int}, "--n-max": {"type": int},
+                "--cache-dir": {"help": "eigensymbol cache directory (or WORKBENCH_CACHE)"},
+                "--strict-hypotheses": {"action": "store_true"},
+                "--no-auto-extend": {"action": "store_false", "dest": "auto_extend"}}
+
+
 def _config_from_args(args):
-    return RunConfig(
-        p=args.p, n_max=args.n_max, cache_dir=args.cache_dir,
-        strict_hypotheses=args.strict_hypotheses,
-        auto_extend=not args.no_auto_extend)
+    return RunConfig(**{k: v for k, v in vars(args).items()
+                        if k in RunConfig.__dataclass_fields__})
 
 
-def _add_config_args(sp):
-    """The RunConfig flags, for the subcommands that build a Workbench."""
-    sp.add_argument("--p", type=int, default=3)
-    sp.add_argument("--n-max", type=int, default=6)
-    sp.add_argument("--cache-dir", default=None,
-                    help="eigensymbol cache directory (or WORKBENCH_CACHE)")
-    sp.add_argument("--strict-hypotheses", action="store_true")
-    sp.add_argument("--no-auto-extend", action="store_true")
+def _add_config_args(sp, *flags):
+    for flag in flags:      # a flag not given keeps the RunConfig default
+        sp.add_argument(flag, default=argparse.SUPPRESS, **CONFIG_FLAGS[flag])
     _add_out_arg(sp)
 
 
@@ -260,7 +259,7 @@ def build_parser():
     sp.add_argument("--curve-file", default=None)
     sp.add_argument("--level", type=int, default=None)
     sp.add_argument("--sign", choices=["+", "-"], required=True)
-    _add_config_args(sp)
+    _add_config_args(sp, "--p", "--cache-dir")
     sp.set_defaults(func=cmd_symbols)
 
     sp = sub.add_parser("theta", help="reconstruct a signed series")
@@ -268,7 +267,7 @@ def build_parser():
     sp.add_argument("--curve-file", default=None)
     sp.add_argument("--discriminant", type=int, default=1)
     sp.add_argument("--sign", choices=["+", "-"], required=True)
-    _add_config_args(sp)
+    _add_config_args(sp, "--p", "--n-max", "--cache-dir", "--no-auto-extend")
     sp.set_defaults(func=cmd_theta)
 
     sp = sub.add_parser("invariants", help="profile of a series file")
@@ -278,7 +277,7 @@ def build_parser():
 
     sp = sub.add_parser("table", help="run the example rows")
     sp.add_argument("--rows-file", default=None)
-    _add_config_args(sp)
+    _add_config_args(sp, *CONFIG_FLAGS)
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("coprime", help="coprimality certificate")
@@ -287,7 +286,7 @@ def build_parser():
     sp.add_argument("--discriminant", type=int, default=1)
     sp.add_argument("--f-file", default=None)
     sp.add_argument("--g-file", default=None)
-    _add_config_args(sp)
+    _add_config_args(sp, "--p", "--n-max", "--cache-dir", "--no-auto-extend")
     sp.set_defaults(func=cmd_coprime)
 
     sp = sub.add_parser("fudge", help="local fudge factors away from p")

@@ -9,7 +9,8 @@ columns, so its largest-column pivots are the leftmost ones.  The star
 involution and the Hecke operators are integer matrices scaled by the
 denominator, built once per space and operator and kept on the space.  An
 eigensymbol is scaled to integer generator values of content one; path
-values {oo, a/m} are summed off rows of them by the Manin trick.
+values {oo, a/m} are summed off rows of them by the Manin trick.  The
+content is derived from the values; ``EigenSymbol.from_record`` checks records.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .exceptions import (InvalidArgument, IsolationFailure, ResourceLimit)
 from .padics import is_prime, prime_factors
 
 LEVEL_BOUND = 10 ** 4
+ELL_BOUND = 60       # the largest prime an eigenspace cut or certificate uses
 
 
 class P1Table:
@@ -99,23 +101,6 @@ class ManinSymbolSpace:
                 r[j] = r.get(j, 0) + 1
             rows.append(r)
         return rows
-
-    def relations_vanish(self, values):
-        """True when generator values satisfy both Manin relations exactly."""
-        return all(sum(c * values[j] for j, c in row.items()) == 0
-                   for row in self.relation_rows)
-
-    def star_holds(self, values, sign):
-        """True when values(-c:d) = sign * values(c:d) on every point."""
-        look = self.p1.lookup
-        return all(values[look(-c, d)] == sign * v
-                   for (c, d), v in zip(self.generators, values))
-
-    def hecke_holds(self, values, ell, a):
-        """True when values, read on the basis, satisfy T_ell w = a w."""
-        w = [values[g] for g in self.basis]
-        return all(sum(map(mul, row, w)) == a * self.den * wi
-                   for row, wi in zip(self.hecke_matrix(ell), w))
 
     # -- vectors over the basis ------------------------------------------
 
@@ -324,6 +309,45 @@ class EigenSymbol:
             "ap_certificate": [[int(l), int(a)] for l, a in self.ap_certificate],
         }
 
+    @classmethod
+    def from_record(cls, space, curve, record, p):
+        """The curve's symbol a ``to_dict`` record holds, or None unless the
+        record is that symbol: integer values on every generator, of content
+        one, first nonzero value positive, satisfying the Manin relations,
+        the star relation of its sign and T_ell w = a_ell w at p and at each
+        certificate prime, a good prime <= ELL_BOUND; and the derived content."""
+        values, cert, sign = (record.get(k) for k in ("values", "ap_certificate", "sign"))
+        if not (record.get("level") == space.level == curve.conductor
+                and record.get("label") == curve.label and sign in (1, -1)
+                and isinstance(values, list) and len(values) == len(space.generators)
+                and isinstance(cert, list)
+                and all(isinstance(e, list) and len(e) == 2 for e in cert)
+                and all(type(x) is int for e in (values, *cert) for x in e)):
+            return None
+        w = [values[g] for g in space.basis]
+        if not (gcd(*values) == 1 and next(v for v in values if v) > 0
+                and all(ell <= ELL_BOUND and is_prime(ell) and space.level % ell
+                        and curve.ap(ell) == a for ell, a in cert)
+                and all(sum(c * values[j] for j, c in row.items()) == 0
+                        for row in space.relation_rows)
+                and all(values[space.p1.lookup(-c, d)] == sign * v
+                        for (c, d), v in zip(space.generators, values))
+                and all(sum(map(mul, row, w)) == curve.ap(ell) * space.den * x
+                        for ell in {ell for ell, _ in cert} | {p} if space.level % ell
+                        for row, x in zip(space.hecke_matrix(ell), w))
+                and str(content := _content(space, values)) == record.get("content")):
+            return None
+        return cls(space.level, int(sign), values, content, label=curve.label,
+                   ap_certificate=[tuple(e) for e in cert], _space=space)
+
+
+def _content(space, values):
+    """Normalization content of a symbol's integer values: one over the
+    value at the last basis generator they do not vanish at, as extraction's
+    line vector is positive at the free column the cuts leave and zero past
+    it (``_nullspace`` solves left to right, and each cut keeps that)."""
+    return Fraction(1, next(values[g] for g in reversed(space.basis) if values[g]))
+
 
 def build_space(N):
     if N < 1:
@@ -338,13 +362,12 @@ def build_space(N):
     return space
 
 
-def extract_eigensymbol(space, curve, sign, ell_bound=60):
+def extract_eigensymbol(space, curve, sign):
     """Isolate the one-dimensional (T_ell, star)-eigenfunctional for the curve.
 
-    Good primes are used in increasing order until the space is a line; if
-    it never becomes one, the failure is loud rather than arbitrary.  The
-    content is read off the line's vector that is one at the free column
-    the cuts leave, the vector exact rational elimination ends with.
+    Good primes ell <= ELL_BOUND are used in increasing order until the
+    space is a line; if it never becomes one, the failure is loud rather
+    than arbitrary.
     """
     if curve.conductor != space.level:
         raise InvalidArgument("level %d != conductor %d" % (space.level, curve.conductor))
@@ -353,13 +376,13 @@ def extract_eigensymbol(space, curve, sign, ell_bound=60):
     den = space.den
     rows = [[x - sign * den if i == j else x for j, x in enumerate(row)]
             for i, row in enumerate(space.star_matrix())]
-    free, V = _nullspace(rows, space.dim)
+    V = _nullspace(rows, space.dim)[1]
     certificate = []
     ell = 2
     while len(V) > 1:
-        if ell > ell_bound:
+        if ell > ELL_BOUND:
             raise IsolationFailure(
-                "eigenspace still %d-dimensional after ell <= %d" % (len(V), ell_bound))
+                "eigenspace still %d-dimensional after ell <= %d" % (len(V), ELL_BOUND))
         if space.level % ell == 0:
             ell = _next_prime(ell)
             continue
@@ -368,9 +391,8 @@ def extract_eigensymbol(space, curve, sign, ell_bound=60):
         # column k is (T - a) applied to V[k]
         cols = [[sum(map(mul, row, vb)) - a * den * x for row, x in zip(T, vb)]
                 for vb in V]
-        cut, C = _nullspace(list(zip(*cols)), len(V))
+        C = _nullspace(list(zip(*cols)), len(V))[1]
         V = [_primitive([sum(map(mul, c, col)) for col in zip(*V)]) for c in C]
-        free = [free[k] for k in cut]
         certificate.append((ell, a))
         ell = _next_prime(ell)
     if not V:
@@ -382,8 +404,7 @@ def extract_eigensymbol(space, curve, sign, ell_bound=60):
         raise IsolationFailure("eigenfunctional vanishes on all generators")
     lead = 1 if next(x for x in values if x) > 0 else -1
     ints = [lead * (x // content) for x in values]
-    return EigenSymbol(space.level, sign, ints,
-                       Fraction(lead * content, den * w[free[0]]),
+    return EigenSymbol(space.level, sign, ints, _content(space, ints),
                        label=curve.label, ap_certificate=certificate,
                        _space=space)
 

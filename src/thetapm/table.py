@@ -7,16 +7,16 @@ cross-checked against published tables of signed Iwasawa invariants).  Any
 mismatch is reported as a failure, never auto-corrected.
 
 The symbol layer (spaces, eigensymbols, their cache) is imported with this
-module; the series layer (``mazurtate``) and the certificates
+module.  ``Workbench.symbol`` looks a symbol up in memory, then in the
+cache (``EigenSymbol.from_record`` checks the record), and else extracts
+and stores it.  The series layer (``mazurtate``) and the certificates
 (``coprimality``) are imported by the methods that first need them, so a
 workbench that only extracts symbols never loads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import cache as cache_mod
 from .config import RunConfig
@@ -66,29 +66,6 @@ CURVE_FACTS = {
 }
 
 
-@dataclass
-class FieldSpec:
-    """Imaginary quadratic field by its fundamental discriminant."""
-
-    discriminant: int
-
-    def __post_init__(self):
-        if self.discriminant >= 0:
-            raise InvalidArgument("imaginary field needs a negative discriminant")
-        if not is_fundamental_discriminant(self.discriminant):
-            raise InvalidArgument("%d is not a fundamental discriminant"
-                                  % self.discriminant)
-
-    def p_splits(self, p):
-        return kronecker_symbol(self.discriminant, p) == 1
-
-    def enforce_split(self, p, strict):
-        if strict and not self.p_splits(p):
-            raise UnsupportedHypothesis(
-                "p = %d does not split in Q(sqrt(%d)); rerun without the "
-                "strict hypothesis flag to proceed" % (p, self.discriminant))
-
-
 def bundled_curve(label):
     if label not in BUNDLED_CURVES:
         raise InvalidArgument("unknown bundled curve %r" % label)
@@ -115,39 +92,20 @@ class Workbench:
         return self._spaces[N]
 
     def symbol(self, curve, sign):
+        """(symbol, source): from memory, a cache record that is it, or extraction."""
         key = (curve.label, curve.conductor, sign)
         if key in self._symbols:
             return self._symbols[key], "memory"
         space = self.space(curve.conductor)
-        cached = cache_mod.load_symbol(self.cache_dir, curve.conductor,
+        record = cache_mod.load_symbol(self.cache_dir, curve.conductor,
                                        curve.label, sign)
-        if cached is not None:
-            cert = [tuple(x) for x in cached["ap_certificate"]]
-            values = cached["values"]
-            hecke = {ell for ell, _ in cert} | {self.config.p}
-            # eigenvalue certificate must agree with fresh point counts, and
-            # a truncated, altered, rescaled or opposite-sign value list must
-            # not pass as a symbol: extraction leaves content one and a
-            # positive first nonzero value, and a T_ell eigenvector for the
-            # certificate primes and for p
-            if (all(curve.ap(ell) == a for ell, a in cert)
-                    and len(values) == len(space.generators)
-                    and gcd(*values) == 1
-                    and next(v for v in values if v) > 0
-                    and space.relations_vanish(values)
-                    and space.star_holds(values, sign)
-                    and all(space.hecke_holds(values, ell, curve.ap(ell))
-                            for ell in hecke if curve.conductor % ell)):
-                sym = EigenSymbol(cached["level"], cached["sign"],
-                                  values, Fraction(cached["content"]),
-                                  label=cached["label"], ap_certificate=cert,
-                                  _space=space)
-                self._symbols[key] = sym
-                return sym, "disk"
-        sym = extract_eigensymbol(space, curve, sign)
+        sym = record and EigenSymbol.from_record(space, curve, record, self.config.p)
+        source = "disk"
+        if sym is None:
+            sym, source = extract_eigensymbol(space, curve, sign), "computed"
+            cache_mod.store_symbol(self.cache_dir, sym)
         self._symbols[key] = sym
-        cache_mod.store_symbol(self.cache_dir, sym)
-        return sym, "computed"
+        return sym, source
 
     # -- targets and series -----------------------------------------------
 
@@ -181,8 +139,16 @@ class Workbench:
         from .mazurtate import (reinterpolation_check,
                                 trivial_character_ratio_check)
         p = self.config.p
-        fs = FieldSpec(discriminant)
-        fs.enforce_split(p, self.config.strict_hypotheses)
+        if discriminant >= 0:
+            raise InvalidArgument("imaginary field needs a negative discriminant")
+        if not is_fundamental_discriminant(discriminant):
+            raise InvalidArgument("%d is not a fundamental discriminant"
+                                  % discriminant)
+        p_splits = kronecker_symbol(discriminant, p) == 1
+        if self.config.strict_hypotheses and not p_splits:
+            raise UnsupportedHypothesis(
+                "p = %d does not split in Q(sqrt(%d)); rerun without the "
+                "strict hypothesis flag to proceed" % (p, discriminant))
         series = {
             "twist_plus": self.signed_series(curve, discriminant, "+"),
             "twist_minus": self.signed_series(curve, discriminant, "-"),
@@ -201,12 +167,12 @@ class Workbench:
         conj_b = conjecture_b_report(
             curve.label, discriminant, p, (tp, tm), (Tp, Tm),
             surjectivity_known=facts["surjective"], cm_curve=facts["cm"],
-            p_splits=fs.p_splits(p))
+            p_splits=p_splits)
         report = {
             "curve": curve.label,
             "discriminant": discriminant,
             "p": p,
-            "p_splits_in_K": fs.p_splits(p),
+            "p_splits_in_K": p_splits,
             "series": {name: s.as_dict() for name, s in series.items()},
             "coprimality": conj_b["conditions"]["b"]["certificate"],
             "shadow": shadow_products((tp, tm), (Tp, Tm)),

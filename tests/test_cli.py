@@ -105,7 +105,9 @@ def _other_star_vector(values, opposite):
     normalizes a symbol: it passes every check but T_3 w = a_3 w."""
     from thetapm.modsym import _nullspace
     space = build_space(32)
-    sign = 1 if space.star_holds(values, 1) else -1
+    look = space.p1.lookup
+    sign = 1 if all(values[look(-c, d)] == v
+                    for (c, d), v in zip(space.generators, values)) else -1
     rows = [[x - (sign * space.den if i == j else 0) for j, x in enumerate(row)]
             for i, row in enumerate(space.star_matrix())]
     for w in _nullspace(rows, space.dim)[1]:
@@ -114,7 +116,8 @@ def _other_star_vector(values, opposite):
         ints = [x // g for x in ints]
         if next(x for x in ints if x) < 0:
             ints = [-x for x in ints]
-        if not space.hecke_holds(ints, 3, 0):
+        # a_3 = 0, so T_3 w = a_3 w fails when T_3 w is not zero
+        if any(sum(t * x for t, x in zip(row, w)) for row in space.hecke_matrix(3)):
             return ints
     raise AssertionError("the star eigenspace holds T_3 eigenvectors only")
 
@@ -149,6 +152,34 @@ def test_damaged_cache_values_recomputed(tmp_path, damage):
     (row,) = wb2.run_table([{"curve": "32a", "discriminant": -107, "p": 3}])
     assert "error" not in row, row
     assert row["reference_diff"]["match"]
+
+
+@pytest.mark.parametrize("damage", [
+    {"ap_certificate": [[2, 0], [3, 0]]}, {"ap_certificate": [[4, 0]]},
+    {"ap_certificate": [[1000003, 0]]}, {"ap_certificate": [[3, 1]]},
+    {"content": "1/0"}, {"content": "0"}, {"content": "7"}, [1, 2]],
+    ids=["bad-prime", "not-prime", "past-ell-bound", "wrong-a3",
+         "content-zero-denominator", "content-zero", "content-seven", "json-list"])
+def test_damaged_cache_record_recomputed(tmp_path, capsys, damage):
+    """A certificate with a bad prime, a non-prime, a prime past ELL_BOUND
+    or a wrong a_ell, a content other than the derived one, or a file that
+    is not an object makes an entry a miss: recomputed and rewritten, and
+    the command line reports the fresh record.  ``damage`` is merged into
+    the entry, or replaces it when it is not a dict."""
+    c = bundled_curve("32a")
+    fresh = Workbench(RunConfig(cache_dir=str(tmp_path))).symbol(c, +1)[0].to_dict()
+    (path,) = tmp_path.iterdir()
+    entry = json.loads(path.read_text())
+    damaged = json.dumps(entry | damage if isinstance(damage, dict) else damage)
+    path.write_text(damaged)
+    for source in ("computed", "disk"):
+        sym, src = Workbench(RunConfig(cache_dir=str(tmp_path))).symbol(c, +1)
+        assert (src, sym.to_dict()) == (source, fresh)
+    path.write_text(damaged)
+    code, out = run_cli(["symbols", "--curve", "32a", "--sign", "+",
+                         "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert parse_report(out)[1] == [fresh | {"cache": "computed"}]
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
@@ -490,17 +521,23 @@ def test_cmd_table_bad_file_is_input_error(capsys):
 def test_subcommands_take_only_the_flags_they_read():
     from thetapm.cli import build_parser
     sub = next(a for a in build_parser()._actions if a.dest == "command")
-    config = {"--p", "--n-max", "--cache-dir", "--strict-hypotheses",
-              "--no-auto-extend"}
 
     def flags(name):
         return {o for a in sub.choices[name]._actions for o in a.option_strings
                 if o not in ("-h", "--help")}
-    for name in ("symbols", "theta", "table", "coprime"):
-        assert config | {"--out"} <= flags(name)
-    assert flags("fudge") & config == {"--p"} and "--out" in flags("fudge")
-    for name in ("invariants", "c2", "specialize"):
-        assert not flags(name) & config and "--out" in flags(name)
+    curve = {"--curve", "--curve-file"}
+    series = {"--p", "--n-max", "--cache-dir", "--no-auto-extend", "--out"}
+    assert flags("symbols") == curve | {"--level", "--sign", "--p", "--cache-dir",
+                                        "--out"}
+    assert flags("theta") == curve | {"--discriminant", "--sign"} | series
+    assert flags("table") == {"--rows-file", "--strict-hypotheses"} | series
+    assert flags("coprime") == curve | {"--discriminant", "--f-file",
+                                        "--g-file"} | series
+    assert flags("fudge") == curve | {"--discriminant", "--sigma-file",
+                                      "--frobenius-file", "--p", "--out"}
+    assert flags("invariants") == {"--series-file", "--out"}
+    assert flags("c2") == {"--ideal-file", "--out"}
+    assert flags("specialize") == {"--twovar-file", "--out"}
 
 
 def test_out_file_written(tmp_path, capsys):
@@ -535,14 +572,15 @@ def test_cache_hit_row_equals_cache_miss_row(tmp_path):
 
 
 def test_strict_hypothesis_flag_rejects_inert_rows():
-    from thetapm import UnsupportedHypothesis
-    from thetapm.table import FieldSpec
-    fs = FieldSpec(-43)
-    assert not fs.p_splits(3)
-    with pytest.raises(UnsupportedHypothesis):
-        fs.enforce_split(3, strict=True)
-    fs.enforce_split(3, strict=False)
-    assert FieldSpec(-107).p_splits(3)
+    from thetapm import InvalidArgument, UnsupportedHypothesis
+    wb = Workbench(RunConfig(strict_hypotheses=True))
+    c = bundled_curve("32a")
+    with pytest.raises(UnsupportedHypothesis, match="p = 3 does not split"):
+        wb.table_row(c, -43)
+    with pytest.raises(InvalidArgument, match="negative discriminant"):
+        wb.table_row(c, 5)
+    with pytest.raises(InvalidArgument, match="-12 is not a fundamental"):
+        wb.table_row(c, -12)
 
 
 def test_strict_hypothesis_row_isolated(tmp_path, capsys):

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetapm import (CurveData, InvalidArgument, IsolationFailure,
+from thetapm import (CurveData, EigenSymbol, InvalidArgument, IsolationFailure,
                      ResourceLimit, RunConfig, ThetaTarget, Workbench,
                      build_space, bundled_curve, extract_eigensymbol,
                      make_twisted_evaluator)
@@ -175,7 +175,7 @@ def test_isolation_failure_is_loud():
     fake = CurveData("fake32", (0, 0, 0, -1, 0), 32)
     fake.ap_cache = {ell: 99 for ell in range(2, 100)}
     with pytest.raises((IsolationFailure, InvalidArgument)):
-        extract_eigensymbol(sp, fake, +1, ell_bound=20)
+        extract_eigensymbol(sp, fake, +1)
 
 
 # -- the integer path against the Fraction oracle ------------------------------------
@@ -455,12 +455,12 @@ def test_twisted_evaluator_at_trivial_discriminant_is_the_evaluator(sym32):
 
 
 def test_relations_vanish_detects_altered_values(sym32):
-    plus, minus, _, sp = sym32
+    plus, minus, c, sp = sym32
     for sym in (plus, minus):
-        vals = sym.values_on_generators
-        assert sp.relations_vanish(vals)
-        doubled = [2 * v if i % 3 == 0 else v for i, v in enumerate(vals)]
-        assert not sp.relations_vanish(doubled)
+        record = sym.to_dict()
+        assert EigenSymbol.from_record(sp, c, record, 3).to_dict() == record
+        doubled = [2 * v if i % 3 == 0 else v for i, v in enumerate(record["values"])]
+        assert EigenSymbol.from_record(sp, c, record | {"values": doubled}, 3) is None
 
 
 def test_birch_coherence_between_normalizations(sym32):
