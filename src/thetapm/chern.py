@@ -272,7 +272,7 @@ def pushforward_c2(f, g):
                              "multiplicity %d" % prof.mu)
         divisor.add(PrimeDescriptor("vertical", ("p", "<unresolved fiber>"),
                                     resolved=False), prof.mu)
-    zero_run = next((c for c, s in prof.slopes if s is None), 0)
+    zero_run = prof.zero_run
     if zero_run:
         fiber = _fiber_gcd_at_origin(f, g, p)
         fdeg = len(fiber) - 1 if fiber else 0

@@ -176,24 +176,21 @@ def cmd_table(args):
     wb = Workbench(_config_from_args(args))
     rows = _load_jsonl(args.rows_file) if args.rows_file else BUNDLED_ROWS
     results = wb.run_table(rows)
-    ok = True
-    for r in results:
-        if "error" in r:
-            ok = False
-        elif "reference_diff" in r and not r["reference_diff"]["match"]:
-            ok = False
-    summary = {"rows": len(results),
-               "failures": sum(1 for r in results if "error" in r),
-               "reference_mismatches": sum(
-                   1 for r in results
-                   if "reference_diff" in r and not r["reference_diff"]["match"]),
-               "all_ok": ok}
+    failures = sum("error" in r for r in results)
+    mismatches = sum("reference_diff" in r and not r["reference_diff"]["match"]
+                     for r in results)
+    ok = failures == 0 and mismatches == 0
+    summary = {"rows": len(results), "failures": failures,
+               "reference_mismatches": mismatches, "all_ok": ok}
     _emit(args, "table", results + [{"summary": summary}])
     return EXIT_OK if ok else EXIT_COMPUTATIONAL
 
 
 def cmd_coprime(args):
-    if args.f_file and args.g_file:
+    given = tuple(x is not None for x in (args.curve, args.f_file, args.g_file))
+    if given not in ((True, False, False), (False, True, True)):
+        raise InvalidArgument("give --curve, or both --f-file and --g-file")
+    if args.curve is None:
         f = _series_from_file(args.f_file)
         g = _series_from_file(args.g_file)
         cert = coprime_certificate(f, g)
@@ -220,7 +217,8 @@ def cmd_fudge(args):
             raise InvalidArgument("%s: a Frobenius file is an object with an "
                                   "'entries' list" % args.frobenius_file)
         frob = FrobeniusData.from_records(doc["entries"])
-    divisor, ledger = fudge_c2(curve, args.discriminant, args.p, sigma, frob)
+    divisor, ledger = fudge_c2(curve, args.discriminant, _config_from_args(args).p,
+                               sigma, frob)
     records = [{"divisor": divisor.as_dict()}, {"ledger": ledger},
                {"theorem_ledger": theorem_ledger(fudge_divisor=divisor,
                                                  fudge_report=ledger)}]
@@ -295,8 +293,7 @@ def build_parser():
     sp.add_argument("--discriminant", type=int, required=True)
     sp.add_argument("--sigma-file", default=None)
     sp.add_argument("--frobenius-file", default=None)
-    sp.add_argument("--p", type=int, default=3)
-    _add_out_arg(sp)
+    _add_config_args(sp, "--p")
     sp.set_defaults(func=cmd_fudge)
 
     sp = sub.add_parser("c2", help="local length at a vertical prime")

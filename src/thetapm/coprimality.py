@@ -92,7 +92,7 @@ def coprime_certificate(f, g):
     if pf.mu > 0 and pg.mu > 0:
         return CoprimalityCertificate("slope-disjoint", pf, pg, "not-certified",
                                       detail="shared factor p (both mu positive)")
-    if pf.has_zero_roots() and pg.has_zero_roots():
+    if pf.zero_run and pg.zero_run:
         return CoprimalityCertificate("slope-disjoint", pf, pg, "not-certified",
                                       detail="shared roots at the origin")
     if pf.lam == 0 or pg.lam == 0:
@@ -199,28 +199,7 @@ def _product_profile(a, b):
     if a.profile is None or b.profile is None:
         return {"degenerate": True,
                 "note": "a factor is zero within precision; no certificate"}
-    merged = sorted(list(a.profile.slopes) + list(b.profile.slopes),
-                    key=_slope_sort_key)
-    prof = InvariantProfile(a.profile.mu + b.profile.mu,
-                            a.profile.lam + b.profile.lam,
-                            tuple(_merge_runs(merged)),
-                            a.profile.stabilized and b.profile.stabilized)
-    return {"profile": prof.as_dict(), "degenerate": False}
-
-
-def _slope_sort_key(cs):
-    _, s = cs
-    return (0, 0) if s is None else (1, -s)   # infinite runs steepest
-
-
-def _merge_runs(runs):
-    out = []
-    for c, s in runs:
-        if out and out[-1][1] == s:
-            out[-1] = (out[-1][0] + c, s)
-        else:
-            out.append((c, s))
-    return out
+    return {"profile": (a.profile * b.profile).as_dict(), "degenerate": False}
 
 
 def conjecture_b_report(curve_label, field_discriminant, p, theta_E_pair,

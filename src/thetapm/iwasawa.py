@@ -6,14 +6,15 @@ coefficient as data (None when exact) and a flag for an exact tail, so
 exact polynomials and precision-truncated series (input files, Weierstrass
 output, the signed logarithms) coexist.  ``newton_invariants`` finds
 valuations, mu, lambda and zero markers in one integer scan, never claims
-digits the numerators lack, and returns a NamedTuple ``InvariantProfile``.
-Two-variable elements model Z_p[[S, T]] and are exact polynomials: integer
-numerators over one denominator, with no truncation degree, so every
-reader sees every term.  This module alone knows either storage.
-Others read a one-variable element through ``rationals``, ``valuations``,
-``precisions`` and ``lifts``, and a two-variable one through
-``t_polynomial`` (integer S-coefficient rows over ``den``) and ``p_split``
-(its least p-adic valuation and the residues of f / p^v mod p).  The
+digits the numerators lack, and returns a NamedTuple ``InvariantProfile``,
+the one reader of slope runs.  Two-variable elements model Z_p[[S, T]] and
+are exact polynomials: integer numerators over one denominator, with no
+truncation degree, so every reader sees every term.  Others read a
+one-variable element through ``rationals``, ``valuations``, ``precisions``
+and ``lifts``, or its ``nums`` and ``den`` (``mazurtate``, ``coprimality``
+and ``chern`` do), and a two-variable one only through ``t_polynomial``
+(integer S-coefficient rows over ``den``) and ``p_split`` (its least
+p-adic valuation and the residues of f / p^v mod p).  The
 T-resultant and the certificate resultant are both ``sylvester_resultant``,
 one fraction-free Bareiss determinant over Z[S] that packs each entry into
 one Python integer (Kronecker substitution) and eliminates on those.
@@ -36,30 +37,59 @@ from .cyclotomic import cyclotomic_poly_shifted, x_poly_at_zeta_minus_one
 
 DEFAULT_TRUNC = 200
 DEFAULT_PRECISION = 30
-_ODD_PRIMES = set()           # primes IwasawaElement1 has already accepted
+_ODD_PRIMES = set()           # primes the element classes have already accepted
 _slope = lru_cache(maxsize=1024)(Fraction)   # a Fraction is immutable, so shareable
 
 
 class InvariantProfile(NamedTuple):
     """(mu, lambda, slope runs) of a one-variable element.
 
-    ``slopes`` is a tuple of (count, slope) runs, steepest first; counts sum
-    to ``lam``.  ``stabilized`` is False when unknown digits could still
-    hide lattice points below the computed polygon.
+    ``slopes`` is a tuple of (count, slope) runs, steepest first, after a
+    (count, None) run for roots at X = 0; counts sum to ``lam``.
+    ``stabilized`` is False when unknown digits could still hide lattice
+    points below the computed polygon.  Other modules multiply profiles and
+    read ``polygon()`` and ``zero_run`` rather than rebuild them from runs.
     """
     mu: int
     lam: int
     slopes: tuple
     stabilized: bool = True
 
+    @classmethod
+    def eisenstein(cls, d):
+        """Profile of an Eisenstein polynomial of degree d: one run of slope 1/d."""
+        return cls(0, d, ((d, _slope(1, d)),))
+
+    def __mul__(self, other):
+        """Profile of a product: mu and lambda add, and the runs merge with
+        the zero run first, then steepest first, equal slopes summed."""
+        runs = {}
+        for c, s in self.slopes + other.slopes:
+            runs[s] = runs.get(s, 0) + c
+        order = sorted(runs, key=lambda s: (0, 0) if s is None else (1, -s))
+        return InvariantProfile(self.mu + other.mu, self.lam + other.lam,
+                                tuple((runs[s], s) for s in order),
+                                self.stabilized and other.stabilized)
+
+    @property
+    def zero_run(self):
+        """The number of roots at X = 0: the count of the leading None run."""
+        return self.slopes[0][0] if self.slopes and self.slopes[0][1] is None else 0
+
+    def polygon(self):
+        """Vertices of the Newton polygon with mu removed, from height
+        sum(count * slope) at x = zero_run down to (lambda, 0)."""
+        runs = self.slopes[1:] if self.zero_run else self.slopes
+        out = [(self.zero_run, sum(c * s for c, s in runs))]
+        for c, s in runs:
+            out.append((out[-1][0] + c, out[-1][1] - c * s))
+        return out
+
     def is_unit(self):
         return self.mu == 0 and self.lam == 0
 
     def slope_values(self):
         return set(s for _, s in self.slopes if s is not None)
-
-    def has_zero_roots(self):
-        return any(s is None for _, s in self.slopes)
 
     def as_dict(self):
         return {
@@ -68,6 +98,13 @@ class InvariantProfile(NamedTuple):
             "slopes": [[c, "inf" if s is None else str(s)] for c, s in self.slopes],
             "stabilized": self.stabilized,
         }
+
+
+def _admit_prime(p):
+    """Raise InvalidArgument unless p is an odd prime; remember it if so."""
+    if not is_prime(p) or p == 2:
+        raise InvalidArgument("p must be an odd prime, got %r" % (p,))
+    _ODD_PRIMES.add(p)
 
 
 class IwasawaElement1:
@@ -85,9 +122,7 @@ class IwasawaElement1:
 
     def __init__(self, p, nums, den=1, prec=None, exact_tail=False):
         if p not in _ODD_PRIMES:
-            if not is_prime(p) or p == 2:
-                raise InvalidArgument("p must be an odd prime, got %r" % (p,))
-            _ODD_PRIMES.add(p)
+            _admit_prime(p)
         g = gcd(den, *nums)
         self.p = p
         self.nums = list(nums) if g == 1 else [c // g for c in nums]
@@ -339,6 +374,8 @@ class IwasawaElement2:
     __slots__ = ("p", "coeffs", "den")
 
     def __init__(self, p, coeffs, den=1):
+        if p not in _ODD_PRIMES:
+            _admit_prime(p)
         g = gcd(den, *coeffs.values())
         self.p = p
         self.coeffs = {k: v // g for k, v in coeffs.items() if v}

@@ -19,8 +19,9 @@ integer numerators over one denominator, from its first level through every
 Garner step, the content normalization, the Newton layer and the
 reinterpolation check; no coefficient becomes a ``Fraction``.
 
-Each fact is computed once: one Newton profile per level, whose slope runs
-give the dominance certificate; the final profile is the last one with mu
+Each fact is computed once: one Newton profile per level, whose polygon
+the dominance certificate compares with the modulus's, a product of one
+Eisenstein profile per level; the final profile is the last one with mu
 shifted by the family content, and the history is written after the loop.
 """
 
@@ -249,49 +250,33 @@ def _profile(rep):
         return None
 
 
-def _modulus_polygon(p, ks):
-    """Lower hull of the product of Phi_{p^k}(1+X) over k in ks: one
-    vertex per factor, in order of increasing degree."""
-    pts = [(0, len(ks))]
-    for k in sorted(ks):
-        x, y = pts[-1]
-        pts.append((x + (p - 1) * p ** (k - 1), y - 1))
-    return pts
-
-
-def _dominance_certified(profile, p, ks):
+def _dominance_certified(profile, modulus):
     """True when the modulus polygon strictly dominates the profile's
     polygon through lambda, so the profile provably belongs to the full
     series and not just to this representative.
 
     Only mu = 0 profiles without exact X-divisibility can be certified:
     a positive mu or a vanishing constant term could always be destroyed
-    by the unknown multiple of the modulus.  The polygon is read off the
-    slope runs: it starts at height sum(count * slope) and ends at
-    (lambda, 0).
+    by the unknown multiple of the modulus.
     """
-    if profile is None or profile.mu != 0 or profile.has_zero_roots():
+    if profile is None or profile.mu != 0 or profile.zero_run:
         return False
-    hull = [(0, sum(c * s for c, s in profile.slopes))]
-    for c, s in profile.slopes:
-        x, y = hull[-1]
-        hull.append((x + c, y - c * s))
-    mod_hull = _modulus_polygon(p, ks)
+    hull, mod_hull = profile.polygon(), modulus.polygon()
     return all(hull_value(hull, i) < hull_value(mod_hull, i)
                for i in range(profile.lam + 1))
 
 
-def _history_entry(levels, k, deg_mod, prof, p, shift):
+def _history_entry(levels, k, modulus, prof, shift):
     """One level's history record, its mu under the family normalization."""
     entry = {"levels": list(levels), "conductor_exponent": k + 1,
-             "modulus_degree": deg_mod}
+             "modulus_degree": modulus.lam}
     if prof is None:
         return entry | {"profile": None, "trusted": False, "certified": False,
                         "note": "representative vanishes; all interpolation data zero"}
     margin = max([s.denominator for _, s in prof.slopes if s is not None], default=1)
     entry |= {"profile": prof._replace(mu=prof.mu - shift).as_dict(),
-              "trusted": prof.lam < deg_mod - margin,
-              "certified": _dominance_certified(prof, p, levels)}
+              "trusted": prof.lam < modulus.lam - margin,
+              "certified": _dominance_certified(prof, modulus)}
     if not entry["trusted"]:
         entry["note"] = "needs larger n_max"
     return entry
@@ -321,17 +306,17 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX, auto_extend=True):
     if k > n_max:
         raise InvalidArgument("n_max too small for sign %s" % sign)
     cap = n_max + MAX_EXTENSION
-    theta, mod_coeffs, deg_mod = IwasawaElement1.zero(p), [1], 0
+    theta, mod_coeffs, modulus = IwasawaElement1.zero(p), [1], InvariantProfile(0, 0, ())
     values = {}                  # k -> interpolation value, in level order
-    steps = []                   # per level: (levels, k, modulus degree, profile)
+    steps = []                   # per level: (levels, k, modulus profile, profile)
     while k <= n_max or (auto_extend and k <= cap and not _last_two_agree(steps)):
         if values:
             mod_coeffs = poly_mul(mod_coeffs, cyclotomic_poly_shifted(p, k - 2))
         v_k = interpolation_value(target, sign, k)
         theta = _crt_extend(theta, mod_coeffs, list(values), v_k, p, k)
         values[k] = v_k
-        deg_mod += (p - 1) * p ** (k - 1)
-        steps.append((tuple(values), k, deg_mod, _profile(theta)))
+        modulus *= InvariantProfile.eisenstein((p - 1) * p ** (k - 1))
+        steps.append((tuple(values), k, modulus, _profile(theta)))
         k += 2
 
     stabilized = _last_two_agree(steps)
@@ -353,7 +338,7 @@ def reconstruct_signed(target, sign, n_max=DEFAULT_N_MAX, auto_extend=True):
         p=p, sign=sign, label=target.label,
         representative=IwasawaElement1(p, theta.nums, theta.den * cg, exact_tail=True),
         profile=profile,
-        stabilization_history=[_history_entry(*step, p, shift) for step in steps],
+        stabilization_history=[_history_entry(*step, shift) for step in steps],
         family_content=cg,
         interpolation_data={k: v * Fraction(1, cg) for k, v in values.items()},
         notes=notes, levels=tuple(values))

@@ -15,8 +15,9 @@ So does the divisor of a Frobenius character as ``thetapm.chern`` took it
 before the closed form: the character cut at a total degree, its S-content
 split off and its T-factor Hensel-lifted over the S-adic digits.
 The dominance certificate of ``thetapm.mazurtate`` has its original form
-here too: the polygon rebuilt from the representative's valuations with a
-second lower hull, where the library reads it off the Newton profile.
+here too: the polygons rebuilt with a lower hull from the valuations of
+the representative and of the modulus polynomial itself, where the library
+reads both off Newton profiles.
 The elimination runs on the precision-propagating sum, product and
 quotient of scalars below, which the scalar class itself never had (it
 carries precision as data and does no arithmetic): ``Fraction``-based, as
@@ -25,16 +26,17 @@ kernels are checked against them.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import sub as _int_sub
 
 from thetapm import polys
 from thetapm.chern import (S_TRUNC, PrimeDescriptor, _fp2_t_poly, _fps_poly_str,
                            binomial_series_mod_p)
+from thetapm.cyclotomic import cyclotomic_poly_shifted
 from thetapm.exceptions import (InvalidArgument, PrecisionError, TruncationError,
                                 UnsupportedShape)
 from thetapm.iwasawa import (DEFAULT_PRECISION, InvariantProfile, hull_value,
                              lower_hull)
-from thetapm.mazurtate import _modulus_polygon
 from thetapm.padics import is_prime, vp
 
 
@@ -733,11 +735,21 @@ def vertical_divisor_mod_p(hbar, p):
     return terms
 
 
+@lru_cache(maxsize=None)
+def modulus_hull(p, ks):
+    """Lower hull of the valuations of the coefficients of the product of
+    Phi_{p^k}(1+X) over k in ks, multiplied out."""
+    co = [1]
+    for k in ks:
+        co = polys.mul(co, cyclotomic_poly_shifted(p, k))
+    return lower_hull([(i, vp(c, p)) for i, c in enumerate(co) if c])
+
+
 def dominance_certified(profile, rep, p, ks):
-    """The certificate read from the hull of the representative's
-    valuations through lambda (the replaced reader): True when the modulus
-    polygon strictly dominates it, for mu = 0 profiles with a nonzero
-    constant term."""
+    """The certificate read from the hulls of the valuations of the
+    representative through lambda and of the modulus (the replaced
+    reader): True when the modulus hull strictly dominates the
+    representative's, for mu = 0 profiles with a nonzero constant term."""
     if profile is None or profile.mu != 0:
         return False
     hullpts = [(i, v) for i, v in enumerate(rep.valuations()[:profile.lam + 1])
@@ -745,7 +757,7 @@ def dominance_certified(profile, rep, p, ks):
     if not hullpts or hullpts[0][0] != 0:
         return False
     hull = lower_hull(hullpts)
-    mod_hull = _modulus_polygon(p, ks)
+    mod_hull = modulus_hull(p, tuple(ks))
     for i in range(profile.lam + 1):
         if hull_value(mod_hull, i) <= hull_value(hull, i):
             return False

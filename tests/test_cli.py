@@ -6,7 +6,8 @@ from math import gcd
 
 import pytest
 
-from thetapm import RunConfig, Workbench, build_space, bundled_curve, mazurtate
+from thetapm import (BUNDLED_CURVES, BUNDLED_ROWS, RunConfig, Workbench,
+                     build_space, bundled_curve, mazurtate)
 from thetapm.cache import load_symbol, store_symbol
 from thetapm.cli import main
 from thetapm.reports import comparable, parse_report, render_report
@@ -335,6 +336,24 @@ def test_malformed_input_file_is_input_error(tmp_path, capsys, command, flag, do
     assert code == 2 and "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", [0, 1, 2, 9, -3])
+def test_cmd_c2_bad_prime_is_input_error(tmp_path, capsys, p):
+    # p = 0 reached the command line as a traceback with exit 1, p = 1 as an
+    # input error about pbar, and 2, 9 and -3 as exit-0 reports of lengths
+    # 0, 1 and 2
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(IDEAL | {"p": p}))
+    code = main(["c2", "--ideal-file", str(path)])
+    assert code == 2 and "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["4", "1", "-3"])
+def test_cmd_fudge_bad_prime_is_input_error(capsys, p):
+    # each was an exit-0 report; --p now has RunConfig's check and default
+    code = main(["fudge", "--curve", "32a", "--discriminant", "-43", "--p=" + p])
+    assert code == 2 and "input error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc", [
     # the first three reached the command line as a traceback with exit 1,
     # the last two as an exit-0 ledger with a place above 4 or -5
@@ -426,6 +445,20 @@ def test_cmd_coprime_series_files_over_different_primes_is_input_error(tmp_path,
     assert out == ""
 
 
+@pytest.mark.parametrize("flags", [["--f-file"], ["--g-file"], [],
+                                   ["--f-file", "--curve"],
+                                   ["--f-file", "--g-file", "--curve"]])
+def test_cmd_coprime_names_the_missing_input(tmp_path, capsys, flags):
+    # the first three exited 2 with "unknown bundled curve None"; the last
+    # two ignored a flag they were given and exited 0
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"p": 3, "coefficients": ["-3", "0", "1"]}))
+    values = {"--f-file": str(path), "--g-file": str(path), "--curve": "32a"}
+    code = main(["coprime"] + [arg for flag in flags for arg in (flag, values[flag])])
+    assert code == 2
+    assert "give --curve, or both --f-file and --g-file" in capsys.readouterr().err
+
+
 def test_cmd_theta_base_curve(capsys):
     code, out = run_cli(["theta", "--curve", "32a", "--sign", "+",
                          "--n-max", "4"], capsys)
@@ -511,6 +544,19 @@ def test_reinterpolation_failure_is_row_error(workbench, monkeypatch):
     (row,) = workbench.run_table([{"curve": "32a", "discriminant": -107, "p": 3}])
     assert "reinterpolation failed" in row["error"]
     assert "series" not in row
+
+
+def test_bundled_data_files_match_the_bundled_tables():
+    """``data/curves.jsonl`` and ``data/table1_rows.jsonl`` are copies of
+    ``BUNDLED_CURVES`` and ``BUNDLED_ROWS``, the rows in order."""
+    def records(name):
+        with open(os.path.join(DATA, name)) as fh:
+            return [json.loads(line) for line in fh]
+    curves = {rec["label"]: {"a_invariants": tuple(rec["a_invariants"]),
+                             "conductor": rec["conductor"]}
+              for rec in records("curves.jsonl")}
+    assert curves == BUNDLED_CURVES
+    assert records("table1_rows.jsonl") == BUNDLED_ROWS
 
 
 def test_cmd_table_bad_file_is_input_error(capsys):

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from thetapm import (InvalidArgument, IwasawaElement1, IwasawaElement2,
-                     PrecisionError, TruncationError, half_log_product,
-                     newton_invariants, pi_cyc, pollack_log_truncated, polys,
-                     resultant_in_T, weierstrass_prepare)
+from thetapm import (InvalidArgument, InvariantProfile, IwasawaElement1,
+                     IwasawaElement2, PrecisionError, TruncationError,
+                     half_log_product, newton_invariants, pi_cyc,
+                     pollack_log_truncated, polys, resultant_in_T,
+                     weierstrass_prepare)
 from thetapm.cyclotomic import cyclotomic_poly_shifted
 
 from twovar import mul2
@@ -28,6 +29,8 @@ def test_eisenstein_profile():
     prof = newton_invariants(poly(3, [-3, 0, 1]))
     assert (prof.mu, prof.lam) == (0, 2)
     assert prof.slopes == ((2, Fraction(1, 2)),)
+    assert prof == InvariantProfile.eisenstein(2)
+    assert prof.polygon() == [(0, 1), (2, 0)]
 
 
 def test_mu_extraction():
@@ -42,6 +45,8 @@ def test_profile_zero_roots_run():
     assert prof.mu == 0 and prof.lam == 4
     assert prof.slopes == ((2, None), (2, Fraction(1, 2)))
     assert sum(c for c, _ in prof.slopes) == prof.lam
+    assert prof.zero_run == 2
+    assert prof.polygon() == [(2, 1), (4, 0)]
 
 
 def test_all_zero_raises():
@@ -88,6 +93,8 @@ def test_bad_prime_refused_before_and_after_a_valid_one():
         for p in (1, 2, 4, 9, 15):
             with pytest.raises(InvalidArgument, match="odd prime"):
                 IwasawaElement1(p, [1, p])
+            with pytest.raises(InvalidArgument, match="odd prime"):
+                IwasawaElement2(p, {(0, 0): 1, (1, 0): p})
         assert IwasawaElement1(3, [6, 3], 9).nums == [2, 1]
 
 
@@ -323,8 +330,11 @@ def test_additivity_of_invariants_under_products():
         mu1, mu2 = rng.randint(0, 2), rng.randint(0, 2)
         f = [3 ** mu1 * c for c in random_distinguished(rng)]
         g = [3 ** mu2 * c for c in random_distinguished(rng)]
+        # roots at X = 0 on either side, merged into one leading None run
+        f, g = [0] * rng.randint(0, 2) + f, [0] * rng.randint(0, 2) + g
         pf, pg = newton_invariants(poly(3, f)), newton_invariants(poly(3, g))
         prod = newton_invariants(poly(3, polys.mul(f, g)))
+        assert pf * pg == prod
         assert prod.mu == pf.mu + pg.mu
         assert prod.lam == pf.lam + pg.lam
         merged = {}

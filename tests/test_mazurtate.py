@@ -15,7 +15,7 @@ from thetapm import (BUNDLED_ROWS, BadReduction, CurveData, InvalidArgument,
                      ThetaTarget, WorkbenchError, bundled_curve,
                      interpolation_value, kronecker_symbol, reconstruct_signed,
                      reinterpolation_check, trivial_character_ratio_check, vp)
-from thetapm import IwasawaElement1, mazurtate
+from thetapm import InvariantProfile, IwasawaElement1, mazurtate
 from thetapm.iwasawa import newton_invariants
 from thetapm.mazurtate import SignedLSeries
 from thetapm.polys import taylor_shift
@@ -328,7 +328,10 @@ def exact_polys(draw):
 def test_certificate_from_profile_matches_hull_of_valuations(case):
     p, rep, ks = case
     prof = mazurtate._profile(rep)
-    assert (mazurtate._dominance_certified(prof, p, ks)
+    modulus = InvariantProfile(0, 0, ())
+    for k in ks:
+        modulus *= InvariantProfile.eisenstein((p - 1) * p ** (k - 1))
+    assert (mazurtate._dominance_certified(prof, modulus)
             == ledger_oracle.dominance_certified(prof, rep, p, ks))
 
 
