@@ -5,14 +5,14 @@ the p-power filtration, from the p-splits ``IwasawaElement2.p_split`` gives;
 the horizontal part of an intersection is pushed forward through the
 T-resultant rather than resolved prime by prime.  Two-variable elements are
 read only through ``p_split`` and ``t_polynomial``; everything mod p runs on
-term dicts over F_p.  The generators are exact polynomials, so a local
-length divides exactly in F_p[S][T].  The divisor of the Frobenius
-character at a fudge place is read off in closed form: its Weierstrass
-factor T^d - beta(S) is exact, and only its printed S-series is cut at
-``S_TRUNC``.  The fudge factors at primes away from p depend only
-on the reduction type of the curve at the places of the quadratic field,
-with a contribution exactly when the reduction is split multiplicative and
-p divides the Tate-parameter valuation.
+the T-rows over F_p[S] that ``p_split`` hands out, Pbar's included.  The
+generators are exact polynomials, so a local length divides exactly in
+F_p[S][T].  The divisor of the Frobenius character at a fudge place is read
+off in closed form: its Weierstrass factor T^d - beta(S) is exact, and only
+its printed S-series is cut at ``S_TRUNC``.  The fudge factors at primes
+away from p depend only on the reduction type of the curve at the places of
+the quadratic field, with a contribution exactly when the reduction is
+split multiplicative and p divides the Tate-parameter valuation.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from . import polys
 from .curves import kronecker_symbol, local_reduction_type
 from .exceptions import (CommonFactorWithinPrecision, InvalidArgument,
                          NotPseudoNull, UnsupportedShape)
-from .iwasawa import newton_invariants, resultant_in_T
-from .padics import is_prime, vp
+from .iwasawa import IwasawaElement2, newton_invariants, resultant_in_T
+from .padics import is_prime, odd_prime, vp
 
 S_TRUNC = 24               # S-terms printed of a Weierstrass factor
 
@@ -94,21 +94,14 @@ class C2Divisor:
 
 
 # ---------------------------------------------------------------------------
-# F_p[S][T] helpers: terms as dict (i, j) -> residue, as
-# ``IwasawaElement2.p_split`` returns them
+# F_p[S][T] helpers: T-polynomials as lists over T-degree of trimmed F_p[S]
+# rows, as ``IwasawaElement2.p_split`` returns them
 
 
-def _fp2_t_poly(h, p):
-    """As a T-polynomial: list over T-degree of trimmed F_p[S] rows."""
-    dt = max((j for (_, j) in h), default=0)
-    ds = max((i for (i, _) in h), default=0)
-    out = [[0] * (ds + 1) for _ in range(dt + 1)]
-    for (i, j), c in h.items():
-        out[j][i] = c % p
-    out = [polys.trim(row) for row in out]
-    while len(out) > 1 and out[-1] == [0]:
-        out.pop()
-    return out
+def _swap(rows):
+    """The same polynomial with S and T exchanged: the transpose of its rows."""
+    return [polys.trim([row[i] if i < len(row) else 0 for row in rows])
+            for i in range(max(map(len, rows)))]
 
 
 def _t_divmod(f, w, p):
@@ -185,67 +178,55 @@ def local_length_vertical(ideal, pbar_terms):
     """
     f, g = ideal
     p = f.p
-    pbar = {k: v % p for k, v in pbar_terms.items() if v % p}
-    if not pbar:
+    v, w = IwasawaElement2(p, pbar_terms).p_split()
+    if v != 0:
         raise InvalidArgument("Pbar vanishes mod p")
-    if (0, 0) in pbar:
-        # a unit spans no prime; swapping the variables of a constant Pbar
-        # would give it back unchanged
+    if w[0][0]:
         raise InvalidArgument("Pbar is a unit mod p")
     # Pbar must be distinguished in its monic variable (T, or S when T is
-    # absent): a lower term free of the other variable makes Pbar a unit
-    # times a factor of lower degree, T + T^2 = T(1 + T), and dividing by
-    # the whole of it miscounts the multiplicity
-    var = 1 if any(j for _, j in pbar) else 0
-    deg = max(k[var] for k in pbar)
-    if any(k[1 - var] == 0 and k[var] < deg for k in pbar):
-        raise InvalidArgument("Pbar is not distinguished in %s" % "ST"[var])
+    # absent, after one swap): a lower term free of the other variable makes
+    # Pbar a unit times a factor of lower degree, T + T^2 = T(1 + T), and
+    # dividing by the whole of it miscounts the multiplicity
+    swap = len(w) == 1
+    if swap:
+        w = _swap(w)
+    if any(row[0] for row in w[:-1]):
+        raise InvalidArgument("Pbar is not distinguished in %s" % "TS"[swap])
+    if len(w[-1]) == 1:
+        scale = pow(w[-1][0], -1, p)
+        w = [[c * scale % p for c in row] for row in w]
+
+    def mult(rows, cap=None):
+        """Pbar-adic valuation of rows in F_p[[S,T]] localized at (Pbar)."""
+        if w[-1] != [1]:
+            raise UnsupportedShape("Pbar must be monic (up to unit) in T or S")
+        return _t_multiplicity(_swap(rows) if swap else rows, w, p, cap)
+
     sf, sg = f.p_split(), g.p_split()
     if any(v is not None and v < 0 for v, _ in (sf, sg)):
         raise InvalidArgument("a generator has a coefficient outside Z_p")
     for sa, sb in ((sf, sg), (sg, sf)):
         try:
-            return _length_shape(sa, sb, pbar, p)
+            return _length_shape(sa, sb, mult)
         except UnsupportedShape:
             pass
-    return _length_shape((f - g).p_split(), sg, pbar, p)
+    return _length_shape((f - g).p_split(), sg, mult)
 
 
-def _length_shape(sa, sb, pbar, p):
-    """Length from the p-splits (v, residues) of the two generators."""
-    va, abar = sa
+def _length_shape(sa, sb, mult):
+    """Length from the p-splits (v, rows) of the two generators and the
+    Pbar-multiplicity ``mult(rows, cap)``."""
+    va, arows = sa
     if va is None:
         raise NotPseudoNull("a generator is zero")
-    if _divisible_by_pbar(abar, pbar, p):
+    if mult(arows, 1):
         raise UnsupportedShape("unit-part candidate lies in Q")
     if va == 0:
         return 0                 # the ideal is the unit ideal at Q
-    vb, bbar = sb
+    vb, brows = sb
     if vb != 0:
         raise NotPseudoNull("both generators vanish mod p: quotient has (p) in its support")
-    mult = _pbar_multiplicity(bbar, pbar, p)
-    return va * mult
-
-
-def _divisible_by_pbar(hbar, pbar, p):
-    return _pbar_multiplicity(hbar, pbar, p, cap=1) >= 1
-
-
-def _pbar_multiplicity(hbar, pbar, p, cap=None):
-    """Pbar-adic valuation of hbar in F_p[[S,T]] localized at (Pbar)."""
-    dt = max((j for (_, j) in pbar), default=0)
-    if dt == 0:
-        # monic in S after swapping variables
-        hsw = {(j, i): c for (i, j), c in hbar.items()}
-        psw = {(j, i): c for (i, j), c in pbar.items()}
-        return _pbar_multiplicity(hsw, psw, p, cap)
-    lead = {i: c for (i, j), c in pbar.items() if j == dt}
-    if list(lead) != [0] or lead[0] % p == 0:
-        raise UnsupportedShape("Pbar must be monic (up to unit) in T or S")
-    scale = pow(lead[0], -1, p)
-    w = _fp2_t_poly({k: v * scale % p for k, v in pbar.items()}, p)
-    hpoly = _fp2_t_poly(hbar, p)
-    return _t_multiplicity(hpoly, w, p, cap)
+    return va * mult(brows)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +475,7 @@ def fudge_c2(curve, field_discriminant, p, sigma, frobenius=None):
     vertical lengths computed through the p-power filtration.  For p = 3
     the output is flagged as outside the supported hypothesis range.
     """
+    odd_prime(p)
     frobenius = frobenius or FrobeniusData()
     divisor = C2Divisor()
     ledger = []
@@ -524,6 +506,7 @@ def place_contribution(place, p, frobenius=None):
     criterion is applied to the reduction data as given, so synthetic data
     exercises exactly the same decision path as real curves.
     """
+    odd_prime(p)
     frobenius = frobenius or FrobeniusData()
     entry = {"place": place.as_dict()}
     if place.kind in ("good", "additive", "nonsplit-mult"):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exceptions import InvalidArgument
-from .padics import is_prime
+from .padics import odd_prime
 
 
 @dataclass
@@ -20,8 +20,7 @@ class RunConfig:
         self.validate()
 
     def validate(self):
-        if not is_prime(self.p) or self.p == 2:
-            raise InvalidArgument("p must be an odd prime")
+        odd_prime(self.p)
         if self.n_max < 2:
             raise InvalidArgument("n_max must be at least 2")
         return self

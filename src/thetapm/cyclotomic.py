@@ -25,7 +25,7 @@ from math import gcd, isqrt, lcm
 from operator import add, sub
 
 from .exceptions import InvalidArgument
-from .padics import is_prime
+from .padics import odd_prime
 from .polys import mul as poly_mul, taylor_shift
 
 
@@ -79,8 +79,7 @@ def _fold_reduce(v, m):
 
 def cyclotomic_poly_shifted(p, k):
     """Phi_{p^k}(1 + X) as an integer coefficient list (Eisenstein at p)."""
-    if not is_prime(p) or p == 2:
-        raise InvalidArgument("p must be an odd prime")
+    odd_prime(p)
     if k < 1:
         raise InvalidArgument("level k must be >= 1")
     deg = (p - 1) * p ** (k - 1)

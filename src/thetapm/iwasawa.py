@@ -14,7 +14,8 @@ one-variable element through ``rationals``, ``valuations``, ``precisions``
 and ``lifts``, or its ``nums`` and ``den`` (``mazurtate``, ``coprimality``
 and ``chern`` do), and a two-variable one only through ``t_polynomial``
 (integer S-coefficient rows over ``den``) and ``p_split`` (its least
-p-adic valuation and the residues of f / p^v mod p).  The
+p-adic valuation v and f / p^v mod p as trimmed F_p[S] rows by T-degree,
+the one builder of residue rows).  The
 T-resultant and the certificate resultant are both ``sylvester_resultant``,
 one fraction-free Bareiss determinant over Z[S] that packs each entry into
 one Python integer (Kronecker substitution) and eliminates on those.
@@ -32,12 +33,11 @@ from typing import NamedTuple
 
 from . import polys
 from .exceptions import (InvalidArgument, PrecisionError, TruncationError)
-from .padics import is_prime, vp
+from .padics import odd_prime, vp
 from .cyclotomic import cyclotomic_poly_shifted, x_poly_at_zeta_minus_one
 
 DEFAULT_TRUNC = 200
 DEFAULT_PRECISION = 30
-_ODD_PRIMES = set()           # primes the element classes have already accepted
 _slope = lru_cache(maxsize=1024)(Fraction)   # a Fraction is immutable, so shareable
 
 
@@ -100,13 +100,6 @@ class InvariantProfile(NamedTuple):
         }
 
 
-def _admit_prime(p):
-    """Raise InvalidArgument unless p is an odd prime; remember it if so."""
-    if not is_prime(p) or p == 2:
-        raise InvalidArgument("p must be an odd prime, got %r" % (p,))
-    _ODD_PRIMES.add(p)
-
-
 class IwasawaElement1:
     """Element of Z_p[[X]] truncated at degree D: integer numerators ``nums``
     over one positive denominator ``den``, in lowest terms.
@@ -121,8 +114,7 @@ class IwasawaElement1:
     __slots__ = ("p", "nums", "den", "prec", "exact_tail")
 
     def __init__(self, p, nums, den=1, prec=None, exact_tail=False):
-        if p not in _ODD_PRIMES:
-            _admit_prime(p)
+        odd_prime(p)
         g = gcd(den, *nums)
         self.p = p
         self.nums = list(nums) if g == 1 else [c // g for c in nums]
@@ -374,8 +366,7 @@ class IwasawaElement2:
     __slots__ = ("p", "coeffs", "den")
 
     def __init__(self, p, coeffs, den=1):
-        if p not in _ODD_PRIMES:
-            _admit_prime(p)
+        odd_prime(p)
         g = gcd(den, *coeffs.values())
         self.p = p
         self.coeffs = {k: v // g for k, v in coeffs.items() if v}
@@ -408,26 +399,25 @@ class IwasawaElement2:
         return out
 
     def p_split(self):
-        """(v, residues): v the least valuation of a coefficient, residues
-        the nonzero coefficients of f / p^v mod p as a dict (i, j) -> r.
+        """(v, rows): v the least valuation of a coefficient, rows f / p^v
+        mod p as a T-polynomial over F_p[S], the layout of ``t_polynomial``
+        with each row trimmed and trailing zero rows dropped.
 
         v is negative exactly when p divides ``den``; the zero element gives
-        (None, {}).  Dividing by p^v leaves some coefficient a p-unit, so the
-        residues of a nonzero element are never empty.
+        (None, [[0]]).  Dividing by p^v leaves some coefficient a p-unit, so
+        the rows of a nonzero element are never all zero.
         """
         if not self.coeffs:
-            return None, {}
+            return None, [[0]]
         p = self.p
         w = min(vp(c, p) for c in self.coeffs.values())
         e = vp(self.den, p)
         inv = pow(self.den // p ** e, -1, p)
         q = p ** w
-        out = {}
-        for k, c in self.coeffs.items():
-            r = c // q * inv % p
-            if r:
-                out[k] = r
-        return w - e, out
+        rows = [polys.trim([c // q * inv % p for c in row]) for row in self.t_polynomial()]
+        while rows[-1] == [0]:
+            rows.pop()
+        return w - e, rows
 
     def __repr__(self):
         return "IwasawaElement2(p=%d, %d terms)" % (self.p, len(self.coeffs))
@@ -506,6 +496,7 @@ def _bareiss_det(M):
     if not bound:
         return [0]                  # a zero row
     B = bound.bit_length() + 2
+    # Horner by shifts: polys.pack needs two lists and two packs per signed entry
     rows = [[_pack_signed(e, B) for e in row] for row in M]
     sign = 1
     prev = 1

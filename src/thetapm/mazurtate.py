@@ -39,7 +39,7 @@ from .exceptions import InvalidArgument, PrecisionError, WorkbenchError
 from .iwasawa import (InvariantProfile, IwasawaElement1, hull_value,
                       newton_invariants)
 from .modsym import make_twisted_evaluator
-from .padics import vp
+from .padics import odd_prime, vp
 from .polys import mul as poly_mul, taylor_shift
 
 DEFAULT_N_MAX = 6
@@ -57,8 +57,7 @@ class ThetaTarget:
     """
 
     def __init__(self, curve, p, discriminant=1, plus_symbol=None, minus_symbol=None):
-        if p % 2 == 0 or p < 3:
-            raise InvalidArgument("p must be an odd prime")
+        odd_prime(p)
         curve.require_supersingular(p)
         if discriminant % p == 0:
             raise InvalidArgument("twist discriminant must be prime to p")

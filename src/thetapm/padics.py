@@ -4,11 +4,15 @@ One-variable series keep their coefficients as integers over one
 denominator with the precision as data (``thetapm.iwasawa``); what they and
 the other modules need of p-adic numbers is here: primality, the distinct
 prime factors and the valuation of an integer or a ``Fraction``.
+``odd_prime`` is the one place that decides whether p is an odd prime.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+
+from .exceptions import InvalidArgument
 
 
 def is_prime(n):
@@ -22,6 +26,14 @@ def is_prime(n):
             return False
         f += 2
     return True
+
+
+@lru_cache(maxsize=None)
+def odd_prime(p):
+    """p itself when it is an odd prime; InvalidArgument otherwise."""
+    if not is_prime(p) or p == 2:
+        raise InvalidArgument("p must be an odd prime, got %r" % (p,))
+    return p
 
 
 def prime_factors(n):

@@ -30,7 +30,7 @@ from functools import lru_cache
 from operator import sub as _int_sub
 
 from thetapm import polys
-from thetapm.chern import (S_TRUNC, PrimeDescriptor, _fp2_t_poly, _fps_poly_str,
+from thetapm.chern import (S_TRUNC, PrimeDescriptor, _fps_poly_str,
                            binomial_series_mod_p)
 from thetapm.cyclotomic import cyclotomic_poly_shifted
 from thetapm.exceptions import (InvalidArgument, PrecisionError, TruncationError,
@@ -647,6 +647,18 @@ def _fp2_shift_s(h, e):
     return {(i - e, j): c for (i, j), c in h.items()}
 
 
+def _fp2_rows(h, p):
+    """The nonempty terms (i, j) -> c as F_p[S] rows by T-degree j, lowest
+    S-degree first, each trimmed, with no zero top row."""
+    rows = [[0] * (max(i for i, _ in h) + 1) for _ in range(max(j for _, j in h) + 1)]
+    for (i, j), c in h.items():
+        rows[j][i] = c % p
+    rows = [polys.trim(r) for r in rows]
+    while len(rows) > 1 and rows[-1] == [0]:
+        rows.pop()
+    return rows
+
+
 def _hensel_weierstrass_t(h, p):
     """Distinguished T-factor of h in F_p[[S]][T] with h(0, T) != 0.
 
@@ -723,7 +735,7 @@ def vertical_divisor_mod_p(hbar, p):
     if e0:
         terms.append((PrimeDescriptor("vertical", ("p", "S")), e0))
     if any(i == 0 for (i, _) in h1):
-        tpoly = _fp2_t_poly(h1, p)
+        tpoly = _fp2_rows(h1, p)
         d = next((j for j, c in enumerate(tpoly) if c[0] % p != 0), None)
         if d is None:
             raise UnsupportedShape("no pure T-order after removing S-content")

@@ -184,6 +184,21 @@ def test_length_accepts_distinguished_pbar(pbar):
     assert local_length_vertical((f, el2(pbar)), pbar) == 1
 
 
+@pytest.mark.parametrize("pbar,g", [({(0, 1): 1, (1, 1): 1}, {(0, 1): 1}),
+                                    ({(1, 0): 1, (1, 1): 1}, {(1, 0): 1})])
+def test_length_rejects_pbar_not_monic(pbar, g):
+    # T + ST and S + ST are distinguished in T, but their T-leading row 1 + S
+    # is not a unit, so no exact division by them counts a multiplicity
+    f = el2({(0, 0): 3})
+    with pytest.raises(UnsupportedShape, match="must be monic"):
+        local_length_vertical((f, el2(g)), pbar)
+
+
+def test_length_zero_generator_is_reported_before_the_monic_rule():
+    with pytest.raises(NotPseudoNull, match="a generator is zero"):
+        local_length_vertical((el2({}), el2({(0, 1): 1})), {(0, 1): 1, (1, 1): 1})
+
+
 # -- pushforward -------------------------------------------------------------------
 
 def test_pushforward_p_divisor():
@@ -338,6 +353,16 @@ def test_fudge_missing_frobenius_flagged():
     assert len(terms) == 1
     desc, mult = terms[0]
     assert not desc.resolved and mult == 2      # v_5(25) = 2
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 4, 9, -3])
+def test_fudge_refuses_a_p_that_is_not_an_odd_prime(p):
+    # p = 1 once looped forever in vp(10, 1), and p = 0 divided by zero
+    place = synthetic_place("split-mult", 10, ell=13)
+    with pytest.raises(InvalidArgument, match="p must be an odd prime"):
+        place_contribution(place, p)
+    with pytest.raises(InvalidArgument, match="p must be an odd prime"):
+        fudge_c2(bundled_curve("32a"), -43, p, [2])
 
 
 def test_binomial_series_mod_p_matches_comb():

@@ -346,10 +346,13 @@ def test_p_split_matches_fraction_valuation_and_residues(p, data):
                               min_size=1, max_size=3))
     scale = Fraction(p) ** data.draw(st.integers(-3, 3))
     terms = {(i, j): c * scale for j, co in enumerate(rows) for i, c in enumerate(co) if c}
-    v, residues = element(p, [[c * scale for c in co] for co in rows]).p_split()
+    v, split = element(p, [[c * scale for c in co] for co in rows]).p_split()
     if not terms:
-        assert (v, residues) == (None, {})
+        assert (v, split) == (None, [[0]])
         return
+    # the layout: trimmed F_p[S] rows by T-degree, with no zero top row
+    assert all(row == [0] or row[-1] for row in split) and split[-1] != [0]
+    residues = fp2_terms(split, p)
 
     def val(c):
         return vp(c.numerator, p) - vp(c.denominator, p)

@@ -2,7 +2,9 @@
 
 A name with a leading underscore is an implementation detail of the module
 that defines it; a sibling that imports one reaches past that module's
-interface, so the decision it encodes no longer lives in one place.
+interface, so the decision it encodes no longer lives in one place.  A
+rule that several modules apply has one owner too, and its wording lives
+there alone.
 """
 
 import ast
@@ -28,3 +30,15 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                       for a in node.names
                       if a.name.startswith("_") and not a.name.startswith("__")]
     assert not found, found
+
+
+def test_only_padics_words_the_odd_prime_rule():
+    # every check that p is an odd prime goes through padics.odd_prime
+    found = []
+    for name in sorted(n for n in os.listdir(SRC) if n.endswith(".py")):
+        with open(os.path.join(SRC, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "p must be an odd prime" in node.value]
+    assert found and all(f.startswith("padics.py:") for f in found), found
