@@ -12,13 +12,22 @@ def el2(terms):
     return IwasawaElement2.from_dict(3, {k: Fraction(v) for k, v in terms.items()})
 
 
+# each length is planted: v * a for (3^v, Pbar^a * unit) at (3, Pbar)
 T_S = {(0, 1): 1, (1, 0): -1}
-print("local lengths at the vertical prime (3, T - S):")
-for f, g, label in [
-        (el2({(0, 0): 3}), el2(T_S), "(3, T-S)"),
-        (el2({(0, 0): 9}), el2(T_S), "(9, T-S)"),
-        (el2({(0, 0): 3}), el2({(0, 2): 1, (1, 1): -2, (2, 0): 1}), "(3, (T-S)^2)")]:
-    print("  %-14s -> %d" % (label, local_length_vertical((f, g), T_S)))
+S = {(1, 0): 1}
+T2_S = {(0, 2): 1, (1, 0): -1}
+print("local lengths at vertical primes (3, Pbar):")
+for f, g, pbar, label, planted in [
+        (el2({(0, 0): 3}), el2(T_S), T_S, "(3, T-S) at (3, T-S)", 1),
+        (el2({(0, 0): 9}), el2(T_S), T_S, "(9, T-S) at (3, T-S)", 2),
+        (el2({(0, 0): 3}), el2({(0, 2): 1, (1, 1): -2, (2, 0): 1}), T_S,
+         "(3, (T-S)^2) at (3, T-S)", 2),
+        (el2({(0, 0): 3}), el2({(3, 0): 1, (3, 1): 1}), S, "(3, S^3 (1+T)) at (3, S)", 3),
+        (el2({(0, 0): 9}), el2({(0, 2): 2, (0, 3): 1, (1, 0): -2, (1, 1): -1}), T2_S,
+         "(9, (T^2-S)(2+T)) at (3, T^2-S)", 2)]:
+    length = local_length_vertical((f, g), pbar)
+    print("  %-34s -> %d" % (label, length))
+    assert length == planted, "%s: length %d, planted %d" % (label, length, planted)
 
 print("\npushforward of (T, S) along the S-line:")
 res, div = pushforward_c2(el2({(0, 1): 1}), el2({(1, 0): 1}))

@@ -7,12 +7,15 @@ T-resultant rather than resolved prime by prime.  Two-variable elements are
 read only through ``p_split`` and ``t_polynomial``; everything mod p runs on
 the T-rows over F_p[S] that ``p_split`` hands out, Pbar's included.  The
 generators are exact polynomials, so a local length divides exactly in
-F_p[S][T].  The divisor of the Frobenius character at a fudge place is read
-off in closed form: its Weierstrass factor T^d - beta(S) is exact, and only
-its printed S-series is cut at ``S_TRUNC``.  The fudge factors at primes
-away from p depend only on the reduction type of the curve at the places of
-the quadratic field, with a contribution exactly when the reduction is
-split multiplicative and p divides the Tate-parameter valuation.
+F_p[S][T], on rows that stay trimmed: ``p_split``, ``_swap`` and
+``polys.submul_mod`` trim every row they make, and ``_t_multiplicity`` trims
+its input once, so a zero row is [0] wherever the division tests one.  The
+divisor of the Frobenius character at a fudge place is read off in closed
+form: its Weierstrass factor T^d - beta(S) is exact, and only its printed
+S-series is cut at ``S_TRUNC``.  The fudge factors at primes away from p
+depend only on the reduction type of the curve at the places of the
+quadratic field, with a contribution exactly when the reduction is split
+multiplicative and p divides the Tate-parameter valuation.
 """
 
 from __future__ import annotations
@@ -109,17 +112,17 @@ def _t_divmod(f, w, p):
     exact, the remainder of T-degree below that of w."""
     f = list(f)
     dw = len(w) - 1
+    low = [(j, wj) for j, wj in enumerate(w[:dw]) if wj != [0]]
     q = [[0]] * max(len(f) - dw, 1)
     for i in range(len(f) - 1, dw - 1, -1):
         c = f[i]
-        if not any(c):
+        if c == [0]:
             continue
         q[i - dw] = c
         f[i] = [0]
-        for j, wj in enumerate(w[:dw], i - dw):
-            if any(wj):
-                f[j] = polys.mod(polys.sub(f[j], polys.mul(c, wj)), p)
-    while len(f) > 1 and not any(f[-1]):
+        for j, wj in low:
+            f[i - dw + j] = polys.submul_mod(f[i - dw + j], wj, c, p)
+    while len(f) > 1 and f[-1] == [0]:
         f.pop()
     return q, f
 
@@ -128,12 +131,12 @@ def _t_multiplicity(g, w, p, cap=None):
     """Multiplicity of monic w in the T-polynomial g over F_p[S], stopped
     at ``cap``; each exact division lowers the T-degree, so none is needed."""
     mult = 0
-    cur = g
+    cur = [polys.trim(list(row)) for row in g]
     while mult != cap:
         if len(cur) - 1 < len(w) - 1:
             break
         q, r = _t_divmod(cur, w, p)
-        if any(map(any, r)):
+        if r != [[0]]:
             break
         mult += 1
         cur = q

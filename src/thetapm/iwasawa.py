@@ -295,7 +295,7 @@ def weierstrass_prepare(f):
         m = min(m * m, mod)
         # e = fb - P*U is 0 mod the previous m: dP = t*e mod P, and
         # dU = (e - U*dP) / P exactly mod m, of degree at most D - lambda
-        e = polys.mod(polys.sub(fb, polys.mul(P, U)), m)
+        e = polys.submul_mod(fb, P, U, m)
         dP = polys.divmod_mod(polys.mul(t, e), P, m)[1]
         dU = polys.divmod_mod(polys.sub(e, polys.mul(U, dP)), P, m)[0]
         P = polys.mod(polys.add(P, dP), m)
@@ -410,14 +410,17 @@ class IwasawaElement2:
         if not self.coeffs:
             return None, [[0]]
         p = self.p
-        w = min(vp(c, p) for c in self.coeffs.values())
+        w = vp(gcd(*self.coeffs.values()), p)
         e = vp(self.den, p)
         inv = pow(self.den // p ** e, -1, p)
         q = p ** w
-        rows = [polys.trim([c // q * inv % p for c in row]) for row in self.t_polynomial()]
-        while rows[-1] == [0]:
-            rows.pop()
-        return w - e, rows
+        rows = {}
+        for (i, j), c in self.coeffs.items():
+            if c := c // q * inv % p:
+                row = rows.setdefault(j, [])
+                row += [0] * (i + 1 - len(row))
+                row[i] = c
+        return w - e, [rows.get(j, [0]) for j in range(max(rows) + 1)]
 
     def __repr__(self):
         return "IwasawaElement2(p=%d, %d terms)" % (self.p, len(self.coeffs))

@@ -28,12 +28,17 @@ def is_prime(n):
     return True
 
 
-@lru_cache(maxsize=None)
 def odd_prime(p):
-    """p itself when it is an odd prime; InvalidArgument otherwise."""
-    if not is_prime(p) or p == 2:
+    """p itself when it is an odd prime; InvalidArgument otherwise, and for
+    any p not an int, checked first: the memo takes 3.0 for a cached 3."""
+    if type(p) is not int or not _odd_prime_int(p):
         raise InvalidArgument("p must be an odd prime, got %r" % (p,))
     return p
+
+
+@lru_cache(maxsize=None)
+def _odd_prime_int(p):
+    return p != 2 and is_prime(p)
 
 
 def prime_factors(n):

@@ -6,8 +6,9 @@ coefficient, not once per term: a product over F_p is
 ``mod(mul(a, b), p)``, never truncated, so the F_p[S] rows of the local
 lengths stay exact polynomials.  ``mod`` and ``divmod_mod`` run over
 Z/p^k as well, dividing by monic polynomials there, for the quadratic
-Hensel lift of ``iwasawa.weierstrass_prepare``.  ``trim`` drops trailing
-zeros but keeps one coefficient, so the zero polynomial is [0].
+Hensel lift of ``iwasawa.weierstrass_prepare``.  ``submul_mod`` is every
+(a - b*c) mod m update.  ``trim`` drops trailing zeros but keeps one
+coefficient, so the zero polynomial is [0].
 """
 
 from __future__ import annotations
@@ -47,6 +48,19 @@ def sub(a, b):
 def mod(a, p):
     """Residues mod p, trimmed; p may be any modulus, such as p^k."""
     return trim([x % p for x in a])
+
+
+def submul_mod(a, b, c, m):
+    """(a - b*c) mod m, trimmed: short factors take one schoolbook pass into
+    a copy of a, from ``KRONECKER_MIN`` terms up ``mul``'s Kronecker route."""
+    if min(len(b), len(c)) >= KRONECKER_MIN:
+        return mod(sub(a, mul(b, c)), m)
+    out = list(a) + [0] * (len(b) + len(c) - 1 - len(a))
+    for i, x in enumerate(b):
+        if x:
+            for j, y in enumerate(c, i):
+                out[j] -= x * y
+    return mod(out, m)
 
 
 def mul(a, b):
@@ -142,8 +156,8 @@ def bezout_mod(a, b, p):
     while r1 != [0]:
         q, r = divmod_mod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, mod(sub(s0, mul(q, s1)), p)
-        t0, t1 = t1, mod(sub(t0, mul(q, t1)), p)
+        s0, s1 = s1, submul_mod(s0, q, s1, p)
+        t0, t1 = t1, submul_mod(t0, q, t1, p)
     if len(r0) != 1 or r0[0] == 0:
         raise InvalidArgument("polynomials are not coprime mod p")
     inv = pow(r0[0], -1, p)

@@ -13,7 +13,11 @@ entries into integers is here as well: Bareiss elimination on integer
 coefficient lists, with the exact division of ``thetapm.polys`` it ran on.
 So does the divisor of a Frobenius character as ``thetapm.chern`` took it
 before the closed form: the character cut at a total degree, its S-content
-split off and its T-factor Hensel-lifted over the S-adic digits.
+split off and its T-factor Hensel-lifted over the S-adic digits, with a
+label printer of its own.  The mod-p rows of a local length have their
+first form here as well: ``p_split`` through the dense ``t_polynomial``
+matrix, and the division by Pbar that composed one ``mod(sub(., mul(., .)))``
+per update and tested every row with ``any``.
 The dominance certificate of ``thetapm.mazurtate`` has its original form
 here too: the polygons rebuilt with a lower hull from the valuations of
 the representative and of the modulus polynomial itself, where the library
@@ -30,11 +34,10 @@ from functools import lru_cache
 from operator import sub as _int_sub
 
 from thetapm import polys
-from thetapm.chern import (S_TRUNC, PrimeDescriptor, _fps_poly_str,
-                           binomial_series_mod_p)
+from thetapm.chern import S_TRUNC, PrimeDescriptor, binomial_series_mod_p
 from thetapm.cyclotomic import cyclotomic_poly_shifted
-from thetapm.exceptions import (InvalidArgument, PrecisionError, TruncationError,
-                                UnsupportedShape)
+from thetapm.exceptions import (InvalidArgument, NotPseudoNull, PrecisionError,
+                                TruncationError, UnsupportedShape)
 from thetapm.iwasawa import (DEFAULT_PRECISION, InvariantProfile, hull_value,
                              lower_hull)
 from thetapm.padics import is_prime, vp
@@ -741,10 +744,82 @@ def vertical_divisor_mod_p(hbar, p):
             raise UnsupportedShape("no pure T-order after removing S-content")
         if d > 0:
             W = _hensel_weierstrass_t(tpoly, p)
-            label = _fps_poly_str(dict(enumerate(W)), p)
+            label = fp2_label(W, p)
             terms.append((PrimeDescriptor("vertical", ("p", label),
                                           resolved=(d == 1)), 1 if d == 1 else d))
     return terms
+
+
+def fp2_label(W, p):
+    """A T-polynomial over F_p[S] as ``thetapm.chern`` prints it, written
+    from its own term dict (i, j) -> c: T-degrees ascending, each one's
+    S-terms ascending, and bracketed when there are several."""
+    terms = {(i, j): c % p for j, row in enumerate(W) for i, c in enumerate(row)
+             if c % p}
+    out = []
+    for j in sorted({j for _, j in terms}):
+        inner = []
+        for i in sorted(i for i, t in terms if t == j):
+            c, s = terms[(i, j)], "S" if i == 1 else "S^%d" % i
+            inner.append(str(c) if i == 0 else s if c == 1 else "%d*%s" % (c, s))
+        co = "(%s)" % "+".join(inner) if len(inner) > 1 else inner[0]
+        out.append("%s*T^%d" % (co, j) if j else co)
+    return " + ".join(out) or "0"
+
+
+# -- the mod-p rows of a local length (chern) ----------------------------------
+
+def p_split_dense(el):
+    """``IwasawaElement2.p_split`` through the dense ``t_polynomial`` matrix:
+    one valuation per term, then every row reduced and trimmed."""
+    if not el.coeffs:
+        return None, [[0]]
+    p = el.p
+    w = min(vp(c, p) for c in el.coeffs.values())
+    e = vp(el.den, p)
+    inv = pow(el.den // p ** e, -1, p)
+    q = p ** w
+    rows = [polys.trim([c // q * inv % p for c in row]) for row in el.t_polynomial()]
+    while rows[-1] == [0]:
+        rows.pop()
+    return w - e, rows
+
+
+def t_divmod(f, w, p):
+    """Division by monic w in F_p[S][T] that tests every row for zero and
+    composes mod(sub(., mul(., .))) for each update."""
+    f = list(f)
+    dw = len(w) - 1
+    q = [[0]] * max(len(f) - dw, 1)
+    for i in range(len(f) - 1, dw - 1, -1):
+        c = f[i]
+        if not any(c):
+            continue
+        q[i - dw] = c
+        f[i] = [0]
+        for j, wj in enumerate(w[:dw], i - dw):
+            if any(wj):
+                f[j] = polys.mod(polys.sub(f[j], polys.mul(c, wj)), p)
+    while len(f) > 1 and not any(f[-1]):
+        f.pop()
+    return q, f
+
+
+def t_multiplicity(g, w, p, cap=None):
+    """Multiplicity of monic w in g over F_p[S], on rows as given."""
+    mult = 0
+    cur = g
+    while mult != cap:
+        if len(cur) - 1 < len(w) - 1:
+            break
+        q, r = t_divmod(cur, w, p)
+        if any(map(any, r)):
+            break
+        mult += 1
+        cur = q
+        if not any(map(any, cur)):
+            raise NotPseudoNull("generator vanishes after exact divisions")
+    return mult
 
 
 @lru_cache(maxsize=None)

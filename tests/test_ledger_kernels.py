@@ -2,7 +2,7 @@
 
 ``thetapm.polys``, the packed integer Bareiss determinant behind
 ``sylvester_resultant``, the T-resultant, ``IwasawaElement2.p_split``, the
-integer certificate resultant and the Newton and Weierstrass readers of
+division by Pbar of the local lengths, the integer certificate resultant and the Newton and Weierstrass readers of
 integer one-variable series must give what the code in ``ledger_oracle``
 and plain ``Fraction`` arithmetic give, including zero polynomials,
 trailing zeros, row swaps, singular matrices, constants in T, resultants
@@ -21,8 +21,10 @@ import ledger_oracle as oracle
 from ledger_oracle import PadicScalar, _hensel_weierstrass_t
 from thetapm import (BUNDLED_ROWS, IwasawaElement1, IwasawaElement2, bundled_curve,
                      newton_invariants, polys, resultant_in_T, vp)
-from thetapm.chern import S_TRUNC, _fiber_gcd_at_origin, _t_divmod
-from thetapm.exceptions import InvalidArgument, PrecisionError, TruncationError
+from thetapm.chern import (S_TRUNC, _fiber_gcd_at_origin, _swap, _t_divmod,
+                           _t_multiplicity)
+from thetapm.exceptions import (InvalidArgument, NotPseudoNull, PrecisionError,
+                                TruncationError)
 from thetapm.coprimality import _abs_floor_bound, _obviously_equal, _resultant_mod
 from thetapm.iwasawa import _bareiss_det, weierstrass_prepare
 
@@ -107,6 +109,71 @@ def test_t_divmod_is_exact_division_by_monic(p, dw, data):
             for i, c in enumerate(oracle._fp_poly_mul(a, b, p)):
                 back[(i, j1 + j2)] = (back.get((i, j1 + j2), 0) + c) % p
     assert {k: c for k, c in back.items() if c} == fp2_terms(f, p)
+
+
+def t_mul(x, y, p):
+    """Product of two T-polynomials over F_p[S], every row trimmed."""
+    out = [[0]] * (len(x) + len(y) - 1)
+    for j1, a in enumerate(x):
+        for j2, b in enumerate(y):
+            out[j1 + j2] = polys.mod(polys.add(out[j1 + j2], polys.mul(a, b)), p)
+    return out
+
+
+def pseudo_null_or(fn, *args):
+    try:
+        return fn(*args)
+    except NotPseudoNull as exc:
+        return "NotPseudoNull: %s" % exc
+
+
+@ORACLE_SETTINGS
+@given(st.sampled_from(PRIMES), st.sampled_from(("T", "T^2", "S")), st.integers(0, 3),
+       st.sampled_from((None, 1, 2)), st.data())
+def test_t_multiplicity_matches_oracle_on_planted_powers(p, shape, a, cap, data):
+    # g = Pbar^a * u over F_p[S][T], Pbar monic of T-degree 1 or 2, or free of
+    # T and divided in S after one _swap, as local_length_vertical does; the
+    # input rows trimmed or padded with zeros, a zero top row included
+    if shape == "S":
+        pbar = [data.draw(residues(p, 1, 3)) + [1]]
+    else:
+        dw = {"T": 1, "T^2": 2}[shape]
+        pbar = [polys.trim(data.draw(residues(p, 1, 4))) for _ in range(dw)] + [[1]]
+    g = [polys.trim(data.draw(residues(p, 1, 4))) for _ in range(data.draw(st.integers(1, 3)))]
+    for _ in range(a):
+        g = t_mul(g, pbar, p)
+    w = pbar
+    if shape == "S":
+        g, w = _swap(g), _swap(pbar)
+    if data.draw(st.booleans()):
+        g = [row + [0] * data.draw(st.integers(0, 2)) for row in g]
+        g += [[0] * data.draw(st.integers(1, 3))] * data.draw(st.integers(0, 2))
+    else:
+        assert _t_divmod(g, w, p) == oracle.t_divmod(g, w, p)
+    got = pseudo_null_or(_t_multiplicity, g, w, p, cap)
+    assert got == pseudo_null_or(oracle.t_multiplicity, g, w, p, cap)
+    if any(map(any, g)) and not isinstance(got, str):
+        assert got >= (a if cap is None else min(a, cap))
+
+
+@pytest.mark.parametrize("short", [(0, polys.KRONECKER_MIN - 1),
+                                   (polys.KRONECKER_MIN, polys.KRONECKER_MIN + 15)])
+@ORACLE_SETTINGS
+@given(st.sampled_from(PRIMES), st.integers(1, 5), st.data())
+def test_submul_mod_matches_the_composition_on_both_routes(short, p, k, data):
+    # the shorter factor below KRONECKER_MIN takes the schoolbook pass, from
+    # it up mul's Kronecker route; m = p and p^k, entries of both signs
+    m = p ** k
+    big = st.integers(-10 ** 20, 10 ** 20)
+    lb = data.draw(st.integers(*short))
+    lc = data.draw(st.integers(lb, short[1] + 20))
+    a = data.draw(st.lists(big, min_size=1, max_size=80))
+    b = data.draw(st.lists(big, min_size=lb, max_size=lb))
+    c = data.draw(st.lists(big, min_size=lc, max_size=lc))
+    if data.draw(st.booleans()):
+        b, c = c, b
+    want = polys.mod(polys.sub(a, polys.mul(b, c)), m)
+    assert polys.submul_mod(a, b, c, m) == want
 
 
 def test_f_p_kernels_on_zero_polynomials():
@@ -364,6 +431,20 @@ def test_p_split_matches_fraction_valuation_and_residues(p, data):
         if r:
             want[k] = r
     assert v == want_v and residues == want and residues
+
+
+@ORACLE_SETTINGS
+@given(st.sampled_from(PRIMES), st.data())
+def test_p_split_matches_dense_oracle_layout_included(p, data):
+    # rows read off the term dict equal the dense t_polynomial route: the
+    # valuation, every residue, trimmed rows and zero rows inside as [0]
+    coeff = st.builds(lambda c, k: c * p ** k, st.integers(-10 ** 6, 10 ** 6),
+                      st.integers(0, 3))
+    terms = data.draw(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 5)),
+                                      coeff, max_size=12))
+    den = data.draw(st.sampled_from((1, 2, p, p * p, 5 * p ** 3)))
+    el = IwasawaElement2(p, terms, den)
+    assert el.p_split() == oracle.p_split_dense(el)
 
 
 # -- PadicScalar views ----------------------------------------------------------------

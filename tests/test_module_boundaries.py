@@ -10,7 +10,8 @@ there alone.
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src", "thetapm")
+HERE = os.path.dirname(__file__)
+SRC = os.path.join(HERE, "..", "src", "thetapm")
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
@@ -42,3 +43,13 @@ def test_only_padics_words_the_odd_prime_rule():
                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and "p must be an odd prime" in node.value]
     assert found and all(f.startswith("padics.py:") for f in found), found
+
+
+def test_the_ledger_oracle_takes_no_private_name_from_chern():
+    # an oracle that borrows a private helper of the code it checks, such as
+    # a label printer, repeats that helper's faults on both sides of the test
+    with open(os.path.join(HERE, "ledger_oracle.py")) as fh:
+        tree = ast.parse(fh.read(), "ledger_oracle.py")
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.module == "thetapm.chern" for a in node.names]
+    assert names and not [n for n in names if n.startswith("_")], names

@@ -1,4 +1,4 @@
-"""Valuations, and the p-adic scalars of the oracle with the precision
+"""Valuations, the odd-prime rule, and the p-adic scalars of the oracle with the precision
 rules of their arithmetic.
 
 ``PadicScalar`` keeps a value and its precision and does no arithmetic; it
@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 from ledger_oracle import PadicScalar, padic_add, padic_mul, padic_truediv
-from thetapm import InvalidArgument, PrecisionError, vp
+from thetapm import InvalidArgument, PrecisionError, RunConfig, vp
+from thetapm.padics import odd_prime
 
 
 def test_vp_basics():
@@ -27,6 +28,16 @@ def test_vp_basics():
     assert vp(Fraction(-45, 7), 3) == 2       # p in the numerator
     assert vp(Fraction(7, -81), 3) == -4      # p in the denominator
     assert vp(Fraction(9, 27), 3) == -1       # reduced to 1/3 first
+
+
+@pytest.mark.parametrize("p", [3.0, 5.0, Fraction(7), "3", True])
+def test_odd_prime_refuses_a_p_that_is_not_an_int(p):
+    # 3.0, 5.0 and Fraction(7) equal an odd prime that is already memoized
+    assert [odd_prime(q) for q in (3, 5, 7)] == [3, 5, 7]
+    with pytest.raises(InvalidArgument, match="p must be an odd prime"):
+        odd_prime(p)
+    with pytest.raises(InvalidArgument, match="p must be an odd prime"):
+        RunConfig(p=p)
 
 
 def test_exact_construction_and_views():
